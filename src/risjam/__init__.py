@@ -4,7 +4,6 @@ that turns hostile energy into extra throughput."""
 
 from .adaptation import (
     AdaptationDecision,
-    antifragile_gain,
     effective_ber,
     select_link,
     snr_jamming,
@@ -24,7 +23,7 @@ from .channel import (
 from .harness import ExperimentConfig, SweepRow, load_config, run_sweep
 from .jammer import JammerModel, JammerSpec, PathTopology, jammer_transform
 from .pipeline import OrthogonalityMode, TrialResult, TrialSettings, run_trial
-from .receiver import JammerClass, classify_jammer, estimate_delay, secondary_peak
+from .receiver import JammerClass, classify_jammer, estimate_delay
 from .waveform import Family, ModScheme, RsCode, modulate, demodulate, rs_decode, rs_encode
 
 __version__ = "0.1.0"
@@ -47,7 +46,6 @@ __all__ = [
     "SweepRow",
     "TrialResult",
     "TrialSettings",
-    "antifragile_gain",
     "build_correlation",
     "cascaded_coefficient",
     "classify_jammer",
@@ -64,7 +62,6 @@ __all__ = [
     "run_sweep",
     "run_trial",
     "sample_realization",
-    "secondary_peak",
     "select_link",
     "snr_jamming",
     "throughput",

@@ -1,6 +1,6 @@
 """Link adaptation: SNR combining, analytic AWGN error curves, modulation
 remapping per jammer class, Reed-Solomon code selection through the residual
-symbol-error criterion, and throughput/JSR/gain metrics."""
+symbol-error criterion, and throughput/JSR metrics."""
 
 from __future__ import annotations
 
@@ -23,17 +23,6 @@ ORDERS = (2, 4, 8, 16, 32, 64)
 
 def _q(x):
     return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
-
-
-@dataclass(frozen=True)
-class LinkSnrs:
-    gamma_e: float
-    gamma_j: float
-    gamma_l: float
-
-    def __post_init__(self):
-        if min(self.gamma_e, self.gamma_j, self.gamma_l) < 0:
-            raise AdaptationError("SNRs must be non-negative")
 
 
 def snr_jamming(gamma_e: float, gamma_j: float) -> float:
@@ -227,17 +216,5 @@ def jsr_db(p_j: float, p_l: float) -> float:
     return 10.0 * np.log10(p_j) - 10.0 * np.log10(p_l)
 
 
-def antifragile_gain(t_jammed: float, t_baseline: float) -> float:
-    if t_baseline <= 0:
-        raise AdaptationError("baseline throughput must be positive")
-    return t_jammed / t_baseline
-
-
 def dbm_to_watt(p_dbm: float) -> float:
     return 10.0 ** (p_dbm / 10.0) / 1000.0
-
-
-def watt_to_dbm(p_watt: float) -> float:
-    if p_watt <= 0:
-        raise AdaptationError("power must be positive")
-    return 10.0 * np.log10(p_watt * 1000.0)

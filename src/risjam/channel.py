@@ -8,7 +8,7 @@ which equals the element-wise triple sum over (a, k, l) of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class RisLinkConfig:
     d_rd: float = 7.0
     path_loss_exp: float = 2.7
     corr_rate: float = 0.05
-    carrier_hz: float = 28e9
 
     def __post_init__(self):
         if self.element_count < 1:
@@ -86,7 +85,6 @@ class ChannelRealization:
     h_e1: complex
     h_j1: complex
     h_j2: complex
-    extras: dict = field(default_factory=dict)
 
 
 def path_loss(d: float, delta: float) -> float:

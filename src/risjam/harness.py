@@ -12,6 +12,8 @@ import configparser
 import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from enum import Enum
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from . import adaptation as ad
 from . import channel as ch
 from . import jammer as jm
 from . import pipeline as pl
-from . import waveform as wf
+from .pipeline import ConfigError
 
 CSV_HEADER = (
     "jsr_db,jammer,topology,ris_size,t_baseline,t_jammed,gain,detect_rate,"
@@ -30,10 +32,6 @@ CALIBRATION_DRAWS = 256
 _CAL_KEY = 0x5EED
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     jammers: tuple[jm.JammerModel, ...] = (
@@ -41,8 +39,6 @@ class ExperimentConfig:
         jm.JammerModel.PS,
         jm.JammerModel.AS,
     )
-    topology: jm.PathTopology = jm.PathTopology.SOURCE_AWARE
-    orthogonality: pl.OrthogonalityMode = pl.OrthogonalityMode.TEMPORAL
     ris_sizes: tuple[int, ...] = (64,)
     jsr_grid_db: tuple[float, ...] = tuple(np.arange(-10.0, 20.5, 2.5))
     trials: int = 200
@@ -50,14 +46,13 @@ class ExperimentConfig:
     jobs: int = 1
     settings: pl.TrialSettings = field(
         default_factory=lambda: pl.TrialSettings(
-            link=ch.RisLinkConfig(element_count=64),
-            rician=ch.RicianParams(),
-            topology=jm.PathTopology.SOURCE_AWARE,
-            orthogonality=pl.OrthogonalityMode.TEMPORAL,
+            link=ch.RisLinkConfig(element_count=64), rician=ch.RicianParams()
         )
     )
 
     def __post_init__(self):
+        if not self.jammers:
+            raise ConfigError("jammers is empty")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not self.ris_sizes or min(self.ris_sizes) < 1:
@@ -66,6 +61,34 @@ class ExperimentConfig:
             raise ConfigError("jsr grid is empty")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+
+
+def _fields(section, cls, *names):
+    return {(section, name): (cls, name) for name in names}
+
+
+# (INI section, key) -> (dataclass, field). The field's annotation gives the
+# key's type and its default applies when the key is absent; a key not in
+# this table is rejected.
+_SCHEMA = {
+    **_fields("sweep", ExperimentConfig, "jammers", "ris_sizes", "trials", "seed", "jobs"),
+    ("sweep", "jsr_db"): (ExperimentConfig, "jsr_grid_db"),
+    **_fields("sweep", pl.TrialSettings, "topology", "orthogonality"),
+    **_fields("link", ch.RisLinkConfig, "d_sr", "d_rd", "path_loss_exp", "corr_rate"),
+    **_fields("link", ch.RicianParams, "rician_k", "path_count"),
+    **_fields("link", pl.TrialSettings,
+              "baseline_snr_db", "snr_mode", "tx_power_dbm", "bandwidth_hz"),
+    ("jammer", "power_cap_dbm"): (pl.TrialSettings, "jam_power_cap_dbm"),
+    ("jammer", "delay"): (pl.TrialSettings, "jam_delay"),
+    **_fields("jammer", pl.TrialSettings,
+              "eavesdrop_snr_db", "eaves_corr", "d_e1", "d_j1", "d_j2", "drfm_gain"),
+    **_fields("receiver", pl.TrialSettings,
+              "frame_len", "pilot_len", "antennas", "sim_threshold",
+              "inversion_threshold", "peak_significance", "flip_threshold"),
+    **_fields("adaptation", pl.TrialSettings,
+              "delta", "fixed_rate", "max_order", "base_family"),
+}
+_SECTIONS = {section for section, _ in _SCHEMA}
 
 
 def _parse_list(raw: str, cast):
@@ -80,38 +103,27 @@ def _parse_list(raw: str, cast):
     return tuple(cast(p.strip()) for p in raw.split(",") if p.strip())
 
 
-def _enum(value: str, enum_cls, name: str):
+def _enum(value: str, enum_cls):
     try:
         return enum_cls(value.strip().lower())
     except ValueError:
         opts = ", ".join(e.value for e in enum_cls)
-        raise ConfigError(f"{name} must be one of {opts}, got {value!r}") from None
+        raise ConfigError(f"must be one of {opts}, got {value!r}") from None
 
 
-_SWEEP_KEYS = {
-    "jammers", "topology", "orthogonality", "ris_sizes", "jsr_db", "trials",
-    "seed", "jobs",
-}
-_LINK_KEYS = {
-    "d_sr", "d_rd", "path_loss_exp", "corr_rate", "carrier_hz", "rician_k",
-    "path_count", "baseline_snr_db", "bandwidth_hz", "tx_power_dbm", "snr_mode",
-}
-_JAMMER_KEYS = {
-    "power_cap_dbm", "power_floor_dbm", "eavesdrop_snr_db", "eaves_corr",
-    "d_e1", "d_j1", "d_j2", "delay", "drfm_gain",
-}
-_RECEIVER_KEYS = {
-    "frame_len", "pilot_len", "antennas", "sim_threshold",
-    "inversion_threshold", "peak_significance", "flip_threshold",
-}
-_ADAPT_KEYS = {"delta", "fixed_rate", "max_order", "base_family"}
-_SECTIONS = {
-    "sweep": _SWEEP_KEYS,
-    "link": _LINK_KEYS,
-    "jammer": _JAMMER_KEYS,
-    "receiver": _RECEIVER_KEYS,
-    "adaptation": _ADAPT_KEYS,
-}
+def _caster(hint):
+    """Parser from INI text to a value of the annotated field type."""
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        cast = (lambda v: int(float(v))) if item is int else _caster(item)
+        return lambda raw: _parse_list(raw, cast)
+    optional = [a for a in get_args(hint) if a is not type(None)]
+    if optional:  # `T | None`: empty text means None
+        cast = _caster(optional[0])
+        return lambda raw: cast(raw) if raw.strip() else None
+    if issubclass(hint, Enum):
+        return lambda raw: _enum(raw, hint)
+    return hint
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -134,97 +146,32 @@ def loads_config(text: str) -> ExperimentConfig:
 
 
 def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
+    values = {cls: {} for cls, _ in _SCHEMA.values()}
+    hints = {cls: get_type_hints(cls) for cls in values}
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SECTIONS[section]:
+        for key, raw in parser[section].items():
+            if (section, key) not in _SCHEMA:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-
-    def get(section, key, cast, default):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
+            cls, name = _SCHEMA[section, key]
             try:
-                return cast(raw)
-            except ConfigError:
-                raise
+                values[cls][name] = _caster(hints[cls][name])(raw)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
-        return default
 
-    sw = "sweep"
-    jammers = get(
-        sw, "jammers",
-        lambda r: tuple(_enum(p, jm.JammerModel, "jammer") for p in r.split(",")),
-        ExperimentConfig.jammers,
-    )
-    topology = get(sw, "topology", lambda r: _enum(r, jm.PathTopology, "topology"),
-                   jm.PathTopology.SOURCE_AWARE)
-    ortho = get(sw, "orthogonality",
-                lambda r: _enum(r, pl.OrthogonalityMode, "orthogonality"),
-                pl.OrthogonalityMode.TEMPORAL)
-    ris_sizes = get(sw, "ris_sizes", lambda r: _parse_list(r, lambda v: int(float(v))),
-                    ExperimentConfig.ris_sizes)
-    jsr = get(sw, "jsr_db", lambda r: _parse_list(r, float),
-              tuple(np.arange(-10.0, 20.5, 2.5)))
-    trials = get(sw, "trials", int, 200)
-    seed = get(sw, "seed", int, 1)
-    jobs = get(sw, "jobs", int, 1)
-
-    link = ch.RisLinkConfig(
-        element_count=ris_sizes[0],
-        d_sr=get("link", "d_sr", float, 18.0),
-        d_rd=get("link", "d_rd", float, 7.0),
-        path_loss_exp=get("link", "path_loss_exp", float, 2.7),
-        corr_rate=get("link", "corr_rate", float, 0.05),
-        carrier_hz=get("link", "carrier_hz", float, 28e9),
-    )
-    rician = ch.RicianParams(
-        rician_k=get("link", "rician_k", float, 0.0),
-        path_count=get("link", "path_count", int, 1),
-    )
-    fixed_rate_raw = get("adaptation", "fixed_rate", str, "")
-    fixed_rate = float(fixed_rate_raw) if fixed_rate_raw.strip() else None
-    delay_raw = get("jammer", "delay", str, "")
-    jam_delay = int(delay_raw) if delay_raw.strip() else None
-
-    settings = pl.TrialSettings(
-        link=link,
-        rician=rician,
-        topology=topology,
-        orthogonality=ortho,
-        frame_len=get("receiver", "frame_len", int, 4096),
-        pilot_len=get("receiver", "pilot_len", int, 64),
-        jam_delay=jam_delay,
-        tx_power_dbm=get("link", "tx_power_dbm", float, 20.0),
-        jam_power_cap_dbm=get("jammer", "power_cap_dbm", float, 40.0),
-        jam_power_floor_dbm=get("jammer", "power_floor_dbm", float, 0.0),
-        eavesdrop_snr_db=get("jammer", "eavesdrop_snr_db", float, 25.0),
-        eaves_corr=get("jammer", "eaves_corr", float, 0.5),
-        d_e1=get("jammer", "d_e1", float, 25.0),
-        d_j1=get("jammer", "d_j1", float, 7.0),
-        d_j2=get("jammer", "d_j2", float, 7.0),
-        baseline_snr_db=get("link", "baseline_snr_db", float, 7.0),
-        bandwidth_hz=get("link", "bandwidth_hz", float, 1.0),
-        base_family=get("adaptation", "base_family",
-                        lambda r: _enum(r, wf.Family, "base_family"), wf.Family.PSK),
-        fixed_rate=fixed_rate,
-        delta=get("adaptation", "delta", float, -0.005),
-        max_order=get("adaptation", "max_order", int, 64),
-        antennas=get("receiver", "antennas", int, 8),
-        drfm_gain=get("jammer", "drfm_gain", float, 1.5),
-        sim_threshold=get("receiver", "sim_threshold", float, 0.93),
-        inversion_threshold=get("receiver", "inversion_threshold", float, 0.25),
-        peak_significance=get("receiver", "peak_significance", float, 0.15),
-        snr_mode=get("link", "snr_mode", str, "pinned"),
-    )
-    if settings.snr_mode not in ("pinned", "faded"):
-        raise ConfigError(f"snr_mode must be pinned or faded, got {settings.snr_mode!r}")
-    return ExperimentConfig(
-        jammers=jammers, topology=topology, orthogonality=ortho,
-        ris_sizes=ris_sizes, jsr_grid_db=jsr, trials=trials, seed=seed,
-        jobs=jobs, settings=settings,
-    )
+    try:
+        cfg = ExperimentConfig(**values[ExperimentConfig])
+        settings = pl.TrialSettings(
+            link=ch.RisLinkConfig(
+                element_count=cfg.ris_sizes[0], **values[ch.RisLinkConfig]
+            ),
+            rician=ch.RicianParams(**values[ch.RicianParams]),
+            **values[pl.TrialSettings],
+        )
+    except ch.ChannelError as exc:
+        raise ConfigError(str(exc)) from exc
+    return replace(cfg, settings=settings)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +243,7 @@ def _run_cell(args):
     for t in range(cfg.trials):
         rng = np.random.default_rng(_trial_seed(cfg, ji, ri, ki, t))
         results.append(pl.run_trial(settings, jsr, model, rng, noise_var, eaves_var))
-    return (ji, ri, ki), _aggregate(jsr, model, cfg.topology, ris, results)
+    return (ji, ri, ki), _aggregate(jsr, model, cfg.settings.topology, ris, results)
 
 
 def _modal(values):

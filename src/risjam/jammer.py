@@ -1,5 +1,5 @@
-"""Reactive jammer transforms (DRFM / phase-shift / amplitude-shift) and
-received-signal composition for the two eavesdropping topologies."""
+"""Reactive jammer transforms (DRFM / phase-shift / amplitude-shift) and the
+two eavesdropping topologies."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .channel import ChannelRealization, CorrelationMatrix, PhaseMatrix, cascaded_coefficient
 
 
 class JammerError(ValueError):
@@ -31,30 +29,12 @@ class JammerSpec:
     model: JammerModel
     amp_gain: float = 1.0  # beta_a, DRFM only
     delay_samples: int = 0
-    power_dbm: float = 20.0
-    cycle_period: int | None = None
-    symbols_per_factor: int = 1  # samples per modulation symbol for U(t)/V(t)
 
     def __post_init__(self):
         if self.model == JammerModel.DRFM and self.amp_gain <= 0:
             raise JammerError("amp_gain must be positive for DRFM")
         if self.delay_samples < 0:
             raise JammerError("delay_samples must be non-negative")
-
-
-@dataclass(frozen=True)
-class ReceiveArray:
-    """Half-wavelength ULA; steering entry i = exp(-j*pi*i*sin(aoa))."""
-
-    antenna_count: int
-
-    def __post_init__(self):
-        if self.antenna_count < 1:
-            raise JammerError("antenna_count must be >= 1")
-
-    def steering(self, aoa: float) -> np.ndarray:
-        i = np.arange(self.antenna_count)
-        return np.exp(-1j * np.pi * i * np.sin(aoa))
 
 
 def jammer_transform(
@@ -72,71 +52,8 @@ def jammer_transform(
         raise JammerError("empty input sequence")
     if spec.model == JammerModel.DRFM:
         shaped = spec.amp_gain * x
+    elif spec.model == JammerModel.PS:
+        shaped = x * rng.choice([1.0, -1.0], size=x.size)
     else:
-        n_factors = -(-x.size // spec.symbols_per_factor)
-        if spec.model == JammerModel.PS:
-            factors = rng.choice([1.0, -1.0], size=n_factors)
-        else:
-            factors = rng.uniform(0.0, 2.0, size=n_factors)
-        shaped = x * np.repeat(factors, spec.symbols_per_factor)[: x.size]
-    if spec.cycle_period:
-        # jammer active only during the first half of each cycle
-        n = np.arange(shaped.size)
-        shaped = shaped * ((n % spec.cycle_period) < spec.cycle_period // 2)
+        shaped = x * rng.uniform(0.0, 2.0, size=x.size)
     return np.concatenate([np.zeros(spec.delay_samples, dtype=complex), shaped])
-
-
-def _noise(n: int, noise_var: float, rng: np.random.Generator) -> np.ndarray:
-    if noise_var == 0.0:
-        return np.zeros(n, dtype=complex)
-    s = np.sqrt(noise_var / 2.0)
-    return rng.normal(0, s, n) + 1j * rng.normal(0, s, n)
-
-
-def received_source_aware(
-    legit_coeff: complex,
-    h_e1: complex,
-    h_j1: complex,
-    spec: JammerSpec,
-    x: np.ndarray,
-    noise_var: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """y[n] = legit*x[n] + A(n)*h_e1*h_j1*x[n - tau] + w[n] (Jammer 1 path)."""
-    x = np.asarray(x, dtype=complex)
-    jam = h_e1 * h_j1 * jammer_transform(spec, x, rng)[: x.size]
-    return legit_coeff * x + jam + _noise(x.size, noise_var, rng)
-
-
-def received_ris_aware(
-    realization: ChannelRealization,
-    corr: CorrelationMatrix,
-    phi: PhaseMatrix,
-    h_j2: complex,
-    spec: JammerSpec,
-    x: np.ndarray,
-    noise_var: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Superposition of the legitimate cascade and the RIS->Jammer-2 cascade."""
-    x = np.asarray(x, dtype=complex)
-    legit = cascaded_coefficient(realization.h_sr, realization.h_rd, corr, phi)
-    eaves = cascaded_coefficient(realization.h_sr, realization.h_rj, corr, phi)
-    jam = eaves * h_j2 * jammer_transform(spec, x, rng)[: x.size]
-    return legit * x + jam + _noise(x.size, noise_var, rng)
-
-
-def array_receive(
-    y: np.ndarray,
-    array: ReceiveArray,
-    aoa: float,
-    noise_var: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Spread a single stream over the ULA: row i is steering[i]*y + noise."""
-    y = np.asarray(y, dtype=complex)
-    sv = array.steering(aoa)
-    out = sv[:, None] * y[None, :]
-    if noise_var > 0.0:
-        out = out + _noise(array.antenna_count * y.size, noise_var, rng).reshape(out.shape)
-    return out

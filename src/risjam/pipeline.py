@@ -28,20 +28,23 @@ class OrthogonalityMode(str, Enum):
     NONE = "none"
 
 
+class ConfigError(ValueError):
+    """A setting that cannot run, caught before the first trial."""
+
+
 @dataclass(frozen=True)
 class TrialSettings:
     """Everything one trial needs beyond the sweep coordinates."""
 
     link: ch.RisLinkConfig
     rician: ch.RicianParams
-    topology: jm.PathTopology
-    orthogonality: OrthogonalityMode
+    topology: jm.PathTopology = jm.PathTopology.SOURCE_AWARE
+    orthogonality: OrthogonalityMode = OrthogonalityMode.TEMPORAL
     frame_len: int = 4096
     pilot_len: int = 64
     jam_delay: int | None = None  # None -> frame_len // 2
     tx_power_dbm: float = 20.0
     jam_power_cap_dbm: float = 40.0
-    jam_power_floor_dbm: float = 0.0
     eavesdrop_snr_db: float = 25.0
     eaves_corr: float = 0.5
     d_e1: float = 25.0
@@ -62,6 +65,27 @@ class TrialSettings:
     # "pinned" holds the legit link at baseline_snr_db every trial (power
     # control); "faded" uses the harness-calibrated fixed noise floor instead
     snr_mode: str = "pinned"
+
+    def __post_init__(self):
+        if self.snr_mode not in ("pinned", "faded"):
+            raise ConfigError(f"snr_mode must be pinned or faded, got {self.snr_mode!r}")
+        if self.frame_len <= self.pilot_len:
+            raise ConfigError(
+                f"frame_len {self.frame_len} leaves no payload after "
+                f"pilot_len {self.pilot_len}"
+            )
+        if self.jam_delay is not None and not 0 <= self.jam_delay < self.frame_len:
+            raise ConfigError(
+                f"delay {self.jam_delay} puts the replica outside the "
+                f"{self.frame_len}-sample frame"
+            )
+        if self.max_order not in ad.ORDERS:
+            raise ConfigError(f"max_order must be one of {ad.ORDERS}, got {self.max_order}")
+        # MUSIC resolves two sources on an (antennas - 1)-element subarray
+        if self.orthogonality == OrthogonalityMode.SPATIAL and self.antennas < 3:
+            raise ConfigError(
+                f"spatial orthogonality needs at least 3 antennas, got {self.antennas}"
+            )
 
 
 @dataclass(frozen=True)
@@ -121,8 +145,9 @@ def _pilot(scheme: wf.ModScheme, length: int) -> np.ndarray:
     return _pilot_cached(scheme.family, scheme.order, length)
 
 
-def _noise(n: int, rng: np.random.Generator, var: float = 1.0) -> np.ndarray:
-    s = np.sqrt(var / 2.0)
+def _noise(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit-variance circular complex Gaussian noise."""
+    s = np.sqrt(0.5)
     return rng.normal(0, s, n) + 1j * rng.normal(0, s, n)
 
 
@@ -165,19 +190,16 @@ def _decode_failed(rx_bits, tx_blocks, code: wf.RsCode) -> bool:
     return False
 
 
-def _jam_sequence(model, settings, x, tau, amp, rng) -> np.ndarray:
-    """Jammer replica, scaled so its active-span average power is |amp|^2.
-
-    The returned sequence is aligned to the transmit frame and truncated to
-    the same length; the replica occupies samples [tau, len(x)).
+def _replica(model, settings, x, tau, amp, rng) -> np.ndarray:
+    """Jammer replica of x delayed by tau, scaled so its active span [tau, end)
+    has average power |amp|^2. Length len(x) + tau, zero-padded at the head.
     """
     spec = jm.JammerSpec(model=model, amp_gain=settings.drfm_gain, delay_samples=tau)
     shaped = jm.jammer_transform(spec, x, rng)
-    active = shaped[tau:]
-    rms = np.sqrt(np.mean(np.abs(active) ** 2))
+    rms = np.sqrt(np.mean(np.abs(shaped[tau:]) ** 2))
     if rms == 0.0:
-        return np.zeros(x.size, dtype=complex)
-    return (amp / rms) * shaped[: x.size]
+        return np.zeros(shaped.size, dtype=complex)
+    return (amp / rms) * shaped
 
 
 def _frame(settings, scheme, n_syms, rng, code=None):
@@ -214,26 +236,12 @@ def _stage_two(settings, model, scheme, a_j, rng) -> rx.JammerClass:
     n = 1024
     bits = rng.integers(0, 2, n * scheme.bits_per_symbol).astype(np.uint8)
     x = wf.modulate(bits, scheme)
-    spec = jm.JammerSpec(model=model, amp_gain=settings.drfm_gain, delay_samples=0)
-    shaped = jm.jammer_transform(spec, x, rng)
-    rms = np.sqrt(np.mean(np.abs(shaped) ** 2))
-    stream = (a_j / rms) * shaped + _noise(n, rng)
+    stream = _replica(model, settings, x, 0, a_j, rng) + _noise(n, rng)
     r = stream * np.conj(x) / np.abs(x) ** 2
     phase = 0.5 * np.angle(np.sum(r**2))
     signs = np.real(r * np.exp(-1j * phase)) < 0.0
     balance = float(min(np.mean(signs), 1.0 - np.mean(signs)))
     return rx.JammerClass.PS if balance >= settings.flip_threshold else rx.JammerClass.AS
-
-
-def _lcmv_noise_power(streams, aoas):
-    """Per-output noise variance ||w_k||^2 of the LCMV weights."""
-    m = streams.shape[0]
-    c = np.exp(-1j * np.pi * np.outer(np.arange(m), np.sin(np.asarray(aoas))))
-    r = streams @ streams.conj().T / streams.shape[1]
-    r += 1e-3 * np.trace(r).real / m * np.eye(m)
-    rinv_c = np.linalg.solve(r, c)
-    w = rinv_c @ np.linalg.inv(c.conj().T @ rinv_c)
-    return [float(np.sum(np.abs(w[:, k]) ** 2)) for k in range(2)]
 
 
 def _spatial_classify(settings, model, scheme, code, a_l, a_j, tau, tau_hat, rng):
@@ -242,22 +250,23 @@ def _spatial_classify(settings, model, scheme, code, a_l, a_j, tau, tau_hat, rng
     f = settings.frame_len
     pilot = _pilot(scheme, settings.pilot_len)
     x, _ = _frame(settings, scheme, f, rng, code)
-    jam = _jam_sequence(model, settings, x, tau, a_j, rng)
+    jam = _replica(model, settings, x, tau, a_j, rng)[:f]
 
     aoa_l = rng.uniform(-np.pi / 4, np.pi / 4)
     while True:
         aoa_j = rng.uniform(-np.pi / 3, np.pi / 3)
         if abs(aoa_j - aoa_l) >= np.deg2rad(15.0):
             break
-    arr = jm.ReceiveArray(m)
+    steer = rx._steering(m, (aoa_l, aoa_j))
     streams = (
-        np.outer(arr.steering(aoa_l), a_l * x)
-        + np.outer(arr.steering(aoa_j), jam)
+        np.outer(steer[:, 0], a_l * x)
+        + np.outer(steer[:, 1], jam)
         + _noise(m * f, rng).reshape(m, f)
     )
     aoas = rx.estimate_aoa(streams, 2, grid_deg=0.5)
-    s0, s1 = rx.separate_spatial(streams, aoas)
-    nv = _lcmv_noise_power(streams, aoas)
+    (s0, s1), w = rx.separate_spatial(streams, aoas)
+    # per-output noise variance ||w_k||^2 of the LCMV weights
+    nv = [float(np.sum(np.abs(w[:, k]) ** 2)) for k in range(2)]
 
     # the legit stream is the one whose head matches the pilot
     c0 = abs(np.vdot(pilot, s0[: pilot.size])) / np.sqrt(np.mean(np.abs(s0) ** 2))
@@ -279,14 +288,9 @@ def _temporal_classify(settings, model, scheme, a_l, a_j, tau, tau_hat, burst, r
     if burst < 2 * settings.pilot_len:
         return rx.JammerClass.UNKNOWN
     xb, _ = _frame(settings, scheme, burst, rng)
-    total = tau + burst
-    y = _noise(total, rng)
+    y = _noise(tau + burst, rng)
     y[:burst] += a_l * xb
-    spec = jm.JammerSpec(model=model, amp_gain=settings.drfm_gain, delay_samples=tau)
-    shaped = jm.jammer_transform(spec, xb, rng)
-    rms = np.sqrt(np.mean(np.abs(shaped[tau:]) ** 2))
-    if rms > 0.0:
-        y += (a_j / rms) * shaped[:total]
+    y += _replica(model, settings, xb, tau, a_j, rng)
     legit_s = y[:burst]
     jam_s = y[tau_hat : tau_hat + burst]
     if jam_s.size < 2 * settings.pilot_len:
@@ -400,13 +404,13 @@ def run_trial(
     x, tx_blocks = _frame(settings, scheme, f, rng, base.code)
     a_l = h_l / abs(h_l) * np.sqrt(snr_l)
     a_j = np.exp(1j * np.angle(h_in * h_out)) * np.sqrt(gamma_j)
-    y = a_l * x + _jam_sequence(model, settings, x, tau, a_j, rng) + _noise(f, rng)
+    y = a_l * x + _replica(model, settings, x, tau, a_j, rng)[:f] + _noise(f, rng)
 
     # detection: RS decode failure, backed by the received-power monitor
     # (a replica in phase quadrature can leave the hard decisions untouched)
     rx_bits = wf.demodulate((y / a_l)[settings.pilot_len :], scheme)
     _, power_jump = rx.estimate_onset(y, guard=2)
-    detected = rx.detect_jamming(
+    detected = (
         _decode_failed(rx_bits, tx_blocks, base.code)
         or power_jump >= settings.peak_significance
     )

@@ -1,17 +1,16 @@
-"""Receiver-side defenses: decode-failure detection, cross-correlation delay
-estimation, cycle tracking, AoA estimation with forward-backward spatial
-smoothing, LCMV separation, temporal partitioning, and jammer classification.
+"""Receiver-side defenses: cross-correlation delay estimation, change-point
+onset, AoA estimation with forward-backward spatial smoothing, LCMV
+separation, temporal partitioning, and jammer classification.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy import signal as sps
 
-from .jammer import JammerModel
 from .waveform import Family, ModScheme
 
 
@@ -25,11 +24,6 @@ class NoPeakError(ReceiverError):
 
 class SeparationFailure(ReceiverError):
     """Angular separation below the array's resolution limit."""
-
-
-def detect_jamming(decode_failure: bool) -> bool:
-    """A jammer is declared present when the RS decoder gives up."""
-    return bool(decode_failure)
 
 
 @dataclass(frozen=True)
@@ -73,27 +67,6 @@ def estimate_delay(corr: CorrelationResult) -> int:
     return int(cand[0])
 
 
-def secondary_peak(corr: CorrelationResult, guard: int = 1) -> tuple[int, float]:
-    """Delay and relative strength of the strongest causal peak beyond `guard`.
-
-    The primary (legitimate) peak sits at lag 0; the jammer replica shows up
-    as a secondary peak at its path delay. Returns (lag, peak/primary ratio).
-    """
-    mags = np.abs(corr.values)
-    primary = mags[corr.lags == 0]
-    primary = float(primary[0]) if primary.size else float(mags.max())
-    if primary == 0.0:
-        primary = float(mags.max())
-        if primary == 0.0:
-            raise NoPeakError("correlation is identically zero")
-    mask = corr.lags > guard
-    if not mask.any():
-        raise NoPeakError("no causal lags beyond guard")
-    idx = np.argmax(mags[mask])
-    lag = int(corr.lags[mask][idx])
-    return lag, float(mags[mask][idx] / primary)
-
-
 def estimate_onset(y, guard: int = 2) -> tuple[int, float]:
     """Change-point estimate of where extra power switches on.
 
@@ -117,20 +90,6 @@ def estimate_onset(y, guard: int = 2) -> tuple[int, float]:
     tau = int(idx[k])
     base = max(before[k], 1e-30)
     return tau, float((after[k] - before[k]) / base)
-
-
-@dataclass(frozen=True)
-class CycleTracker:
-    first_attack_time: int | None = None
-    cycle_estimate: int | None = None
-
-
-def update_cycle(tracker: CycleTracker, attack_time: int) -> CycleTracker:
-    if tracker.first_attack_time is None:
-        return replace(tracker, first_attack_time=attack_time)
-    if tracker.cycle_estimate is None:
-        return replace(tracker, cycle_estimate=attack_time - tracker.first_attack_time)
-    return tracker
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +149,8 @@ def separate_spatial(
 ) -> tuple[np.ndarray, np.ndarray]:
     """LCMV beamformer: unit gain toward each AoA, a null toward the other.
 
-    Returns (stream at aoas[0], stream at aoas[1]).
+    Returns (streams, weights): row k of the 2 x n streams is the output
+    steered at aoas[k], and column k of the m x 2 weights is its beamformer.
     """
     x = np.asarray(array_streams)
     m = x.shape[0]
@@ -206,11 +166,10 @@ def separate_spatial(
     r += diagonal_loading * np.trace(r).real / m * np.eye(m)
     rinv_c = np.linalg.solve(r, c)
     w = rinv_c @ np.linalg.inv(c.conj().T @ rinv_c)  # column k: unit gain to aoas[k]
-    out = w.conj().T @ x
-    return out[0], out[1]
+    return w.conj().T @ x, w
 
 
-def partition_temporal(frame_len: int, tau_hat: int, cycle: CycleTracker | None = None):
+def partition_temporal(frame_len: int, tau_hat: int):
     """Shorten the burst so the replica lands in a disjoint slot.
 
     Returns (burst_start, burst_len, payload_fraction).
@@ -218,8 +177,6 @@ def partition_temporal(frame_len: int, tau_hat: int, cycle: CycleTracker | None 
     if tau_hat <= 0:
         raise ReceiverError("no temporal separation possible for tau_hat <= 0")
     burst = min(int(tau_hat), int(frame_len))
-    if cycle is not None and cycle.cycle_estimate:
-        burst = min(burst, int(cycle.cycle_estimate))
     return 0, burst, burst / frame_len
 
 

@@ -7,7 +7,6 @@ from scipy.special import erfc
 
 from risjam.adaptation import (
     AdaptationError,
-    antifragile_gain,
     ber_awgn,
     dbm_to_watt,
     effective_ber,
@@ -19,7 +18,6 @@ from risjam.adaptation import (
     ser_awgn,
     snr_jamming,
     throughput,
-    watt_to_dbm,
 )
 from risjam.receiver import JammerClass
 from risjam.waveform import (
@@ -181,12 +179,6 @@ class TestMetrics:
         with pytest.raises(AdaptationError):
             jsr_db(0.0, 1.0)
 
-    def test_gain(self):
-        assert antifragile_gain(3.0, 1.5) == pytest.approx(2.0)
-        with pytest.raises(AdaptationError):
-            antifragile_gain(1.0, 0.0)
-
     def test_power_conversions(self):
         assert dbm_to_watt(30.0) == pytest.approx(1.0)
         assert dbm_to_watt(0.0) == pytest.approx(1e-3)
-        assert watt_to_dbm(dbm_to_watt(17.3)) == pytest.approx(17.3)

@@ -1,6 +1,6 @@
 """CLI tests: argument handling, exit codes, CSV emission, and overrides."""
 
-import numpy as np
+import pytest
 
 from risjam.cli import main
 from risjam.harness import CSV_HEADER
@@ -41,6 +41,32 @@ class TestCli:
     def test_bad_key_is_exit_1(self, tmp_path):
         cfg = _write_config(tmp_path, "[sweep]\nbogus = 1\n")
         assert main(["--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[receiver]\nframe_len = 32\n",
+            "[receiver]\nframe_len = 64\npilot_len = 64\n",
+            "[sweep]\northogonality = spatial\n[receiver]\nantennas = 1\n",
+            "[sweep]\northogonality = spatial\n[receiver]\nantennas = 2\n",
+            "[jammer]\ndelay = 5000\n",
+            "[jammer]\ndelay = 4096\n",
+            "[adaptation]\nmax_order = 3\n",
+            "[adaptation]\nmax_order = 128\n",
+            "[link]\ncarrier_hz = 28e9\n",
+            "[jammer]\npower_floor_dbm = 0\n",
+        ],
+        ids=[
+            "frame_below_pilot", "frame_equals_pilot", "spatial_one_antenna",
+            "spatial_two_antennas", "delay_past_frame", "delay_at_frame_end",
+            "max_order_3", "max_order_128", "carrier_hz", "power_floor_dbm",
+        ],
+    )
+    def test_unrunnable_config_is_exit_1(self, tmp_path, capsys, text):
+        cfg = _write_config(tmp_path, text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_unwritable_output_is_exit_2(self, tmp_path):
         cfg = _write_config(tmp_path)

@@ -1,10 +1,13 @@
 """Harness tests: INI parsing, calibration, sweep aggregation, CSV output,
 and seed-stable parallel execution."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from risjam.harness import (
+    _SCHEMA,
     CSV_HEADER,
     ConfigError,
     ExperimentConfig,
@@ -35,14 +38,56 @@ fixed_rate = 0.94
 """
 
 
+# one non-default value per schema key
+NON_DEFAULT = {
+    ("sweep", "jammers"): "ps",
+    ("sweep", "topology"): "ris_aware",
+    ("sweep", "orthogonality"): "spatial",
+    ("sweep", "ris_sizes"): "32",
+    ("sweep", "jsr_db"): "0, 5",
+    ("sweep", "trials"): "7",
+    ("sweep", "seed"): "5",
+    ("sweep", "jobs"): "2",
+    ("link", "d_sr"): "10",
+    ("link", "d_rd"): "5",
+    ("link", "path_loss_exp"): "2.0",
+    ("link", "corr_rate"): "0.1",
+    ("link", "rician_k"): "1.5",
+    ("link", "path_count"): "2",
+    ("link", "baseline_snr_db"): "9",
+    ("link", "snr_mode"): "faded",
+    ("link", "tx_power_dbm"): "25",
+    ("link", "bandwidth_hz"): "2",
+    ("jammer", "power_cap_dbm"): "30",
+    ("jammer", "delay"): "100",
+    ("jammer", "eavesdrop_snr_db"): "20",
+    ("jammer", "eaves_corr"): "0.2",
+    ("jammer", "d_e1"): "20",
+    ("jammer", "d_j1"): "5",
+    ("jammer", "d_j2"): "5",
+    ("jammer", "drfm_gain"): "2",
+    ("receiver", "frame_len"): "2048",
+    ("receiver", "pilot_len"): "32",
+    ("receiver", "antennas"): "4",
+    ("receiver", "sim_threshold"): "0.9",
+    ("receiver", "inversion_threshold"): "0.3",
+    ("receiver", "peak_significance"): "0.2",
+    ("receiver", "flip_threshold"): "0.45",
+    ("adaptation", "delta"): "-0.01",
+    ("adaptation", "fixed_rate"): "0.94",
+    ("adaptation", "max_order"): "16",
+    ("adaptation", "base_family"): "ask",
+}
+
+
 class TestConfigParsing:
     def test_defaults(self):
         cfg = loads_config("[sweep]\ntrials = 2\n")
         assert cfg.trials == 2
         assert cfg.seed == 1
         assert cfg.jammers == (JammerModel.DRFM, JammerModel.PS, JammerModel.AS)
-        assert cfg.topology == PathTopology.SOURCE_AWARE
-        assert cfg.orthogonality == OrthogonalityMode.TEMPORAL
+        assert cfg.settings.topology == PathTopology.SOURCE_AWARE
+        assert cfg.settings.orthogonality == OrthogonalityMode.TEMPORAL
         assert cfg.ris_sizes == (64,)
         assert cfg.settings.snr_mode == "pinned"
 
@@ -53,6 +98,13 @@ class TestConfigParsing:
         assert cfg.ris_sizes == (16,)
         assert cfg.settings.fixed_rate == pytest.approx(0.94)
         assert cfg.settings.link.element_count == 16
+
+    def test_every_key_changes_the_config(self):
+        default = loads_config("")
+        for (section, key), value in NON_DEFAULT.items():
+            cfg = loads_config(f"[{section}]\n{key} = {value}\n")
+            assert cfg != default, f"[{section}] {key} = {value} has no effect"
+        assert set(NON_DEFAULT) == set(_SCHEMA)
 
     def test_range_syntax(self):
         cfg = loads_config("[sweep]\njsr_db = -10:20:2.5\n")
@@ -140,6 +192,15 @@ class TestOutput:
             "detect_rate,classify_rate,tau_err,modulation,code_rate,"
             "payload_fraction,stderr_gain"
         )
+
+    def test_csv_rows_carry_trial_topology(self):
+        base = ExperimentConfig()
+        cfg = ExperimentConfig(
+            jammers=(JammerModel.DRFM,), ris_sizes=(16,), jsr_grid_db=(10.0,), trials=1,
+            settings=replace(base.settings, topology=PathTopology.RIS_AWARE),
+        )
+        lines = rows_to_csv(run_sweep(cfg)).splitlines()[1:]
+        assert lines and all(line.split(",")[2] == "ris_aware" for line in lines)
 
     def test_csv_shape(self):
         rows = run_sweep(loads_config(SMALL_CONFIG))

@@ -1,26 +1,9 @@
-"""Jammer transform and received-signal composition tests."""
+"""Jammer transform tests."""
 
 import numpy as np
 import pytest
 
-from risjam.channel import (
-    PhaseMatrix,
-    RicianParams,
-    RisLinkConfig,
-    build_correlation,
-    cascaded_coefficient,
-    sample_realization,
-)
-from risjam.jammer import (
-    JammerError,
-    JammerModel,
-    JammerSpec,
-    ReceiveArray,
-    array_receive,
-    jammer_transform,
-    received_ris_aware,
-    received_source_aware,
-)
+from risjam.jammer import JammerError, JammerModel, JammerSpec, jammer_transform
 
 
 def _qpsk(n, rng):
@@ -57,15 +40,6 @@ class TestTransforms:
         assert ratio.max() <= 2.0
         assert np.mean(ratio) == pytest.approx(1.0, abs=0.1)
 
-    def test_cycle_gating(self):
-        rng = np.random.default_rng(4)
-        x = np.ones(100, dtype=complex)
-        spec = JammerSpec(model=JammerModel.DRFM, delay_samples=0, cycle_period=20)
-        out = jammer_transform(spec, x, rng)
-        n = np.arange(100)
-        assert np.allclose(out[(n % 20) >= 10], 0)
-        assert np.all(np.abs(out[(n % 20) < 10]) > 0)
-
     def test_rejects_bad_spec(self):
         with pytest.raises(JammerError):
             JammerSpec(model=JammerModel.DRFM, amp_gain=0.0)
@@ -75,38 +49,3 @@ class TestTransforms:
         with pytest.raises(JammerError):
             jammer_transform(JammerSpec(model=JammerModel.PS), np.array([]), rng)
 
-
-class TestReceivedSignals:
-    def test_source_aware_composition_noiseless(self):
-        rng = np.random.default_rng(6)
-        x = _qpsk(64, rng)
-        spec = JammerSpec(model=JammerModel.DRFM, amp_gain=1.0, delay_samples=0)
-        y = received_source_aware(2.0 + 0j, 0.5 + 0j, 0.5 + 0j, spec, x, 0.0, rng)
-        assert np.allclose(y, 2.0 * x + 0.25 * x)
-
-    def test_ris_aware_uses_both_cascades(self):
-        rng = np.random.default_rng(7)
-        cfg = RisLinkConfig(element_count=8)
-        corr = build_correlation(cfg)
-        real = sample_realization(cfg, RicianParams(), rng, eaves_corr=0.5)
-        phi = PhaseMatrix(phases=np.zeros(8))
-        x = _qpsk(32, rng)
-        spec = JammerSpec(model=JammerModel.DRFM, amp_gain=1.0, delay_samples=0)
-        y = received_ris_aware(real, corr, phi, 1.0 + 0j, spec, x, 0.0, rng)
-        legit = cascaded_coefficient(real.h_sr, real.h_rd, corr, phi)
-        eaves = cascaded_coefficient(real.h_sr, real.h_rj, corr, phi)
-        assert np.allclose(y, legit * x + eaves * x)
-
-    def test_array_receive_applies_steering(self):
-        rng = np.random.default_rng(8)
-        y = _qpsk(16, rng)
-        arr = ReceiveArray(4)
-        out = array_receive(y, arr, 0.3, 0.0, rng)
-        assert out.shape == (4, 16)
-        sv = arr.steering(0.3)
-        assert np.allclose(out, sv[:, None] * y[None, :])
-
-    def test_steering_unit_magnitude(self):
-        sv = ReceiveArray(8).steering(0.7)
-        assert np.allclose(np.abs(sv), 1.0)
-        assert sv[0] == pytest.approx(1.0)

@@ -4,15 +4,15 @@ estimation, AoA estimation, LCMV separation, and jammer classification."""
 import numpy as np
 import pytest
 
-from risjam.jammer import JammerModel, JammerSpec, ReceiveArray, jammer_transform
+from risjam.jammer import JammerModel, JammerSpec, jammer_transform
 from risjam.receiver import (
     ClassifierThresholds,
-    CycleTracker,
     JammerClass,
     NoPeakError,
     ReceiverError,
     SeparationFailure,
     SimilarityMetrics,
+    _steering,
     classify_jammer,
     cross_correlate,
     equalize_stream,
@@ -22,10 +22,8 @@ from risjam.receiver import (
     estimate_onset,
     partition_temporal,
     pilot_anomaly_fraction,
-    secondary_peak,
     separate_spatial,
     similarity_ratio,
-    update_cycle,
 )
 from risjam.waveform import Family, ModScheme
 
@@ -46,6 +44,10 @@ def brute_force_correlation(y, y_ref, f_max, gamma_max):
 
 def _qpsk(n, rng):
     return np.exp(1j * (np.pi / 4 + np.pi / 2 * rng.integers(0, 4, n)))
+
+
+def _sv(m, aoa):
+    return _steering(m, aoa)[:, 0]
 
 
 class TestCrossCorrelation:
@@ -78,19 +80,6 @@ class TestCrossCorrelation:
             estimate_delay(res)
 
 
-class TestSecondaryPeak:
-    def test_finds_replica_behind_primary(self):
-        rng = np.random.default_rng(3)
-        x = _qpsk(512, rng)
-        d, alpha = 25, 0.6
-        y = x.copy()
-        y[d:] += alpha * x[:-d]
-        res = cross_correlate(x, y, f_max=400, gamma_max=60)
-        lag, strength = secondary_peak(res, guard=2)
-        assert lag == d
-        assert strength == pytest.approx(alpha, rel=0.2)
-
-
 class TestOnset:
     def test_noiseless_step(self):
         y = np.concatenate([np.ones(100), 2.0 * np.ones(100)]).astype(complex)
@@ -112,27 +101,16 @@ class TestOnset:
             estimate_onset(np.ones(4))
 
 
-class TestCycleTracker:
-    def test_two_updates_fix_cycle(self):
-        t = CycleTracker()
-        t = update_cycle(t, 100)
-        assert t.first_attack_time == 100 and t.cycle_estimate is None
-        t = update_cycle(t, 260)
-        assert t.cycle_estimate == 160
-        assert update_cycle(t, 999) == t
-
-
 class TestSpatial:
     def test_music_two_sources(self):
         rng = np.random.default_rng(5)
         m, n = 8, 2048
-        arr = ReceiveArray(m)
         a1, a2 = np.deg2rad(-20.0), np.deg2rad(25.0)
         s1 = _qpsk(n, rng)
         s2 = _qpsk(n, rng)
         x = (
-            np.outer(arr.steering(a1), s1)
-            + np.outer(arr.steering(a2), s2)
+            np.outer(_sv(m, a1), s1)
+            + np.outer(_sv(m, a2), s2)
             + 0.1 * (rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
         )
         est = estimate_aoa(x, 2, grid_deg=0.25)
@@ -142,12 +120,11 @@ class TestSpatial:
         # DRFM case: the second source is a scaled copy of the first
         rng = np.random.default_rng(6)
         m, n = 8, 4096
-        arr = ReceiveArray(m)
         a1, a2 = np.deg2rad(-10.0), np.deg2rad(30.0)
         s = _qpsk(n, rng)
         x = (
-            np.outer(arr.steering(a1), s)
-            + np.outer(arr.steering(a2), 0.9 * s)
+            np.outer(_sv(m, a1), s)
+            + np.outer(_sv(m, a2), 0.9 * s)
             + 0.05 * (rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
         )
         est = np.rad2deg(estimate_aoa(x, 2, grid_deg=0.25))
@@ -156,18 +133,24 @@ class TestSpatial:
     def test_lcmv_nulls_interferer(self):
         rng = np.random.default_rng(7)
         m, n = 8, 4096
-        arr = ReceiveArray(m)
         a1, a2 = np.deg2rad(-15.0), np.deg2rad(20.0)
         s1, s2 = _qpsk(n, rng), _qpsk(n, rng)
         x = (
-            np.outer(arr.steering(a1), s1)
-            + np.outer(arr.steering(a2), s2)
+            np.outer(_sv(m, a1), s1)
+            + np.outer(_sv(m, a2), s2)
             + 0.1 * (rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
         )
-        out1, out2 = separate_spatial(x, [a1, a2])
+        (out1, out2), w = separate_spatial(x, [a1, a2])
         leak1 = np.mean(np.abs(out1 - s1) ** 2)
         leak2 = np.mean(np.abs(out2 - s2) ** 2)
         assert leak1 < 0.05 and leak2 < 0.05
+        # unit gain toward each look direction, a null toward the other
+        assert np.allclose(w.conj().T @ _steering(m, [a1, a2]), np.eye(2), atol=1e-9)
+
+    def test_steering_unit_magnitude(self):
+        sv = _sv(8, 0.7)
+        assert np.allclose(np.abs(sv), 1.0)
+        assert sv[0] == pytest.approx(1.0)
 
     def test_lcmv_rejects_close_angles(self):
         x = np.zeros((8, 64), dtype=complex)
@@ -180,11 +163,6 @@ class TestTemporalPartition:
         start, burst, frac = partition_temporal(4096, 2048)
         assert (start, burst) == (0, 2048)
         assert frac == pytest.approx(0.5)
-
-    def test_cycle_limits_burst(self):
-        _, burst, frac = partition_temporal(4096, 3000, CycleTracker(0, 1000))
-        assert burst == 1000
-        assert frac == pytest.approx(1000 / 4096)
 
     def test_zero_tau_raises(self):
         with pytest.raises(ReceiverError):
