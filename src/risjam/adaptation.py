@@ -11,14 +11,11 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import erfc
 
 from .receiver import JammerClass
-from .waveform import DEFAULT_RS_TABLE, Family, ModScheme, RsCode
+from .waveform import DEFAULT_RS_TABLE, ORDERS, Family, ModScheme, RsCode
 
 
 class AdaptationError(ValueError):
     pass
-
-
-ORDERS = (2, 4, 8, 16, 32, 64)
 
 
 def _q(x):
@@ -152,6 +149,17 @@ def select_code(
     return AdaptationDecision(scheme, worst, residual_symbol_error(ser, worst), delta, False)
 
 
+def code_table(fixed_rate: float | None, table=DEFAULT_RS_TABLE) -> tuple[RsCode, ...]:
+    """The codes link adaptation may pick: the whole table, or with
+    `fixed_rate` set only the code of that rate."""
+    if fixed_rate is None:
+        return tuple(table)
+    matches = tuple(c for c in table if abs(c.rate - fixed_rate) < 5e-3)
+    if not matches:
+        raise AdaptationError(f"no table code with rate {fixed_rate}")
+    return matches
+
+
 def select_link(
     jammer_class: JammerClass | None,
     snr_l: float,
@@ -173,11 +181,7 @@ def select_link(
         jammer_class if jammer_class is not None else JammerClass.UNKNOWN,
         ModScheme(base_family, 2),
     ).family
-    if fixed_rate is not None:
-        matches = [c for c in table if abs(c.rate - fixed_rate) < 5e-3]
-        if not matches:
-            raise AdaptationError(f"no table code with rate {fixed_rate}")
-        table = tuple(matches)
+    table = code_table(fixed_rate, table)
     best: AdaptationDecision | None = None
     best_eff = -1.0
     for order in ORDERS:

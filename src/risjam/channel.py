@@ -139,14 +139,13 @@ def sample_realization(
     cfg: RisLinkConfig,
     jp: RicianParams,
     rng: np.random.Generator,
-    d_rj: float | None = None,
     eaves_corr: float = 0.0,
 ) -> ChannelRealization:
     """Draw all fading vectors for one trial.
 
-    `eaves_corr` in [0, 1] correlates the RIS->jammer vector with the
-    RIS->destination vector (a jammer sitting next to the destination sees
-    nearly the same reflected beam).
+    The RIS->jammer vector has the RIS->destination path loss, and
+    `eaves_corr` in [0, 1] correlates the two vectors (a jammer sitting next
+    to the destination sees nearly the same reflected beam).
     """
     if not 0.0 <= eaves_corr <= 1.0:
         raise ChannelError("eaves_corr must lie in [0, 1]")
@@ -154,13 +153,12 @@ def sample_realization(
     delta = cfg.path_loss_exp
     a_sr = np.sqrt(path_loss(cfg.d_sr, delta))
     a_rd = np.sqrt(path_loss(cfg.d_rd, delta))
-    a_rj = np.sqrt(path_loss(d_rj if d_rj is not None else cfg.d_rd, delta))
 
     h_sr = _rayleigh_vector(m, a_sr, rng)
     h_rd = _rayleigh_vector(m, a_rd, rng)
-    h_rj_ind = _rayleigh_vector(m, a_rj, rng)
+    h_rj_ind = _rayleigh_vector(m, a_rd, rng)
     if eaves_corr > 0.0:
-        h_rj = np.sqrt(eaves_corr) * (a_rj / a_rd) * h_rd + np.sqrt(1 - eaves_corr) * h_rj_ind
+        h_rj = np.sqrt(eaves_corr) * h_rd + np.sqrt(1 - eaves_corr) * h_rj_ind
     else:
         h_rj = h_rj_ind
 

@@ -61,6 +61,9 @@ class ExperimentConfig:
             raise ConfigError("jsr grid is empty")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        # settings.link is the reference link: the first RIS size
+        link = replace(self.settings.link, element_count=self.ris_sizes[0])
+        object.__setattr__(self, "settings", replace(self.settings, link=link))
 
 
 def _fields(section, cls, *names):
@@ -161,17 +164,15 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
     try:
-        cfg = ExperimentConfig(**values[ExperimentConfig])
         settings = pl.TrialSettings(
-            link=ch.RisLinkConfig(
-                element_count=cfg.ris_sizes[0], **values[ch.RisLinkConfig]
-            ),
+            # ExperimentConfig sets element_count to the first RIS size
+            link=ch.RisLinkConfig(element_count=64, **values[ch.RisLinkConfig]),
             rician=ch.RicianParams(**values[ch.RicianParams]),
             **values[pl.TrialSettings],
         )
     except ch.ChannelError as exc:
         raise ConfigError(str(exc)) from exc
-    return replace(cfg, settings=settings)
+    return ExperimentConfig(**values[ExperimentConfig], settings=settings)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +189,7 @@ def calibrate_noise(cfg: ExperimentConfig) -> tuple[float, float]:
     source->jammer eavesdropping SNR at the configured value.
     """
     s = cfg.settings
-    link = replace(s.link, element_count=cfg.ris_sizes[0])
+    link = s.link
     p_t = ad.dbm_to_watt(s.tx_power_dbm)
     corr = pl._corr_cached(link.element_count, link.corr_rate)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(_CAL_KEY,)))

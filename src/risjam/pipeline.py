@@ -28,6 +28,10 @@ class OrthogonalityMode(str, Enum):
     NONE = "none"
 
 
+# samples the power change-point keeps clear of each frame edge
+_ONSET_GUARD = 2
+
+
 class ConfigError(ValueError):
     """A setting that cannot run, caught before the first trial."""
 
@@ -69,18 +73,29 @@ class TrialSettings:
     def __post_init__(self):
         if self.snr_mode not in ("pinned", "faded"):
             raise ConfigError(f"snr_mode must be pinned or faded, got {self.snr_mode!r}")
+        if self.pilot_len < 1:
+            raise ConfigError(f"pilot_len must be >= 1, got {self.pilot_len}")
         if self.frame_len <= self.pilot_len:
             raise ConfigError(
                 f"frame_len {self.frame_len} leaves no payload after "
                 f"pilot_len {self.pilot_len}"
+            )
+        if self.frame_len < 2 * _ONSET_GUARD + 2:
+            raise ConfigError(
+                f"frame_len {self.frame_len} is too short for onset estimation"
             )
         if self.jam_delay is not None and not 0 <= self.jam_delay < self.frame_len:
             raise ConfigError(
                 f"delay {self.jam_delay} puts the replica outside the "
                 f"{self.frame_len}-sample frame"
             )
-        if self.max_order not in ad.ORDERS:
-            raise ConfigError(f"max_order must be one of {ad.ORDERS}, got {self.max_order}")
+        if self.max_order not in wf.ORDERS:
+            raise ConfigError(f"max_order must be one of {wf.ORDERS}, got {self.max_order}")
+        try:
+            ad.code_table(self.fixed_rate)
+            rx.ClassifierThresholds(self.sim_threshold, self.inversion_threshold)
+        except (ad.AdaptationError, rx.ReceiverError) as exc:
+            raise ConfigError(str(exc)) from exc
         # MUSIC resolves two sources on an (antennas - 1)-element subarray
         if self.orthogonality == OrthogonalityMode.SPATIAL and self.antennas < 3:
             raise ConfigError(
@@ -244,25 +259,9 @@ def _stage_two(settings, model, scheme, a_j, rng) -> rx.JammerClass:
     return rx.JammerClass.PS if balance >= settings.flip_threshold else rx.JammerClass.AS
 
 
-def _spatial_classify(settings, model, scheme, code, a_l, a_j, tau, tau_hat, rng):
-    """Array snapshot of the overlapped frame, MUSIC AoAs, LCMV separation."""
-    m = settings.antennas
-    f = settings.frame_len
+def _spatial_classify(settings, scheme, streams, tau_hat):
+    """MUSIC AoAs and LCMV separation of the received array snapshot."""
     pilot = _pilot(scheme, settings.pilot_len)
-    x, _ = _frame(settings, scheme, f, rng, code)
-    jam = _replica(model, settings, x, tau, a_j, rng)[:f]
-
-    aoa_l = rng.uniform(-np.pi / 4, np.pi / 4)
-    while True:
-        aoa_j = rng.uniform(-np.pi / 3, np.pi / 3)
-        if abs(aoa_j - aoa_l) >= np.deg2rad(15.0):
-            break
-    steer = rx._steering(m, (aoa_l, aoa_j))
-    streams = (
-        np.outer(steer[:, 0], a_l * x)
-        + np.outer(steer[:, 1], jam)
-        + _noise(m * f, rng).reshape(m, f)
-    )
     aoas = rx.estimate_aoa(streams, 2, grid_deg=0.5)
     (s0, s1), w = rx.separate_spatial(streams, aoas)
     # per-output noise variance ||w_k||^2 of the LCMV weights
@@ -299,39 +298,38 @@ def _temporal_classify(settings, model, scheme, a_l, a_j, tau, tau_hat, burst, r
     return _classify_streams(legit_s[:n], jam_s[:n], pilot, settings, scheme, 1.0, 1.0)
 
 
-def _orthogonalize_and_classify(settings, model, scheme, code, a_l, a_j, tau, tau_hat, rng):
+def _orthogonalize_and_classify(settings, model, scheme, streams, a_l, a_j, tau, tau_hat, rng):
     """Returns (jammer class, payload fraction), or None when nothing usable."""
+    outcome = None
     if settings.orthogonality == OrthogonalityMode.SPATIAL:
         try:
-            cls = _spatial_classify(
-                settings, model, scheme, code, a_l, a_j, tau, tau_hat, rng
-            )
-            if cls == rx.JammerClass.PS:
-                cls = _stage_two(settings, model, scheme, a_j, rng)
-            return cls, 1.0
+            outcome = _spatial_classify(settings, scheme, streams, tau_hat), 1.0
         except rx.SeparationFailure:
             pass  # fall back to temporal partitioning
-
-    try:
-        _, burst, fraction = rx.partition_temporal(settings.frame_len, tau_hat)
-    except rx.ReceiverError:
-        return None
-    cls = _temporal_classify(settings, model, scheme, a_l, a_j, tau, tau_hat, burst, rng)
+    if outcome is None:
+        try:
+            _, burst, fraction = rx.partition_temporal(settings.frame_len, tau_hat)
+        except rx.ReceiverError:
+            return None
+        outcome = _temporal_classify(
+            settings, model, scheme, a_l, a_j, tau, tau_hat, burst, rng
+        ), fraction
+    cls, fraction = outcome
     if cls == rx.JammerClass.PS:
         cls = _stage_two(settings, model, scheme, a_j, rng)
     return cls, fraction
 
 
-def _estimate_delay(settings, x, y) -> int | None:
+def _estimate_delay(settings, x, y, onset, jump) -> int | None:
     """Replica delay from the received frame, or None when nothing stands out.
 
-    The power change-point locates the replica onset for every jammer class
-    (sign flips leave no correlation peak); when the cross-correlation shows a
-    significant secondary peak near that onset, its sharper estimate wins.
+    The power change-point (onset, jump) locates the replica onset for every
+    jammer class (sign flips leave no correlation peak); when the
+    cross-correlation shows a significant secondary peak near that onset, its
+    sharper estimate wins.
     """
     f = settings.frame_len
     sig = settings.peak_significance
-    onset, jump = rx.estimate_onset(y, guard=2)
     if jump < sig:
         return None
     corr_res = rx.cross_correlate(x, y, f, f - 1)
@@ -362,9 +360,7 @@ def run_trial(
     link = settings.link
     p_t = ad.dbm_to_watt(settings.tx_power_dbm)
     corr = _corr_cached(link.element_count, link.corr_rate)
-    real = ch.sample_realization(
-        link, settings.rician, rng, d_rj=link.d_rd, eaves_corr=settings.eaves_corr
-    )
+    real = ch.sample_realization(link, settings.rician, rng, eaves_corr=settings.eaves_corr)
     phi = ch.optimize_phases(real.h_sr, real.h_rd, corr)
     h_l = ch.cascaded_coefficient(real.h_sr, real.h_rd, corr, phi)
     p_l = p_t * abs(h_l) ** 2
@@ -397,53 +393,57 @@ def run_trial(
     gamma_j = p_jam * abs(h_out) ** 2 / noise_var_watt
     snr_j = ad.snr_jamming(gamma_e, gamma_j)
 
-    # normalized-unit waveform pass (unit receiver noise variance)
+    # normalized-unit waveform pass (unit receiver noise variance): one frame,
+    # received on the whole array under spatial orthogonality, else on one
+    # antenna (a steering matrix of ones)
     f = settings.frame_len
     scheme = base.scheme
     tau = settings.jam_delay if settings.jam_delay is not None else f // 2
     x, tx_blocks = _frame(settings, scheme, f, rng, base.code)
     a_l = h_l / abs(h_l) * np.sqrt(snr_l)
     a_j = np.exp(1j * np.angle(h_in * h_out)) * np.sqrt(gamma_j)
-    y = a_l * x + _replica(model, settings, x, tau, a_j, rng)[:f] + _noise(f, rng)
-
-    # detection: RS decode failure, backed by the received-power monitor
-    # (a replica in phase quadrature can leave the hard decisions untouched)
-    rx_bits = wf.demodulate((y / a_l)[settings.pilot_len :], scheme)
-    _, power_jump = rx.estimate_onset(y, guard=2)
-    detected = (
-        _decode_failed(rx_bits, tx_blocks, base.code)
-        or power_jump >= settings.peak_significance
+    jam = _replica(model, settings, x, tau, a_j, rng)[:f]
+    if settings.orthogonality == OrthogonalityMode.SPATIAL:
+        m = settings.antennas
+        aoa_l = rng.uniform(-np.pi / 4, np.pi / 4)
+        while True:
+            aoa_j = rng.uniform(-np.pi / 3, np.pi / 3)
+            if abs(aoa_j - aoa_l) >= np.deg2rad(15.0):
+                break
+        steer = rx._steering(m, (aoa_l, aoa_j))
+    else:
+        m, steer = 1, np.ones((1, 2))
+    streams = (
+        steer[:, :1] * (a_l * x) + steer[:, 1:] * jam + _noise(m * f, rng).reshape(m, f)
     )
+    y = streams[0]
 
-    def _passthrough(tau_hat=None):
-        return TrialResult(
-            t_baseline=t_l, t_jammed=t_l, detected=detected, jammer_class=None,
-            classified_correct=False, tau_true=tau, tau_hat=tau_hat,
-            scheme=base.scheme, code_rate=base.code.rate, payload_fraction=1.0,
-            snr_l=snr_l, snr_j=snr_j, gamma_j=gamma_j, clamped=clamped,
+    # detection on antenna 0: RS decode failure, backed by the received-power
+    # monitor (a replica in phase quadrature can leave the hard decisions
+    # untouched)
+    rx_bits = wf.demodulate((y / a_l)[settings.pilot_len :], scheme)
+    onset, jump = rx.estimate_onset(y, guard=_ONSET_GUARD)
+    detected = (
+        _decode_failed(rx_bits, tx_blocks, base.code) or jump >= settings.peak_significance
+    )
+    tau_hat = _estimate_delay(settings, x, y, onset, jump) if detected else None
+    outcome = None
+    if tau_hat is not None:
+        outcome = _orthogonalize_and_classify(
+            settings, model, scheme, streams, a_l, a_j, tau, tau_hat, rng
         )
 
-    if not detected:
-        return _passthrough()
-
-    tau_hat = _estimate_delay(settings, x, y)
-    if tau_hat is None:
-        return _passthrough()
-
-    outcome = _orthogonalize_and_classify(
-        settings, model, scheme, base.code, a_l, a_j, tau, tau_hat, rng
-    )
-    if outcome is None:
-        return _passthrough(tau_hat=tau_hat)
-    cls, fraction = outcome
-
-    decision = ad.select_link(
-        cls, snr_l, snr_j, settings.base_family, settings.delta,
-        fixed_rate=settings.fixed_rate, max_order=settings.max_order,
-    )
+    # no usable outcome keeps the baseline operating point
+    cls, fraction, decision = None, 1.0, base
+    if outcome is not None:
+        cls, fraction = outcome
+        decision = ad.select_link(
+            cls, snr_l, snr_j, settings.base_family, settings.delta,
+            fixed_rate=settings.fixed_rate, max_order=settings.max_order,
+        )
     t_j = ad.throughput(settings.bandwidth_hz, decision.code, decision.scheme, fraction)
     return TrialResult(
-        t_baseline=t_l, t_jammed=t_j, detected=True, jammer_class=cls,
+        t_baseline=t_l, t_jammed=t_j, detected=detected, jammer_class=cls,
         classified_correct=(cls == _CLASS_OF_MODEL[model]), tau_true=tau,
         tau_hat=tau_hat, scheme=decision.scheme, code_rate=decision.code.rate,
         payload_fraction=fraction, snr_l=snr_l, snr_j=snr_j, gamma_j=gamma_j,

@@ -30,7 +30,6 @@ class SeparationFailure(ReceiverError):
 class CorrelationResult:
     lags: np.ndarray
     values: np.ndarray
-    search_bound: int
 
 
 def cross_correlate(y, y_ref, f_max: int, gamma_max: int) -> CorrelationResult:
@@ -53,7 +52,7 @@ def cross_correlate(y, y_ref, f_max: int, gamma_max: int) -> CorrelationResult:
     center = rs.size - 1
     lags = np.arange(-gamma_max, gamma_max + 1)
     values = full[center - lags]
-    return CorrelationResult(lags=lags, values=values, search_bound=gamma_max)
+    return CorrelationResult(lags=lags, values=values)
 
 
 def estimate_delay(corr: CorrelationResult) -> int:

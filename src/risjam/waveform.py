@@ -25,7 +25,7 @@ class Family(str, Enum):
     QAM = "qam"
 
 
-_ORDERS = (2, 4, 8, 16, 32, 64)
+ORDERS = (2, 4, 8, 16, 32, 64)
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class ModScheme:
     order: int
 
     def __post_init__(self):
-        if self.order not in _ORDERS:
+        if self.order not in ORDERS:
             raise WaveformError(f"unsupported order {self.order}")
 
     @property
@@ -318,10 +318,3 @@ def measure_ber(tx_bits: np.ndarray, rx_bits: np.ndarray) -> float:
     if tx.size == 0:
         return 0.0
     return float(np.mean(tx != rx))
-
-
-def ser_from_ber(ber: float, order: int) -> float:
-    """SER = 1 - (1 - BER)^log2(order)."""
-    if not 0.0 <= ber <= 1.0:
-        raise WaveformError(f"ber out of range: {ber}")
-    return 1.0 - (1.0 - ber) ** np.log2(order)

@@ -1,9 +1,12 @@
 """CLI tests: argument handling, exit codes, CSV emission, and overrides."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risjam.cli import main
 from risjam.harness import CSV_HEADER
+from risjam.waveform import DEFAULT_RS_TABLE
 
 CONFIG = """
 [sweep]
@@ -55,11 +58,18 @@ class TestCli:
             "[adaptation]\nmax_order = 128\n",
             "[link]\ncarrier_hz = 28e9\n",
             "[jammer]\npower_floor_dbm = 0\n",
+            "[adaptation]\nfixed_rate = 0.5\n",
+            "[receiver]\nsim_threshold = 1.5\n",
+            "[receiver]\ninversion_threshold = 0\n",
+            "[receiver]\npilot_len = 0\n",
+            "[receiver]\nframe_len = 5\npilot_len = 1\n",
         ],
         ids=[
             "frame_below_pilot", "frame_equals_pilot", "spatial_one_antenna",
             "spatial_two_antennas", "delay_past_frame", "delay_at_frame_end",
             "max_order_3", "max_order_128", "carrier_hz", "power_floor_dbm",
+            "fixed_rate_off_table", "sim_threshold_above_1", "inversion_threshold_0",
+            "pilot_len_0", "frame_below_onset_guard",
         ],
     )
     def test_unrunnable_config_is_exit_1(self, tmp_path, capsys, text):
@@ -95,3 +105,42 @@ class TestCli:
             "--config", cfg, "--out", str(parallel), "--trials", "3", "--jobs", "2",
         ]) == 0
         assert serial.read_text() == parallel.read_text()
+
+
+# drawn keys of a one-cell config; a key drawn as None stays at its default
+GENERATED_KEYS = {
+    ("sweep", "orthogonality"): st.sampled_from(["spatial", "temporal", "none"]),
+    ("receiver", "frame_len"): st.integers(-1, 4096),
+    ("receiver", "pilot_len"): st.integers(-1, 256),
+    ("receiver", "antennas"): st.integers(1, 8),
+    ("receiver", "sim_threshold"): st.floats(-0.25, 1.25),
+    ("receiver", "inversion_threshold"): st.floats(-0.25, 1.25),
+    ("jammer", "delay"): st.integers(-1, 4200),
+    ("adaptation", "fixed_rate"): st.one_of(
+        st.sampled_from([round(c.rate, 3) for c in DEFAULT_RS_TABLE]),
+        st.floats(0.0, 1.25),
+    ),
+    ("adaptation", "max_order"): st.sampled_from([1, 2, 3, 4, 8, 16, 32, 64, 128]),
+}
+
+
+@st.composite
+def one_cell_configs(draw):
+    sections = {"sweep": ["jammers = drfm", "ris_sizes = 16", "jsr_db = 10", "trials = 1"]}
+    for (section, key), values in GENERATED_KEYS.items():
+        value = draw(st.one_of(st.none(), values))
+        if value is not None:
+            sections.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(
+        f"[{section}]\n" + "".join(f"{line}\n" for line in lines)
+        for section, lines in sections.items()
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(text=one_cell_configs())
+def test_generated_config_never_exits_2(tmp_path_factory, text):
+    """A config either fails at load time (1) or runs (0), never mid-sweep."""
+    path = tmp_path_factory.mktemp("generated") / "exp.ini"
+    path.write_text(text)
+    assert main(["--config", str(path), "--out", str(path.with_suffix(".csv"))]) in (0, 1)

@@ -99,6 +99,12 @@ class TestConfigParsing:
         assert cfg.settings.fixed_rate == pytest.approx(0.94)
         assert cfg.settings.link.element_count == 16
 
+    def test_reference_ris_size_held_once(self):
+        # settings.link is the link run_trial sees when called directly
+        assert ExperimentConfig(ris_sizes=(16,)).settings.link.element_count == 16
+        cfg = replace(loads_config(SMALL_CONFIG), ris_sizes=(32, 64))
+        assert cfg.settings.link.element_count == 32
+
     def test_every_key_changes_the_config(self):
         default = loads_config("")
         for (section, key), value in NON_DEFAULT.items():

@@ -1,9 +1,12 @@
 """Single-trial pipeline tests: detection, delay estimation, classification,
 and power bookkeeping on controlled scenarios."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from risjam import pipeline as pl
 from risjam.channel import RicianParams, RisLinkConfig
 from risjam.harness import ExperimentConfig, calibrate_noise
 from risjam.jammer import JammerModel, PathTopology
@@ -80,6 +83,32 @@ class TestClassification:
             _run(s, 10.0, model, t, noise_floors).classified_correct for t in range(15)
         )
         assert correct >= 13
+
+
+class TestOneEmission:
+    def test_spatial_trial_encodes_and_jams_one_frame(self, monkeypatch):
+        calls = {"rs_encode": 0, "jammer_transform": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(pl.wf, "rs_encode")
+        counted(pl.jm, "jammer_transform")
+        cfg = ExperimentConfig()
+        cfg = replace(cfg, settings=replace(
+            cfg.settings, orthogonality=OrthogonalityMode.SPATIAL, baseline_snr_db=11.0
+        ))
+        floors = calibrate_noise(cfg)
+        r = _run(cfg.settings, 10.0, JammerModel.DRFM, 0, floors)
+        assert r.jammer_class is not None and r.payload_fraction == 1.0
+        # two RS blocks (head and tail) of the one frame, and its one replica
+        assert calls == {"rs_encode": 2, "jammer_transform": 1}
 
 
 class TestPowerBookkeeping:

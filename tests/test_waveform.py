@@ -20,7 +20,6 @@ from risjam.waveform import (
     modulate,
     rs_decode,
     rs_encode,
-    ser_from_ber,
 )
 
 ALL_SCHEMES = [
@@ -164,9 +163,3 @@ class TestErrorRates:
         assert measure_ber([0, 1, 1, 0], [0, 1, 0, 0]) == pytest.approx(0.25)
         with pytest.raises(WaveformError):
             measure_ber([0, 1], [0])
-
-    def test_ser_from_ber(self):
-        assert ser_from_ber(0.0, 16) == 0.0
-        assert ser_from_ber(0.1, 4) == pytest.approx(1 - 0.9**2)
-        with pytest.raises(WaveformError):
-            ser_from_ber(1.5, 4)
