@@ -327,19 +327,27 @@ def _estimate_delay(settings, x, y, onset, jump) -> int | None:
     jammer class (sign flips leave no correlation peak); when the
     cross-correlation shows a significant secondary peak near that onset, its
     sharper estimate wins.
+
+    Only lag 0 and the lags within 8 of the onset are read, so R(tau) =
+    sum_n x[n] * conj(y[n+tau]) (the `rx.cross_correlate` convention, reference
+    samples outside the frame counting as zero) is taken at those lags alone.
     """
     f = settings.frame_len
     sig = settings.peak_significance
     if jump < sig:
         return None
-    corr_res = rx.cross_correlate(x, y, f, f - 1)
-    mask = np.abs(corr_res.lags - onset) <= 8
-    if mask.any():
-        local = corr_res.lags[mask][np.argmax(np.abs(corr_res.values[mask]))]
-        local_mag = np.max(np.abs(corr_res.values[mask]))
-        primary = np.abs(corr_res.values[corr_res.lags == 0])
-        if primary.size and primary[0] > 0 and local_mag >= sig * float(primary[0]):
-            return int(local)
+    x, y = x[:f], y[:f]
+
+    def corr(tau):
+        if tau >= 0:
+            return np.vdot(y[tau:], x[: f - tau])
+        return np.vdot(y[: f + tau], x[-tau:])
+
+    lags = range(max(onset - 8, 1 - f), min(onset + 8, f - 1) + 1)
+    mags = np.abs([corr(tau) for tau in lags])
+    primary = abs(corr(0))
+    if primary > 0 and mags.max() >= sig * primary:
+        return lags[int(np.argmax(mags))]
     return onset
 
 

@@ -104,7 +104,9 @@ def demodulate(symbols: np.ndarray, scheme: ModScheme) -> np.ndarray:
 # Reed-Solomon over GF(2^8), primitive polynomial x^8+x^4+x^3+x^2+1 (0x11d)
 # ---------------------------------------------------------------------------
 
-_GF_EXP = np.zeros(512, dtype=np.int64)
+# exp table: one period doubled so log sums need no reduction, then a zero
+# tail that any sum involving _LOG_ZERO lands in
+_GF_EXP = np.zeros(1024, dtype=np.int64)
 _GF_LOG = np.zeros(256, dtype=np.int64)
 _x = 1
 for _i in range(255):
@@ -114,16 +116,22 @@ for _i in range(255):
     if _x & 0x100:
         _x ^= 0x11D
 _GF_EXP[255:510] = _GF_EXP[:255]
+_LOG_ZERO = 512  # stands in for the undefined log of zero
+
+
+# Python-int copies for the scalar arithmetic of Berlekamp-Massey
+_EXP_LIST = _GF_EXP.tolist()
+_LOG_LIST = _GF_LOG.tolist()
 
 
 def _gf_mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
-    return int(_GF_EXP[_GF_LOG[a] + _GF_LOG[b]])
+    return _EXP_LIST[_LOG_LIST[a] + _LOG_LIST[b]]
 
 
 def _gf_inv(a: int) -> int:
-    return int(_GF_EXP[255 - _GF_LOG[a]])
+    return _EXP_LIST[255 - _LOG_LIST[a]]
 
 
 def _poly_mul(p: list[int], q: list[int]) -> list[int]:
@@ -133,14 +141,6 @@ def _poly_mul(p: list[int], q: list[int]) -> list[int]:
             for j, b in enumerate(q):
                 out[i + j] ^= _gf_mul(a, b)
     return out
-
-
-def _poly_eval(poly: list[int], x: int) -> int:
-    # poly listed highest degree first
-    y = 0
-    for c in poly:
-        y = _gf_mul(y, x) ^ c
-    return y
 
 
 @dataclass(frozen=True)
@@ -182,6 +182,16 @@ def _generator_poly(nsym: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per position i of an n-symbol word: the degree n-1-i of its
+    coefficient, and log X^-1 for its locator X = alpha^(n-1-i)."""
+    deg = n - 1 - np.arange(n)
+    x_log = (255 - deg) % 255
+    deg.flags.writeable = x_log.flags.writeable = False
+    return deg, x_log
+
+
+@lru_cache(maxsize=None)
 def _syndrome_powers(n: int, nsym: int) -> np.ndarray:
     # generator roots are alpha^0..alpha^{nsym-1}: powers[j, i] = (i * j) mod 255
     i = np.arange(n)
@@ -189,23 +199,61 @@ def _syndrome_powers(n: int, nsym: int) -> np.ndarray:
     return (j[:, None] * i[None, :]) % 255
 
 
+def _syndromes(word: np.ndarray, nsym: int) -> np.ndarray:
+    """S_j = c(alpha^j), j = 0..nsym-1."""
+    nz = word != 0
+    deg = _positions(word.size)[0][nz]
+    powers = (_syndrome_powers(word.size, nsym)[:, deg] + _GF_LOG[word[nz]]) % 255
+    return np.bitwise_xor.reduce(_GF_EXP[powers], axis=1)
+
+
+def _eval_at(poly, x_log: np.ndarray) -> np.ndarray:
+    """Values of poly (lowest degree first) at the points alpha^x_log."""
+    p = np.asarray(poly, dtype=np.int64)
+    j = np.flatnonzero(p)
+    terms = _GF_EXP[(_GF_LOG[p[j]][:, None] + j[:, None] * x_log[None, :]) % 255]
+    return np.bitwise_xor.reduce(terms, axis=0)
+
+
+@lru_cache(maxsize=None)
+def _parity_log(n: int, k: int) -> np.ndarray:
+    """k x (n-k) logs of the parity rows P_i = x^(n-1-i) mod g, highest degree
+    first; zero entries hold _LOG_ZERO.
+
+    Row k-1 is x^(n-k) mod g, and each earlier row is x times the next one
+    mod g: one LFSR step apiece.
+    """
+    def logs(poly):
+        return np.where(poly != 0, _GF_LOG[poly], _LOG_ZERO)
+
+    nsym = n - k
+    gen = np.asarray(_generator_poly(nsym)[1:], dtype=np.int64)
+    gen_log = logs(gen)
+    rows = np.zeros((k, nsym), dtype=np.int64)
+    row = gen
+    rows[k - 1] = row
+    for i in range(k - 2, -1, -1):
+        coef = row[0]
+        row = np.append(row[1:], 0)
+        if coef:
+            row ^= _GF_EXP[gen_log + _GF_LOG[coef]]
+        rows[i] = row
+    table = logs(rows)
+    table.flags.writeable = False
+    return table
+
+
 def rs_encode(data_symbols: np.ndarray, code: RsCode) -> np.ndarray:
-    """Systematic encode: returns n symbols (data followed by parity)."""
+    """Systematic encode: returns n symbols (data followed by parity).
+
+    RS is linear, so the parity is the XOR of d_i * P_i over the data bytes.
+    """
     data = np.asarray(data_symbols, dtype=np.int64)
     if data.size != code.k:
         raise WaveformError(f"expected {code.k} data symbols, got {data.size}")
-    nsym = code.n - code.k
-    gen = np.asarray(_generator_poly(nsym), dtype=np.int64)
-    gen_log = _GF_LOG[gen[1:]]
-    gen_nz = gen[1:] != 0
-    rem = np.zeros(nsym, dtype=np.int64)
-    for d in data.tolist():
-        coef = d ^ int(rem[0])
-        rem[:-1] = rem[1:]
-        rem[-1] = 0
-        if coef:
-            rem[gen_nz] ^= _GF_EXP[(gen_log[gen_nz] + _GF_LOG[coef]) % 255]
-    return np.concatenate([data, rem])
+    nz = data != 0
+    terms = _GF_EXP[_parity_log(code.n, code.k)[nz] + _GF_LOG[data[nz]][:, None]]
+    return np.concatenate([data, np.bitwise_xor.reduce(terms, axis=0)])
 
 
 @dataclass(frozen=True)
@@ -222,38 +270,33 @@ def rs_decode(block: np.ndarray, code: RsCode) -> RsDecodeResult:
         raise WaveformError(f"expected {code.n} code symbols, got {recv.size}")
     nsym = code.n - code.k
 
-    # syndromes S_j = c(alpha^j), j = 1..nsym, with positions indexed from the
-    # highest-degree coefficient (position i has degree n-1-i)
-    deg = code.n - 1 - np.arange(code.n)
-    nz = recv != 0
-    if not nz.any():
-        return RsDecodeResult(recv[: code.k].copy(), False, 0)
-    powers = (_syndrome_powers(code.n, nsym)[:, deg[nz] % 255] + _GF_LOG[recv[nz]]) % 255
-    synd = np.bitwise_xor.reduce(_GF_EXP[powers].astype(np.int64), axis=1)
+    # syndromes, with positions indexed from the highest-degree coefficient
+    # (position i has degree n-1-i)
+    synd = _syndromes(recv, nsym)
     if not synd.any():
         return RsDecodeResult(recv[: code.k].copy(), False, 0)
 
     # Berlekamp-Massey for the error locator (lowest degree first)
+    exp, log = _EXP_LIST, _LOG_LIST
     s = synd.tolist()
     c_poly = [1]
     b_poly = [1]
     L, m_gap, b_coef = 0, 1, 1
     for i in range(nsym):
         delta = s[i]
-        for j in range(1, L + 1):
-            if j < len(c_poly) and c_poly[j]:
-                delta ^= _gf_mul(c_poly[j], s[i - j])
+        for j in range(1, min(L + 1, len(c_poly))):
+            if c_poly[j] and s[i - j]:
+                delta ^= exp[log[c_poly[j]] + log[s[i - j]]]
         if delta == 0:
             m_gap += 1
-        elif 2 * L <= i:
+            continue
+        scale_log = log[_gf_mul(delta, _gf_inv(b_coef))]
+        shifted = [0] * m_gap + [exp[scale_log + log[x]] if x else 0 for x in b_poly]
+        if 2 * L <= i:
             t_poly = c_poly[:]
-            scale = _gf_mul(delta, _gf_inv(b_coef))
-            shifted = [0] * m_gap + [_gf_mul(scale, x) for x in b_poly]
             c_poly = [a ^ b for a, b in zip(c_poly + [0] * (len(shifted) - len(c_poly)), shifted)]
             L, b_poly, b_coef, m_gap = i + 1 - L, t_poly, delta, 1
         else:
-            scale = _gf_mul(delta, _gf_inv(b_coef))
-            shifted = [0] * m_gap + [_gf_mul(scale, x) for x in b_poly]
             if len(shifted) > len(c_poly):
                 c_poly = c_poly + [0] * (len(shifted) - len(c_poly))
             for j, x in enumerate(shifted):
@@ -265,43 +308,34 @@ def rs_decode(block: np.ndarray, code: RsCode) -> RsDecodeResult:
 
     # Chien search: evaluate the locator at X^{-1} for X = alpha^{n-1-pos},
     # vectorized over all positions
-    c_arr = np.asarray(c_poly, dtype=np.int64)
-    c_nz = np.flatnonzero(c_arr)
-    x_log = (255 - (code.n - 1 - np.arange(code.n)) % 255) % 255  # log of X^{-1}
-    loc_terms = _GF_EXP[(_GF_LOG[c_arr[c_nz]][:, None] + c_nz[:, None] * x_log[None, :]) % 255]
-    loc_vals = np.bitwise_xor.reduce(loc_terms.astype(np.int64), axis=0)
-    err_pos = np.flatnonzero(loc_vals == 0)
+    deg, x_log = _positions(code.n)
+    err_pos = np.flatnonzero(_eval_at(c_poly, x_log) == 0)
     if err_pos.size != L:
         return RsDecodeResult(recv[: code.k].copy(), True, 0)
 
-    # Forney: omega = synd * locator mod x^nsym  (synd lowest degree first)
-    synd_poly = s[:]
-    omega = [0] * nsym
-    for i, a in enumerate(c_poly):
-        if a:
-            for j, b in enumerate(synd_poly):
-                if b and i + j < nsym:
-                    omega[i + j] ^= _gf_mul(a, b)
+    # Forney: omega = synd * locator mod x^nsym (both lowest degree first),
+    # evaluated with the locator's formal derivative at every X_i^{-1}
+    c_arr = np.asarray(c_poly, dtype=np.int64)
+    ci, sj = np.flatnonzero(c_arr), np.flatnonzero(synd)
+    prod_deg = ci[:, None] + sj[None, :]
+    keep = prod_deg < nsym
+    prod = _GF_EXP[_GF_LOG[c_arr[ci]][:, None] + _GF_LOG[synd[sj]][None, :]]
+    omega = np.zeros(nsym, dtype=np.int64)
+    np.bitwise_xor.at(omega, prod_deg[keep], prod[keep])
     deriv = [c_poly[j] if j % 2 == 1 else 0 for j in range(1, len(c_poly))]
+    num = _eval_at(omega, x_log[err_pos])
+    den = _eval_at(deriv, x_log[err_pos])
+    if (den == 0).any():
+        return RsDecodeResult(recv[: code.k].copy(), True, 0)
+    # first consecutive root is alpha^0, so the error value carries an
+    # extra factor X_i
+    mag_log = (deg[err_pos] + _GF_LOG[num] + 255 - _GF_LOG[den]) % 255
     fixed = recv.copy()
-    for pos in err_pos.tolist():
-        x_log_pos = (code.n - 1 - pos) % 255
-        x_inv = int(_GF_EXP[(255 - x_log_pos) % 255])
-        num = _poly_eval(list(reversed(omega)), x_inv)
-        den = _poly_eval(list(reversed(deriv)), x_inv)
-        if den == 0:
-            return RsDecodeResult(recv[: code.k].copy(), True, 0)
-        # first consecutive root is alpha^0, so the error value carries an
-        # extra factor X_i
-        mag = _gf_mul(int(_GF_EXP[x_log_pos]), _gf_mul(num, _gf_inv(den)))
-        fixed[pos] ^= mag
+    fixed[err_pos] ^= np.where(num != 0, _GF_EXP[mag_log], 0)
 
     # verify by recomputing syndromes on the corrected word
-    nz = fixed != 0
-    if nz.any():
-        powers = (_syndrome_powers(code.n, nsym)[:, deg[nz] % 255] + _GF_LOG[fixed[nz]]) % 255
-        if np.bitwise_xor.reduce(_GF_EXP[powers].astype(np.int64), axis=1).any():
-            return RsDecodeResult(recv[: code.k].copy(), True, 0)
+    if _syndromes(fixed, nsym).any():
+        return RsDecodeResult(recv[: code.k].copy(), True, 0)
     return RsDecodeResult(fixed[: code.k], False, len(err_pos))
 
 

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from risjam import pipeline as pl
+from risjam import receiver as rx
 from risjam.channel import RicianParams, RisLinkConfig
 from risjam.harness import ExperimentConfig, calibrate_noise
 from risjam.jammer import JammerModel, PathTopology
 from risjam.pipeline import OrthogonalityMode, TrialSettings, run_trial
+from risjam.waveform import Family, ModScheme
 
 
 def _settings(**kw):
@@ -109,6 +111,64 @@ class TestOneEmission:
         assert r.jammer_class is not None and r.payload_fraction == 1.0
         # two RS blocks (head and tail) of the one frame, and its one replica
         assert calls == {"rs_encode": 2, "jammer_transform": 1}
+
+    def test_delay_estimate_needs_no_full_correlation(self, monkeypatch, noise_floors):
+        calls = []
+        inner = rx.cross_correlate
+
+        def counted(*args, **kwargs):
+            calls.append(args[2:])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(rx, "cross_correlate", counted)
+        r = _run(_settings(), 10.0, JammerModel.DRFM, 0, noise_floors)
+        assert r.detected and r.tau_hat is not None and r.jammer_class is not None
+        # the two correlations of similarity_ratio, none for the delay estimate
+        assert len(calls) == 2
+
+
+def _estimate_delay_full(settings, x, y, onset, jump):
+    """Reference delay estimate that reads its lags off the full correlation."""
+    f = settings.frame_len
+    sig = settings.peak_significance
+    if jump < sig:
+        return None
+    corr_res = rx.cross_correlate(x, y, f, f - 1)
+    mask = np.abs(corr_res.lags - onset) <= 8
+    if mask.any():
+        local = corr_res.lags[mask][np.argmax(np.abs(corr_res.values[mask]))]
+        local_mag = np.max(np.abs(corr_res.values[mask]))
+        primary = np.abs(corr_res.values[corr_res.lags == 0])
+        if primary.size and primary[0] > 0 and local_mag >= sig * float(primary[0]):
+            return int(local)
+    return onset
+
+
+class TestDelayEstimate:
+    @pytest.mark.parametrize("model", list(JammerModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize("frame_len", [64, 512, 4096])
+    def test_matches_full_correlation(self, model, frame_len):
+        f = frame_len
+        s = _settings(frame_len=f, pilot_len=16)
+        scheme = ModScheme(Family.PSK, 4)
+        rng = np.random.default_rng([f, list(JammerModel).index(model)])
+        guard = pl._ONSET_GUARD
+        edge_onsets = list(range(guard, 10)) + list(range(f - guard - 10, f - guard))
+        local_wins = 0
+        for tau in (0, 1, 3, 8, f // 2, f - 9, f - 3, f - 1):
+            for jsr_db in (-5.0, 5.0, 15.0):
+                x, _ = pl._frame(s, scheme, f, rng)
+                a_j = np.exp(2j * np.pi * rng.random()) * 10.0 ** (jsr_db / 20.0)
+                y = 3.0 * x + pl._replica(model, s, x, tau, a_j, rng)[:f] + pl._noise(f, rng)
+                onset, jump = rx.estimate_onset(y, guard=guard)
+                for o, j in [(onset, jump), (onset, 0.0), (tau, 1.0)] + [
+                    (e, 1.0) for e in edge_onsets
+                ]:
+                    want = _estimate_delay_full(s, x, y, o, j)
+                    assert pl._estimate_delay(s, x, y, o, j) == want
+                    local_wins += want is not None and want != o
+        # the correlation peak overrides the change-point on some frames
+        assert local_wins > 0
 
 
 class TestPowerBookkeeping:

@@ -2,6 +2,8 @@
 demodulate round trips, measured BER against the analytic curve, and the
 Reed-Solomon codec."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,14 @@ from hypothesis import strategies as st
 from scipy.special import erfc
 
 from risjam.waveform import (
+    _GF_EXP,
+    _GF_LOG,
     DEFAULT_RS_TABLE,
     Family,
     ModScheme,
     RsCode,
     WaveformError,
+    _generator_poly,
     constellation,
     demodulate,
     measure_ber,
@@ -156,6 +161,76 @@ class TestReedSolomon:
             RsCode(256, 200)
         with pytest.raises(WaveformError):
             rs_decode(np.zeros(10, dtype=np.int64), RsCode(255, 224))
+
+
+def _lfsr_encode(data_symbols, code):
+    """Reference systematic encoder: one LFSR division step per data byte."""
+    data = np.asarray(data_symbols, dtype=np.int64)
+    nsym = code.n - code.k
+    gen = np.asarray(_generator_poly(nsym), dtype=np.int64)
+    gen_log = _GF_LOG[gen[1:]]
+    gen_nz = gen[1:] != 0
+    rem = np.zeros(nsym, dtype=np.int64)
+    for d in data.tolist():
+        coef = d ^ int(rem[0])
+        rem[:-1] = rem[1:]
+        rem[-1] = 0
+        if coef:
+            rem[gen_nz] ^= _GF_EXP[(gen_log[gen_nz] + _GF_LOG[coef]) % 255]
+    return np.concatenate([data, rem])
+
+
+def _data_block(kind, k, rng):
+    if kind == "zero":
+        return np.zeros(k, dtype=np.int64)
+    if kind == "sparse":  # 1..k//20 nonzero bytes (one for short codes)
+        data = np.zeros(k, dtype=np.int64)
+        pos = rng.choice(k, size=int(rng.integers(1, max(1, k // 20) + 1)), replace=False)
+        data[pos] = rng.integers(1, 256, size=pos.size)
+        return data
+    return rng.integers(0, 256, k)
+
+
+class TestEncoderOracle:
+    @given(
+        code=st.sampled_from(DEFAULT_RS_TABLE + (RsCode(15, 11),)),
+        kind=st.sampled_from(["random", "sparse", "zero"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_lfsr_loop(self, code, kind, seed):
+        data = _data_block(kind, code.k, np.random.default_rng(seed))
+        got = rs_encode(data, code)
+        want = _lfsr_encode(data, code)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+# sha256 of every (data, failure, corrected) that rs_decode returns on
+# _decoder_corpus(); it pins the decoder's results, miscorrections included
+DECODER_GOLDEN = "5aa1f60b0e30a930b0af235450ca1e046371d6dd9dea711efcd7e518cb241f7c"
+
+
+def _decoder_corpus():
+    """Two seeded blocks per table code and error weight 0..2t."""
+    rng = np.random.default_rng(20240607)
+    for code in DEFAULT_RS_TABLE:
+        for w in range(2 * code.t + 1):
+            for _ in range(2):
+                cw = _lfsr_encode(rng.integers(0, 256, code.k), code)
+                pos = rng.choice(code.n, size=w, replace=False)
+                cw[pos] ^= rng.integers(1, 256, size=w)
+                yield code, cw
+
+
+class TestDecoderGolden:
+    def test_results_unchanged(self):
+        h = hashlib.sha256()
+        for code, word in _decoder_corpus():
+            res = rs_decode(word, code)
+            h.update(np.asarray(res.data, dtype=np.int64).tobytes())
+            h.update(bytes([res.failure, res.corrected]))
+        assert h.hexdigest() == DECODER_GOLDEN
 
 
 class TestErrorRates:
