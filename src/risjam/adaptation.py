@@ -96,9 +96,9 @@ def effective_ber(
     return float(ber_awgn(family, order, snr_l + snr_j))
 
 
-def remap_modulation(jammer_class: JammerClass, current: ModScheme) -> ModScheme:
+def remap_modulation(jammer_class: JammerClass | None, current: ModScheme) -> ModScheme:
     """AS pushes to PSK (amplitude-free), PS to ASK (fold-correctable),
-    DRFM and Unknown keep the current family."""
+    DRFM, Unknown and no class keep the current family."""
     if jammer_class == JammerClass.AS:
         return ModScheme(Family.PSK, current.order)
     if jammer_class == JammerClass.PS:
@@ -110,8 +110,6 @@ def remap_modulation(jammer_class: JammerClass, current: ModScheme) -> ModScheme
 class AdaptationDecision:
     scheme: ModScheme
     code: RsCode
-    residual: float
-    delta: float
     compliant: bool
 
 
@@ -121,40 +119,30 @@ def residual_symbol_error(ser: float, code: RsCode) -> float:
 
 
 def select_code(
-    snr: float,
-    scheme: ModScheme,
-    delta: float,
-    table=DEFAULT_RS_TABLE,
-    ber: float | None = None,
+    scheme: ModScheme, delta: float, table: tuple[RsCode, ...], ber: float
 ) -> AdaptationDecision:
-    """Highest-rate code whose residual stays below delta at this SNR.
+    """Highest-rate code of `table` whose residual stays below delta at this
+    bit error rate.
 
-    `ber` overrides the analytic curve (used for jammer-aware effective BER).
     Falls back to the lowest-rate entry, flagged non-compliant, when nothing
     qualifies.
     """
-    if not table:
-        raise AdaptationError("empty code table")
     if delta >= 0:
         raise AdaptationError("delta must be negative")
-    if ber is None:
-        ber = float(ber_awgn(scheme.family, scheme.order, snr))
     ser = 1.0 - (1.0 - ber) ** scheme.bits_per_symbol
     codes = sorted(table, key=lambda c: c.rate, reverse=True)
     for code in codes:
-        res = residual_symbol_error(ser, code)
-        if res <= delta:
-            return AdaptationDecision(scheme, code, res, delta, True)
-    worst = codes[-1]
-    return AdaptationDecision(scheme, worst, residual_symbol_error(ser, worst), delta, False)
+        if residual_symbol_error(ser, code) <= delta:
+            return AdaptationDecision(scheme, code, True)
+    return AdaptationDecision(scheme, codes[-1], False)
 
 
-def code_table(fixed_rate: float | None, table=DEFAULT_RS_TABLE) -> tuple[RsCode, ...]:
+def code_table(fixed_rate: float | None) -> tuple[RsCode, ...]:
     """The codes link adaptation may pick: the whole table, or with
     `fixed_rate` set only the code of that rate."""
     if fixed_rate is None:
-        return tuple(table)
-    matches = tuple(c for c in table if abs(c.rate - fixed_rate) < 5e-3)
+        return DEFAULT_RS_TABLE
+    matches = tuple(c for c in DEFAULT_RS_TABLE if abs(c.rate - fixed_rate) < 5e-3)
     if not matches:
         raise AdaptationError(f"no table code with rate {fixed_rate}")
     return matches
@@ -164,41 +152,32 @@ def select_link(
     jammer_class: JammerClass | None,
     snr_l: float,
     snr_j: float,
-    base_family: Family = Family.PSK,
-    delta: float = -0.005,
-    table=DEFAULT_RS_TABLE,
-    fixed_rate: float | None = None,
-    max_order: int = 64,
+    base_family: Family,
+    delta: float,
+    fixed_rate: float | None,
+    max_order: int,
 ) -> AdaptationDecision:
     """Pick the compliant (order, code) pair with the highest spectral
     efficiency rate*log2(order) within the remapped family; ties go to the
-    higher order.
+    higher order. With none compliant, the order-2 decision stands.
 
     With `fixed_rate` set, only that single code is on the table (fixed-rate
     operating mode); the modulation order still adapts.
     """
-    family = remap_modulation(
-        jammer_class if jammer_class is not None else JammerClass.UNKNOWN,
-        ModScheme(base_family, 2),
-    ).family
-    table = code_table(fixed_rate, table)
-    best: AdaptationDecision | None = None
-    best_eff = -1.0
-    for order in ORDERS:
-        if order > max_order:
-            break
-        scheme = ModScheme(family, order)
-        ber = effective_ber(jammer_class, family, order, snr_l, snr_j)
-        decision = select_code(snr_l + snr_j, scheme, delta, table, ber=ber)
-        if decision.compliant:
-            eff = decision.code.rate * scheme.bits_per_symbol
-            if eff >= best_eff:
-                best, best_eff = decision, eff
-    if best is not None:
-        return best
-    scheme = ModScheme(family, 2)
-    ber = effective_ber(jammer_class, family, 2, snr_l, snr_j)
-    return select_code(snr_l + snr_j, scheme, delta, table, ber=ber)
+    family = remap_modulation(jammer_class, ModScheme(base_family, 2)).family
+    table = code_table(fixed_rate)
+    decisions = [
+        select_code(
+            ModScheme(family, order), delta, table,
+            effective_ber(jammer_class, family, order, snr_l, snr_j),
+        )
+        for order in ORDERS
+        if order <= max_order
+    ]
+    compliant = [d for d in decisions if d.compliant]
+    if not compliant:
+        return decisions[0]
+    return max(compliant, key=lambda d: (d.code.rate * d.scheme.bits_per_symbol, d.scheme.order))
 
 
 def throughput(

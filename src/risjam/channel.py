@@ -30,10 +30,8 @@ class RisLinkConfig:
     def __post_init__(self):
         if self.element_count < 1:
             raise ChannelError(f"element_count must be >= 1, got {self.element_count}")
-        if self.d_sr <= 0 or self.d_rd <= 0:
-            raise ChannelError("distances must be positive")
-        if self.path_loss_exp <= 0:
-            raise ChannelError("path_loss_exp must be positive")
+        path_loss(self.d_sr, self.path_loss_exp)
+        path_loss(self.d_rd, self.path_loss_exp)
         if self.corr_rate < 0:
             raise ChannelError("corr_rate must be non-negative")
 
@@ -43,14 +41,11 @@ class RicianParams:
     """Rician scalar-channel parameters (kappa=0 degenerates to Rayleigh)."""
 
     rician_k: float = 0.0
-    avg_amp: float = 1.0
     path_count: int = 1
 
     def __post_init__(self):
         if self.rician_k < 0:
             raise ChannelError("rician_k must be >= 0")
-        if self.avg_amp <= 0:
-            raise ChannelError("avg_amp must be positive")
         if self.path_count < 1:
             raise ChannelError("path_count must be >= 1")
 
@@ -88,12 +83,18 @@ class ChannelRealization:
 
 
 def path_loss(d: float, delta: float) -> float:
-    """Linear power attenuation d**(-delta)."""
+    """Linear power attenuation d**(-delta), a positive finite float."""
     if d <= 0:
         raise ChannelError(f"distance must be positive, got {d}")
     if delta <= 0:
         raise ChannelError(f"path loss exponent must be positive, got {delta}")
-    return float(d) ** (-delta)
+    try:
+        loss = float(d) ** (-delta)
+        if loss > 0.0:
+            return loss
+    except OverflowError:
+        pass
+    raise ChannelError(f"path loss of distance {d} at exponent {delta} is out of float range")
 
 
 def build_correlation(cfg: RisLinkConfig) -> CorrelationMatrix:
@@ -117,12 +118,12 @@ def build_correlation(cfg: RisLinkConfig) -> CorrelationMatrix:
 def sample_rician(p: RicianParams, rng: np.random.Generator) -> complex:
     """Draw one Rician scalar: LOS term plus a sum of Rayleigh-amplitude paths.
 
-    Each diffuse path has E[R^2] = avg_amp^2, phases uniform on [0, 2*pi).
+    Each diffuse path has E[R^2] = 1, phases uniform on [0, 2*pi).
     """
     k = p.rician_k
     theta_los = rng.uniform(0.0, 2 * np.pi)
-    los = np.sqrt(k / (k + 1)) * p.avg_amp * np.exp(1j * theta_los)
-    amps = rng.rayleigh(scale=p.avg_amp / np.sqrt(2), size=p.path_count)
+    los = np.sqrt(k / (k + 1)) * np.exp(1j * theta_los)
+    amps = rng.rayleigh(scale=1.0 / np.sqrt(2), size=p.path_count)
     phases = rng.uniform(0.0, 2 * np.pi, size=p.path_count)
     diffuse = np.sqrt(1.0 / (k + 1)) * np.sum(amps * np.exp(1j * phases))
     return complex(los + diffuse)

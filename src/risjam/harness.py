@@ -61,6 +61,10 @@ class ExperimentConfig:
             raise ConfigError("jsr grid is empty")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        try:  # the rule every trial's seed sequence applies
+            np.random.SeedSequence(self.seed)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"seed {self.seed!r}: {exc}") from exc
         # settings.link is the reference link: the first RIS size
         link = replace(self.settings.link, element_count=self.ris_sizes[0])
         object.__setattr__(self, "settings", replace(self.settings, link=link))
@@ -283,8 +287,7 @@ def _aggregate(jsr, model, topology, ris, results) -> SweepRow:
     )
 
 
-def run_sweep(cfg: ExperimentConfig, jobs: int | None = None) -> list[SweepRow]:
-    jobs = cfg.jobs if jobs is None else jobs
+def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     noise_var, eaves_var = calibrate_noise(cfg)
     cells = [
         (cfg, ji, ri, ki, noise_var, eaves_var)
@@ -292,8 +295,8 @@ def run_sweep(cfg: ExperimentConfig, jobs: int | None = None) -> list[SweepRow]:
         for ri in range(len(cfg.ris_sizes))
         for ki in range(len(cfg.jsr_grid_db))
     ]
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if cfg.jobs > 1 and len(cells) > 1:
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             keyed = list(pool.map(_run_cell, cells, chunksize=1))
     else:
         keyed = [_run_cell(c) for c in cells]
@@ -310,20 +313,19 @@ def _fmt(v: float) -> str:
     return format(v, ".6g")
 
 
+def _cell(value) -> str:
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (int, str)):
+        return str(value)
+    return _fmt(value)
+
+
 def rows_to_csv(rows: list[SweepRow]) -> str:
+    """One line per row: the SweepRow field of each CSV_HEADER column."""
+    columns = CSV_HEADER.split(",")
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.jsr_db), r.jammer.value, r.topology.value,
-                    str(r.ris_size), _fmt(r.t_baseline), _fmt(r.t_jammed),
-                    _fmt(r.gain), _fmt(r.detect_rate), _fmt(r.classify_rate),
-                    _fmt(r.tau_err), r.modulation, _fmt(r.code_rate),
-                    _fmt(r.payload_fraction), _fmt(r.stderr_gain),
-                ]
-            )
-        )
+    lines += [",".join(_cell(getattr(r, name)) for name in columns) for r in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -91,10 +91,21 @@ class TrialSettings:
             )
         if self.max_order not in wf.ORDERS:
             raise ConfigError(f"max_order must be one of {wf.ORDERS}, got {self.max_order}")
+        if not 0.0 <= self.eaves_corr <= 1.0:
+            raise ConfigError(f"eaves_corr must lie in [0, 1], got {self.eaves_corr}")
+        if not self.bandwidth_hz > 0.0:
+            raise ConfigError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
+        # the rules that would raise in the first trial, applied here
         try:
-            ad.code_table(self.fixed_rate)
+            ad.select_code(
+                wf.ModScheme(self.base_family, 2), self.delta, ad.code_table(self.fixed_rate),
+                0.0,
+            )
             rx.ClassifierThresholds(self.sim_threshold, self.inversion_threshold)
-        except (ad.AdaptationError, rx.ReceiverError) as exc:
+            jm.JammerSpec(jm.JammerModel.DRFM, self.drfm_gain)
+            for d in (self.d_e1, self.d_j1, self.d_j2):
+                ch.path_loss(d, self.link.path_loss_exp)
+        except (ad.AdaptationError, rx.ReceiverError, jm.JammerError, ch.ChannelError) as exc:
             raise ConfigError(str(exc)) from exc
         # MUSIC resolves two sources on an (antennas - 1)-element subarray
         if self.orthogonality == OrthogonalityMode.SPATIAL and self.antennas < 3:
@@ -121,10 +132,6 @@ class TrialResult:
     clamped: bool
 
     @property
-    def gain(self) -> float:
-        return self.t_jammed / self.t_baseline
-
-    @property
     def tau_err(self) -> float:
         if self.tau_hat is None:
             return float("nan")
@@ -146,18 +153,13 @@ def _corr_cached(element_count: int, corr_rate: float) -> ch.CorrelationMatrix:
 
 
 @lru_cache(maxsize=16)
-def _pilot_cached(family: wf.Family, order: int, length: int) -> np.ndarray:
+def _pilot(scheme: wf.ModScheme, length: int) -> np.ndarray:
     """Deterministic pilot pattern shared by transmitter and receiver."""
     prng = np.random.default_rng(0xA5A5)
-    scheme = wf.ModScheme(family, order)
     bits = prng.integers(0, 2, length * scheme.bits_per_symbol).astype(np.uint8)
     syms = wf.modulate(bits, scheme)
     syms.flags.writeable = False
     return syms
-
-
-def _pilot(scheme: wf.ModScheme, length: int) -> np.ndarray:
-    return _pilot_cached(scheme.family, scheme.order, length)
 
 
 def _noise(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -232,13 +234,12 @@ def _classify_streams(legit_stream, jam_stream, pilot, settings, scheme, nv_legi
     legit_eq = rx.equalize_stream(legit_stream, pilot, nv_legit)
     jam_eq = rx.equalize_stream(jam_stream, pilot, nv_jam)
     f_max = min(legit_eq.size, jam_eq.size) - 1
-    metrics = rx.similarity_ratio(
-        jam_eq, legit_eq, f_max,
-        legit_noise_var=rx.equalized_noise_var(legit_stream, nv_legit),
+    sim = rx.similarity_ratio(
+        jam_eq, legit_eq, f_max, rx.equalized_noise_var(legit_stream, nv_legit)
     )
     inversions = rx.pilot_anomaly_fraction(jam_eq[: pilot.size], pilot)
     thr = rx.ClassifierThresholds(settings.sim_threshold, settings.inversion_threshold)
-    return rx.classify_jammer(metrics, inversions, thr, active_scheme=scheme)
+    return rx.classify_jammer(sim, inversions, thr, scheme)
 
 
 def _stage_two(settings, model, scheme, a_j, rng) -> rx.JammerClass:
@@ -262,7 +263,7 @@ def _stage_two(settings, model, scheme, a_j, rng) -> rx.JammerClass:
 def _spatial_classify(settings, scheme, streams, tau_hat):
     """MUSIC AoAs and LCMV separation of the received array snapshot."""
     pilot = _pilot(scheme, settings.pilot_len)
-    aoas = rx.estimate_aoa(streams, 2, grid_deg=0.5)
+    aoas = rx.estimate_aoa(streams, 2)
     (s0, s1), w = rx.separate_spatial(streams, aoas)
     # per-output noise variance ||w_k||^2 of the LCMV weights
     nv = [float(np.sum(np.abs(w[:, k]) ** 2)) for k in range(2)]
@@ -308,7 +309,7 @@ def _orthogonalize_and_classify(settings, model, scheme, streams, a_l, a_j, tau,
             pass  # fall back to temporal partitioning
     if outcome is None:
         try:
-            _, burst, fraction = rx.partition_temporal(settings.frame_len, tau_hat)
+            burst, fraction = rx.partition_temporal(settings.frame_len, tau_hat)
         except rx.ReceiverError:
             return None
         outcome = _temporal_classify(
@@ -378,8 +379,8 @@ def run_trial(
 
     # baseline operating point and throughput (jammer silent)
     base = ad.select_link(
-        None, snr_l, 0.0, settings.base_family, settings.delta,
-        fixed_rate=settings.fixed_rate, max_order=settings.max_order,
+        None, snr_l, 0.0, settings.base_family, settings.delta, settings.fixed_rate,
+        settings.max_order,
     )
     t_l = ad.throughput(settings.bandwidth_hz, base.code, base.scheme, 1.0)
 
@@ -430,7 +431,7 @@ def run_trial(
     # monitor (a replica in phase quadrature can leave the hard decisions
     # untouched)
     rx_bits = wf.demodulate((y / a_l)[settings.pilot_len :], scheme)
-    onset, jump = rx.estimate_onset(y, guard=_ONSET_GUARD)
+    onset, jump = rx.estimate_onset(y, _ONSET_GUARD)
     detected = (
         _decode_failed(rx_bits, tx_blocks, base.code) or jump >= settings.peak_significance
     )
@@ -446,8 +447,8 @@ def run_trial(
     if outcome is not None:
         cls, fraction = outcome
         decision = ad.select_link(
-            cls, snr_l, snr_j, settings.base_family, settings.delta,
-            fixed_rate=settings.fixed_rate, max_order=settings.max_order,
+            cls, snr_l, snr_j, settings.base_family, settings.delta, settings.fixed_rate,
+            settings.max_order,
         )
     t_j = ad.throughput(settings.bandwidth_hz, decision.code, decision.scheme, fraction)
     return TrialResult(

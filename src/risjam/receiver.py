@@ -66,12 +66,13 @@ def estimate_delay(corr: CorrelationResult) -> int:
     return int(cand[0])
 
 
-def estimate_onset(y, guard: int = 2) -> tuple[int, float]:
+def estimate_onset(y, guard: int) -> tuple[int, float]:
     """Change-point estimate of where extra power switches on.
 
-    Splits the received power sequence at every candidate index and maximizes
-    the after-minus-before mean difference. This works for any jammer class,
-    including sign-flipping ones that leave no cross-correlation peak.
+    Splits the received power sequence at every candidate index at least
+    `guard` samples from either edge and maximizes the after-minus-before
+    mean difference. This works for any jammer class, including
+    sign-flipping ones that leave no cross-correlation peak.
     Returns (onset index, relative power jump).
     """
     p = np.abs(np.asarray(y, dtype=complex)) ** 2
@@ -95,17 +96,17 @@ def estimate_onset(y, guard: int = 2) -> tuple[int, float]:
 # spatial processing
 # ---------------------------------------------------------------------------
 
+_AOA_GRID_DEG = 0.5  # MUSIC spectrum grid step
+_MIN_SEPARATION_RAD = np.deg2rad(5.0)  # LCMV resolution limit
+_DIAGONAL_LOADING = 1e-3  # LCMV covariance loading, relative to mean power
+
 
 def _steering(m: int, aoa) -> np.ndarray:
     i = np.arange(m)
     return np.exp(-1j * np.pi * np.outer(i, np.sin(np.atleast_1d(aoa))))
 
 
-def estimate_aoa(
-    array_streams: np.ndarray,
-    source_count: int,
-    grid_deg: float = 0.25,
-) -> np.ndarray:
+def estimate_aoa(array_streams: np.ndarray, source_count: int) -> np.ndarray:
     """MUSIC with forward-backward spatial smoothing (subarray size m-1).
 
     Smoothing with two forward subarrays plus the conjugate-flipped covariance
@@ -126,7 +127,7 @@ def estimate_aoa(
 
     vals, vecs = np.linalg.eigh(r)
     noise_space = vecs[:, : msub - source_count]
-    angles = np.deg2rad(np.arange(-90.0, 90.0 + grid_deg, grid_deg))
+    angles = np.deg2rad(np.arange(-90.0, 90.0 + _AOA_GRID_DEG, _AOA_GRID_DEG))
     a = _steering(msub, angles)
     proj = noise_space.conj().T @ a
     spectrum = 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=0), 1e-15)
@@ -140,12 +141,7 @@ def estimate_aoa(
     return np.sort(angles[top])
 
 
-def separate_spatial(
-    array_streams: np.ndarray,
-    aoas,
-    min_separation_rad: float = np.deg2rad(5.0),
-    diagonal_loading: float = 1e-3,
-) -> tuple[np.ndarray, np.ndarray]:
+def separate_spatial(array_streams: np.ndarray, aoas) -> tuple[np.ndarray, np.ndarray]:
     """LCMV beamformer: unit gain toward each AoA, a null toward the other.
 
     Returns (streams, weights): row k of the 2 x n streams is the output
@@ -156,27 +152,28 @@ def separate_spatial(
     aoas = np.asarray(aoas, dtype=float)
     if aoas.size != 2:
         raise ReceiverError("exactly two angles expected")
-    if abs(aoas[0] - aoas[1]) < min_separation_rad:
+    if abs(aoas[0] - aoas[1]) < _MIN_SEPARATION_RAD:
         raise SeparationFailure(
             f"angles {np.rad2deg(aoas)} deg closer than the resolution limit"
         )
     c = _steering(m, aoas)
     r = x @ x.conj().T / x.shape[1]
-    r += diagonal_loading * np.trace(r).real / m * np.eye(m)
+    r += _DIAGONAL_LOADING * np.trace(r).real / m * np.eye(m)
     rinv_c = np.linalg.solve(r, c)
     w = rinv_c @ np.linalg.inv(c.conj().T @ rinv_c)  # column k: unit gain to aoas[k]
     return w.conj().T @ x, w
 
 
-def partition_temporal(frame_len: int, tau_hat: int):
-    """Shorten the burst so the replica lands in a disjoint slot.
+def partition_temporal(frame_len: int, tau_hat: int) -> tuple[int, float]:
+    """Shorten the burst, sent from the frame start, so the replica lands in
+    a disjoint slot.
 
-    Returns (burst_start, burst_len, payload_fraction).
+    Returns (burst_len, payload_fraction).
     """
     if tau_hat <= 0:
         raise ReceiverError("no temporal separation possible for tau_hat <= 0")
     burst = min(int(tau_hat), int(frame_len))
-    return 0, burst, burst / frame_len
+    return burst, burst / frame_len
 
 
 # ---------------------------------------------------------------------------
@@ -185,25 +182,16 @@ def partition_temporal(frame_len: int, tau_hat: int):
 
 
 @dataclass(frozen=True)
-class SimilarityMetrics:
-    sc_max: float
-    cc_max: float
-    sim: float
-
-
-@dataclass(frozen=True)
 class ClassifierThresholds:
-    sim_threshold: float = 0.93
-    inversion_threshold: float = 0.25
+    sim_threshold: float
+    inversion_threshold: float
 
     def __post_init__(self):
         if not (0 < self.sim_threshold < 1 and 0 < self.inversion_threshold < 1):
             raise ReceiverError("thresholds must lie in (0, 1)")
 
 
-def similarity_ratio(
-    jam_est, legit_est, f_max: int, legit_noise_var: float = 0.0
-) -> SimilarityMetrics:
+def similarity_ratio(jam_est, legit_est, f_max: int, legit_noise_var: float) -> float:
     """Sim = max|R_jy| / max|R_yy| with both peaks normalized by f_max.
 
     The legitimate autocorrelation peak at lag 0 carries the stream's own
@@ -226,7 +214,7 @@ def similarity_ratio(
         raise ReceiverError("zero-energy legitimate estimate")
     cc = cross_correlate(jam_est, legit_est, f_max, gamma)
     cc_max = float(np.max(np.abs(cc.values))) / f_max
-    return SimilarityMetrics(sc_max=sc_max, cc_max=cc_max, sim=cc_max / sc_max)
+    return cc_max / sc_max
 
 
 class JammerClass(str, Enum):
@@ -237,23 +225,21 @@ class JammerClass(str, Enum):
 
 
 def classify_jammer(
-    metrics: SimilarityMetrics,
+    sim: float,
     pilot_inversions: float,
     thresholds: ClassifierThresholds,
-    active_scheme: ModScheme | None = None,
+    active_scheme: ModScheme,
 ) -> JammerClass:
-    """Threshold rule: high similarity means DRFM; otherwise a high pilot
-    anomaly fraction means PS under a phase-bearing scheme and AS under an
-    amplitude-bearing one (QAM carries both, so it stays Unknown)."""
-    if metrics.sim >= thresholds.sim_threshold:
+    """Threshold rule: a high similarity ratio means DRFM; otherwise a high
+    pilot anomaly fraction means PS under a phase-bearing scheme and AS under
+    an amplitude-bearing one (QAM carries both, so it stays Unknown)."""
+    if sim >= thresholds.sim_threshold:
         return JammerClass.DRFM
     if pilot_inversions >= thresholds.inversion_threshold:
-        family = active_scheme.family if active_scheme is not None else Family.PSK
-        if family == Family.PSK:
+        if active_scheme.family == Family.PSK:
             return JammerClass.PS
-        if family == Family.ASK:
+        if active_scheme.family == Family.ASK:
             return JammerClass.AS
-        return JammerClass.UNKNOWN
     return JammerClass.UNKNOWN
 
 

@@ -109,57 +109,70 @@ class TestCodeSelection:
         )
 
     def test_high_snr_picks_highest_rate(self):
-        d = select_code(1000.0, ModScheme(Family.PSK, 2), -0.005)
+        ber = ber_awgn(Family.PSK, 2, 1000.0)
+        d = select_code(ModScheme(Family.PSK, 2), -0.005, DEFAULT_RS_TABLE, ber)
         assert d.compliant
         assert d.code == DEFAULT_RS_TABLE[0]
 
     def test_low_snr_falls_back(self):
-        d = select_code(0.01, ModScheme(Family.PSK, 2), -0.005)
+        ber = ber_awgn(Family.PSK, 2, 0.01)
+        d = select_code(ModScheme(Family.PSK, 2), -0.005, DEFAULT_RS_TABLE, ber)
         assert not d.compliant
         assert d.code == DEFAULT_RS_TABLE[-1]
 
     def test_rate_monotone_in_snr(self):
         snrs = np.linspace(0.5, 30.0, 40)
-        rates = [select_code(s, ModScheme(Family.PSK, 4), -0.005).code.rate for s in snrs]
+        rates = [
+            select_code(
+                ModScheme(Family.PSK, 4), -0.005, DEFAULT_RS_TABLE, ber_awgn(Family.PSK, 4, s)
+            ).code.rate
+            for s in snrs
+        ]
         assert all(a <= b + 1e-12 for a, b in zip(rates, rates[1:]))
 
     def test_rejects_nonnegative_delta(self):
         with pytest.raises(AdaptationError):
-            select_code(10.0, ModScheme(Family.PSK, 2), 0.0)
+            select_code(
+                ModScheme(Family.PSK, 2), 0.0, DEFAULT_RS_TABLE, ber_awgn(Family.PSK, 2, 10.0)
+            )
+
+
+# base_family, delta, fixed_rate and max_order of the default TrialSettings
+DEFAULTS = (Family.PSK, -0.005, None, 64)
 
 
 class TestLinkSelection:
     def test_spectral_efficiency_grows_with_snr(self):
         effs = []
         for snr_db in (0.0, 7.0, 14.0, 21.0, 28.0):
-            d = select_link(None, 10 ** (snr_db / 10.0), 0.0)
+            d = select_link(None, 10 ** (snr_db / 10.0), 0.0, *DEFAULTS)
             effs.append(d.code.rate * d.scheme.bits_per_symbol)
         assert all(a <= b + 1e-12 for a, b in zip(effs, effs[1:]))
 
     def test_classified_jammer_raises_efficiency(self):
         snr_l = 10 ** (7.0 / 10.0)
         snr_j = 10 ** (12.0 / 10.0)
-        base = select_link(None, snr_l, snr_j)
-        aware = select_link(JammerClass.DRFM, snr_l, snr_j)
+        base = select_link(None, snr_l, snr_j, *DEFAULTS)
+        aware = select_link(JammerClass.DRFM, snr_l, snr_j, *DEFAULTS)
         eff = lambda d: d.code.rate * d.scheme.bits_per_symbol
         assert eff(aware) > eff(base)
 
     def test_fixed_rate_restricts_table(self):
-        d = select_link(None, 100.0, 0.0, fixed_rate=0.94)
+        d = select_link(None, 100.0, 0.0, Family.PSK, -0.005, 0.94, 64)
         assert d.code == RsCode(255, 240)
         with pytest.raises(AdaptationError):
-            select_link(None, 100.0, 0.0, fixed_rate=0.5)
+            select_link(None, 100.0, 0.0, Family.PSK, -0.005, 0.5, 64)
 
     def test_max_order_respected(self):
-        d = select_link(None, 1e6, 0.0, max_order=8)
+        d = select_link(None, 1e6, 0.0, Family.PSK, -0.005, None, 8)
         assert d.scheme.order <= 8
 
     def test_ps_switches_to_ask(self):
-        d = select_link(JammerClass.PS, 10.0, 10.0)
+        d = select_link(JammerClass.PS, 10.0, 10.0, *DEFAULTS)
         assert d.scheme.family == Family.ASK
 
     def test_as_stays_psk(self):
-        d = select_link(JammerClass.AS, 10.0, 10.0)
+        d = select_link(JammerClass.AS, 10.0, 10.0, *DEFAULTS)
         assert d.scheme.family == Family.PSK
 
 

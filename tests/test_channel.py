@@ -51,6 +51,10 @@ class TestPathLoss:
             path_loss(0.0, 2.7)
         with pytest.raises(ChannelError):
             path_loss(1.0, -1.0)
+        with pytest.raises(ChannelError):
+            path_loss(1e-200, 2.7)  # overflows
+        with pytest.raises(ChannelError):
+            path_loss(1e200, 2.7)  # underflows to zero
 
 
 class TestCorrelation:
@@ -79,13 +83,13 @@ class TestCorrelation:
 class TestRician:
     def test_rayleigh_limit_power(self):
         rng = np.random.default_rng(7)
-        p = RicianParams(rician_k=0.0, avg_amp=1.0, path_count=1)
+        p = RicianParams(rician_k=0.0, path_count=1)
         draws = np.array([sample_rician(p, rng) for _ in range(20000)])
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, rel=0.05)
 
     def test_strong_los_concentrates(self):
         rng = np.random.default_rng(7)
-        p = RicianParams(rician_k=50.0, avg_amp=1.0)
+        p = RicianParams(rician_k=50.0)
         amps = np.abs([sample_rician(p, rng) for _ in range(2000)])
         assert np.std(amps) < 0.2
 

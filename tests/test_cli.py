@@ -21,6 +21,10 @@ fixed_rate = 0.94
 """
 
 
+# a one-cell sweep, so a config that does run finishes quickly
+ONE_CELL = "[sweep]\njammers = drfm\nris_sizes = 16\njsr_db = 10\ntrials = 1\n"
+
+
 def _write_config(tmp_path, text=CONFIG):
     path = tmp_path / "exp.ini"
     path.write_text(text)
@@ -46,35 +50,51 @@ class TestCli:
         assert main(["--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
 
     @pytest.mark.parametrize(
-        "text",
+        "text,flags",
         [
-            "[receiver]\nframe_len = 32\n",
-            "[receiver]\nframe_len = 64\npilot_len = 64\n",
-            "[sweep]\northogonality = spatial\n[receiver]\nantennas = 1\n",
-            "[sweep]\northogonality = spatial\n[receiver]\nantennas = 2\n",
-            "[jammer]\ndelay = 5000\n",
-            "[jammer]\ndelay = 4096\n",
-            "[adaptation]\nmax_order = 3\n",
-            "[adaptation]\nmax_order = 128\n",
-            "[link]\ncarrier_hz = 28e9\n",
-            "[jammer]\npower_floor_dbm = 0\n",
-            "[adaptation]\nfixed_rate = 0.5\n",
-            "[receiver]\nsim_threshold = 1.5\n",
-            "[receiver]\ninversion_threshold = 0\n",
-            "[receiver]\npilot_len = 0\n",
-            "[receiver]\nframe_len = 5\npilot_len = 1\n",
+            ("[receiver]\nframe_len = 32\n", []),
+            ("[receiver]\nframe_len = 64\npilot_len = 64\n", []),
+            ("[sweep]\northogonality = spatial\n[receiver]\nantennas = 1\n", []),
+            ("[sweep]\northogonality = spatial\n[receiver]\nantennas = 2\n", []),
+            ("[jammer]\ndelay = 5000\n", []),
+            ("[jammer]\ndelay = 4096\n", []),
+            ("[adaptation]\nmax_order = 3\n", []),
+            ("[adaptation]\nmax_order = 128\n", []),
+            ("[link]\ncarrier_hz = 28e9\n", []),
+            ("[jammer]\npower_floor_dbm = 0\n", []),
+            ("[adaptation]\nfixed_rate = 0.5\n", []),
+            ("[receiver]\nsim_threshold = 1.5\n", []),
+            ("[receiver]\ninversion_threshold = 0\n", []),
+            ("[receiver]\npilot_len = 0\n", []),
+            ("[receiver]\nframe_len = 5\npilot_len = 1\n", []),
+            ("[jammer]\ndrfm_gain = 0\n", []),
+            ("[jammer]\ndrfm_gain = -1.5\n", []),
+            ("[jammer]\neaves_corr = 1.5\n", []),
+            ("[jammer]\neaves_corr = -0.1\n", []),
+            ("[jammer]\nd_e1 = 0\n", []),
+            ("[jammer]\nd_e1 = 1e-200\n", []),
+            ("[jammer]\nd_j1 = -7\n", []),
+            ("[sweep]\ntopology = ris_aware\n[jammer]\nd_j2 = 0\n", []),
+            ("[adaptation]\ndelta = 0\n", []),
+            ("[adaptation]\ndelta = 0.01\n", []),
+            ("[sweep]\nseed = -1\n", []),
+            ("", ["--seed", "-1"]),
+            (ONE_CELL + "[link]\nbandwidth_hz = 0\n", []),
         ],
         ids=[
             "frame_below_pilot", "frame_equals_pilot", "spatial_one_antenna",
             "spatial_two_antennas", "delay_past_frame", "delay_at_frame_end",
             "max_order_3", "max_order_128", "carrier_hz", "power_floor_dbm",
             "fixed_rate_off_table", "sim_threshold_above_1", "inversion_threshold_0",
-            "pilot_len_0", "frame_below_onset_guard",
+            "pilot_len_0", "frame_below_onset_guard", "drfm_gain_0", "drfm_gain_negative",
+            "eaves_corr_above_1", "eaves_corr_negative", "d_e1_0", "d_e1_loss_overflows",
+            "d_j1_negative", "d_j2_0_ris_aware", "delta_0", "delta_positive",
+            "seed_negative", "seed_flag_negative", "bandwidth_0",
         ],
     )
-    def test_unrunnable_config_is_exit_1(self, tmp_path, capsys, text):
+    def test_unrunnable_config_is_exit_1(self, tmp_path, capsys, text, flags):
         cfg = _write_config(tmp_path, text)
-        assert main(["--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert main(["--config", cfg, "--out", str(tmp_path / "o.csv"), *flags]) == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
@@ -110,12 +130,25 @@ class TestCli:
 # drawn keys of a one-cell config; a key drawn as None stays at its default
 GENERATED_KEYS = {
     ("sweep", "orthogonality"): st.sampled_from(["spatial", "temporal", "none"]),
+    ("sweep", "topology"): st.sampled_from(["source_aware", "ris_aware"]),
+    ("sweep", "seed"): st.integers(-2, 2**64),
+    ("link", "bandwidth_hz"): st.floats(-1.0, 1e9),
+    ("link", "rician_k"): st.floats(-1.0, 100.0),
+    ("link", "path_count"): st.integers(-1, 8),
     ("receiver", "frame_len"): st.integers(-1, 4096),
     ("receiver", "pilot_len"): st.integers(-1, 256),
     ("receiver", "antennas"): st.integers(1, 8),
     ("receiver", "sim_threshold"): st.floats(-0.25, 1.25),
     ("receiver", "inversion_threshold"): st.floats(-0.25, 1.25),
+    ("receiver", "peak_significance"): st.floats(-1.0, 10.0),
     ("jammer", "delay"): st.integers(-1, 4200),
+    ("jammer", "drfm_gain"): st.floats(-1.0, 10.0),
+    ("jammer", "eaves_corr"): st.floats(-0.5, 1.5),
+    ("jammer", "d_e1"): st.floats(-5.0, 100.0),
+    ("jammer", "d_j1"): st.floats(-5.0, 100.0),
+    ("jammer", "d_j2"): st.floats(-5.0, 100.0),
+    ("adaptation", "delta"): st.floats(-0.5, 0.1),
+    ("adaptation", "base_family"): st.sampled_from(["psk", "ask", "qam"]),
     ("adaptation", "fixed_rate"): st.one_of(
         st.sampled_from([round(c.rate, 3) for c in DEFAULT_RS_TABLE]),
         st.floats(0.0, 1.25),
@@ -126,7 +159,7 @@ GENERATED_KEYS = {
 
 @st.composite
 def one_cell_configs(draw):
-    sections = {"sweep": ["jammers = drfm", "ris_sizes = 16", "jsr_db = 10", "trials = 1"]}
+    sections = {"sweep": ONE_CELL.splitlines()[1:]}
     for (section, key), values in GENERATED_KEYS.items():
         value = draw(st.one_of(st.none(), values))
         if value is not None:

@@ -11,6 +11,7 @@ from risjam.harness import (
     CSV_HEADER,
     ConfigError,
     ExperimentConfig,
+    SweepRow,
     calibrate_noise,
     loads_config,
     rows_to_csv,
@@ -183,7 +184,7 @@ class TestSweep:
             assert r.t_baseline > 0
 
     def test_parallel_matches_serial(self, rows):
-        par = run_sweep(loads_config(SMALL_CONFIG), jobs=2)
+        par = run_sweep(replace(loads_config(SMALL_CONFIG), jobs=2))
         assert rows_to_csv(par) == rows_to_csv(rows)
 
     def test_repeat_is_identical(self, rows):
@@ -198,6 +199,10 @@ class TestOutput:
             "detect_rate,classify_rate,tau_err,modulation,code_rate,"
             "payload_fraction,stderr_gain"
         )
+
+    def test_csv_columns_are_row_fields(self):
+        fields = set(SweepRow.__dataclass_fields__)
+        assert [c for c in CSV_HEADER.split(",") if c not in fields] == []
 
     def test_csv_rows_carry_trial_topology(self):
         base = ExperimentConfig()

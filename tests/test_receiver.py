@@ -11,7 +11,6 @@ from risjam.receiver import (
     NoPeakError,
     ReceiverError,
     SeparationFailure,
-    SimilarityMetrics,
     _steering,
     classify_jammer,
     cross_correlate,
@@ -83,7 +82,7 @@ class TestCrossCorrelation:
 class TestOnset:
     def test_noiseless_step(self):
         y = np.concatenate([np.ones(100), 2.0 * np.ones(100)]).astype(complex)
-        tau, jump = estimate_onset(y)
+        tau, jump = estimate_onset(y, 2)
         assert tau == 100
         assert jump == pytest.approx(3.0, rel=1e-9)
 
@@ -92,13 +91,13 @@ class TestOnset:
         n, d = 2048, 700
         y = rng.normal(size=n) + 1j * rng.normal(size=n)
         y[d:] *= 2.0
-        tau, jump = estimate_onset(y)
+        tau, jump = estimate_onset(y, 2)
         assert abs(tau - d) <= 20
         assert jump > 1.0
 
     def test_too_short_raises(self):
         with pytest.raises(ReceiverError):
-            estimate_onset(np.ones(4))
+            estimate_onset(np.ones(4), 2)
 
 
 class TestSpatial:
@@ -113,7 +112,7 @@ class TestSpatial:
             + np.outer(_sv(m, a2), s2)
             + 0.1 * (rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
         )
-        est = estimate_aoa(x, 2, grid_deg=0.25)
+        est = estimate_aoa(x, 2)
         assert np.allclose(np.rad2deg(est), [-20.0, 25.0], atol=1.0)
 
     def test_music_coherent_replica(self):
@@ -127,7 +126,7 @@ class TestSpatial:
             + np.outer(_sv(m, a2), 0.9 * s)
             + 0.05 * (rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
         )
-        est = np.rad2deg(estimate_aoa(x, 2, grid_deg=0.25))
+        est = np.rad2deg(estimate_aoa(x, 2))
         assert np.allclose(est, [-10.0, 30.0], atol=3.0)
 
     def test_lcmv_nulls_interferer(self):
@@ -160,8 +159,8 @@ class TestSpatial:
 
 class TestTemporalPartition:
     def test_fraction(self):
-        start, burst, frac = partition_temporal(4096, 2048)
-        assert (start, burst) == (0, 2048)
+        burst, frac = partition_temporal(4096, 2048)
+        assert burst == 2048
         assert frac == pytest.approx(0.5)
 
     def test_zero_tau_raises(self):
@@ -185,8 +184,8 @@ class TestClassification:
         nv = 10 ** (-1.5)
         le = equalize_stream(legit, pilot, nv)
         je = equalize_stream(jam, pilot, nv)
-        m = similarity_ratio(je, le, 2000, legit_noise_var=equalized_noise_var(legit, nv))
-        assert m.sim > 0.95
+        sim = similarity_ratio(je, le, 2000, equalized_noise_var(legit, nv))
+        assert sim > 0.95
 
     def test_similarity_low_for_ps(self):
         rng = np.random.default_rng(9)
@@ -194,15 +193,14 @@ class TestClassification:
         nv = 10 ** (-1.5)
         le = equalize_stream(legit, pilot, nv)
         je = equalize_stream(jam, pilot, nv)
-        m = similarity_ratio(je, le, 2000, legit_noise_var=equalized_noise_var(legit, nv))
-        assert m.sim < 0.5
+        sim = similarity_ratio(je, le, 2000, equalized_noise_var(legit, nv))
+        assert sim < 0.5
 
     def test_threshold_rules(self):
         thr = ClassifierThresholds(0.93, 0.25)
         psk = ModScheme(Family.PSK, 4)
         ask = ModScheme(Family.ASK, 4)
-        high = SimilarityMetrics(1.0, 0.95, 0.95)
-        low = SimilarityMetrics(1.0, 0.1, 0.1)
+        high, low = 0.95, 0.1
         assert classify_jammer(high, 0.0, thr, psk) == JammerClass.DRFM
         assert classify_jammer(low, 0.5, thr, psk) == JammerClass.PS
         assert classify_jammer(low, 0.5, thr, ask) == JammerClass.AS
