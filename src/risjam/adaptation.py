@@ -4,11 +4,11 @@ symbol-error criterion, and throughput/JSR metrics."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erfc
 
 from .receiver import JammerClass
 from .waveform import DEFAULT_RS_TABLE, ORDERS, Family, ModScheme, RsCode
@@ -19,7 +19,11 @@ class AdaptationError(ValueError):
 
 
 def _q(x):
-    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+    """Gaussian tail Q(x) = erfc(x / sqrt(2)) / 2, elementwise."""
+    z = np.asarray(x, dtype=float) / np.sqrt(2.0)
+    if z.ndim == 0:
+        return 0.5 * math.erfc(z)
+    return 0.5 * np.array([math.erfc(v) for v in z.ravel().tolist()]).reshape(z.shape)
 
 
 def snr_jamming(gamma_e: float, gamma_j: float) -> float:

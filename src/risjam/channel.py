@@ -140,7 +140,7 @@ def sample_realization(
     cfg: RisLinkConfig,
     jp: RicianParams,
     rng: np.random.Generator,
-    eaves_corr: float = 0.0,
+    eaves_corr: float,
 ) -> ChannelRealization:
     """Draw all fading vectors for one trial.
 
@@ -148,8 +148,6 @@ def sample_realization(
     `eaves_corr` in [0, 1] correlates the two vectors (a jammer sitting next
     to the destination sees nearly the same reflected beam).
     """
-    if not 0.0 <= eaves_corr <= 1.0:
-        raise ChannelError("eaves_corr must lie in [0, 1]")
     m = cfg.element_count
     delta = cfg.path_loss_exp
     a_sr = np.sqrt(path_loss(cfg.d_sr, delta))

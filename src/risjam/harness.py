@@ -199,7 +199,7 @@ def calibrate_noise(cfg: ExperimentConfig) -> tuple[float, float]:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(_CAL_KEY,)))
     powers = []
     for _ in range(CALIBRATION_DRAWS):
-        real = ch.sample_realization(link, s.rician, rng)
+        real = ch.sample_realization(link, s.rician, rng, s.eaves_corr)
         phi = ch.optimize_phases(real.h_sr, real.h_rd, corr)
         h = ch.cascaded_coefficient(real.h_sr, real.h_rd, corr, phi)
         powers.append(p_t * abs(h) ** 2)

@@ -9,6 +9,7 @@ two-hop jamming SNR) stays in watts.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -25,7 +26,6 @@ from . import waveform as wf
 class OrthogonalityMode(str, Enum):
     SPATIAL = "spatial"
     TEMPORAL = "temporal"
-    NONE = "none"
 
 
 # samples the power change-point keeps clear of each frame edge
@@ -107,6 +107,29 @@ class TrialSettings:
                 ch.path_loss(d, self.link.path_loss_exp)
         except (ad.AdaptationError, rx.ReceiverError, jm.JammerError, ch.ChannelError) as exc:
             raise ConfigError(str(exc)) from exc
+        # the link budget in watts: each power a trial scales, and the noise
+        # floors the two SNRs set from them, must be a normal float (+-4000
+        # dBm, or a path loss exponent of 200, over- or underflows)
+        dexp = self.link.path_loss_exp
+        try:
+            p_t = ad.dbm_to_watt(self.tx_power_dbm)
+            # mean legit power through one RIS element and mean power at the
+            # jammer's eavesdropping receiver
+            p_l = p_t * ch.path_loss(self.link.d_sr, dexp) * ch.path_loss(self.link.d_rd, dexp)
+            p_e = p_t * ch.path_loss(self.d_e1, dexp) * self.rician.path_count
+            budget = {
+                "transmit power": p_t,
+                "jammer power cap": ad.dbm_to_watt(self.jam_power_cap_dbm),
+                "mean legit received power": p_l,
+                "mean eavesdropper power": p_e,
+                "destination noise floor": p_l / 10.0 ** (self.baseline_snr_db / 10.0),
+                "jammer noise floor": p_e / 10.0 ** (self.eavesdrop_snr_db / 10.0),
+            }
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise ConfigError(f"link budget out of float range: {exc}") from exc
+        for name, watts in budget.items():
+            if not sys.float_info.min <= watts <= sys.float_info.max:
+                raise ConfigError(f"{name} {watts:g} W is out of float range")
         # MUSIC resolves two sources on an (antennas - 1)-element subarray
         if self.orthogonality == OrthogonalityMode.SPATIAL and self.antennas < 3:
             raise ConfigError(
@@ -369,7 +392,7 @@ def run_trial(
     link = settings.link
     p_t = ad.dbm_to_watt(settings.tx_power_dbm)
     corr = _corr_cached(link.element_count, link.corr_rate)
-    real = ch.sample_realization(link, settings.rician, rng, eaves_corr=settings.eaves_corr)
+    real = ch.sample_realization(link, settings.rician, rng, settings.eaves_corr)
     phi = ch.optimize_phases(real.h_sr, real.h_rd, corr)
     h_l = ch.cascaded_coefficient(real.h_sr, real.h_rd, corr, phi)
     p_l = p_t * abs(h_l) ** 2

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
-from scipy import signal as sps
 
 from .waveform import Family, ModScheme
 
@@ -32,11 +32,37 @@ class CorrelationResult:
     values: np.ndarray
 
 
-def cross_correlate(y, y_ref, f_max: int, gamma_max: int) -> CorrelationResult:
+@lru_cache(maxsize=None)
+def _fast_len(n: int) -> int:
+    """Smallest length >= n with no prime factor above 11, the complex FFT
+    length scipy.signal.fftconvolve pads to (so the results match it bit for
+    bit)."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def reference_spectrum(y_ref, f_max: int, gamma_max: int) -> np.ndarray:
+    """FFT of the conjugate-reversed reference y_ref[:f_max + gamma_max] at the
+    transform length of `cross_correlate`; correlations of several sequences
+    against one reference can share it."""
+    rs = np.asarray(y_ref, dtype=complex)[: f_max + gamma_max]
+    return np.fft.fft(rs[::-1].conj(), _fast_len(f_max + rs.size - 1))
+
+
+def cross_correlate(
+    y, y_ref, f_max: int, gamma_max: int, ref_spectrum: np.ndarray | None = None
+) -> CorrelationResult:
     """Sliding inner product R(tau) = sum_{n<f_max} y[n] * conj(y_ref[n+tau]).
 
     Out-of-range reference indices contribute zero. Lags span
-    [-gamma_max, gamma_max].
+    [-gamma_max, gamma_max]. `ref_spectrum`, when given, is
+    `reference_spectrum(y_ref, f_max, gamma_max)` computed once by the caller.
     """
     y = np.asarray(y, dtype=complex)
     y_ref = np.asarray(y_ref, dtype=complex)
@@ -44,15 +70,15 @@ def cross_correlate(y, y_ref, f_max: int, gamma_max: int) -> CorrelationResult:
         raise ReceiverError("sequences shorter than f_max")
     if gamma_max >= f_max:
         raise ReceiverError(f"gamma_max {gamma_max} must be < f_max {f_max}")
-    ys = y[:f_max]
-    rs = y_ref[: f_max + gamma_max]
-    # full[k] = sum_n ys[n] * conj(rs[n - (k - (len(rs)-1))]); R(tau) = full at
-    # offset -tau, i.e. index (len(rs)-1) - tau
-    full = sps.correlate(ys, rs, mode="full", method="fft")
-    center = rs.size - 1
+    if ref_spectrum is None:
+        ref_spectrum = reference_spectrum(y_ref, f_max, gamma_max)
+    # full linear correlation of ys = y[:f_max] against rs = y_ref[:f_max +
+    # gamma_max]: full[k] = sum_n ys[n] * conj(rs[n - (k - (len(rs)-1))]), so
+    # R(tau) sits at index (len(rs)-1) - tau
+    center = min(y_ref.size, f_max + gamma_max) - 1
+    full = np.fft.ifft(np.fft.fft(y[:f_max], ref_spectrum.size) * ref_spectrum)
     lags = np.arange(-gamma_max, gamma_max + 1)
-    values = full[center - lags]
-    return CorrelationResult(lags=lags, values=values)
+    return CorrelationResult(lags=lags, values=full[center - lags])
 
 
 def estimate_delay(corr: CorrelationResult) -> int:
@@ -132,13 +158,28 @@ def estimate_aoa(array_streams: np.ndarray, source_count: int) -> np.ndarray:
     proj = noise_space.conj().T @ a
     spectrum = 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=0), 1e-15)
 
-    peaks, _ = sps.find_peaks(spectrum)
+    peaks = _local_maxima(spectrum)
     if peaks.size < source_count:
         # fall back to the largest grid values
         order = np.argsort(spectrum)[::-1][:source_count]
         return np.sort(angles[order])
     top = peaks[np.argsort(spectrum[peaks])[::-1][:source_count]]
     return np.sort(angles[top])
+
+
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Indices of the interior local maxima of x, in order.
+
+    A maximum is a run of equal samples with a lower sample on each side; a
+    flat top reports its middle sample, rounding down. These are the peaks
+    scipy.signal.find_peaks(x) finds with no conditions.
+    """
+    edges = np.flatnonzero(x[1:] != x[:-1]) + 1
+    starts = np.concatenate(([0], edges))
+    ends = np.concatenate((edges, [x.size])) - 1
+    runs = x[starts]
+    top = (runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])
+    return (starts[1:-1][top] + ends[1:-1][top]) // 2
 
 
 def separate_spatial(array_streams: np.ndarray, aoas) -> tuple[np.ndarray, np.ndarray]:
@@ -204,7 +245,8 @@ def similarity_ratio(jam_est, legit_est, f_max: int, legit_noise_var: float) -> 
     if jam_est.size < f_max or legit_est.size < f_max:
         raise ReceiverError("sequences shorter than f_max")
     gamma = max(1, f_max // 2)
-    sc = cross_correlate(legit_est, legit_est, f_max, gamma)
+    spec = reference_spectrum(legit_est, f_max, gamma)
+    sc = cross_correlate(legit_est, legit_est, f_max, gamma, spec)
     sc_mags = np.abs(sc.values).astype(float)
     zero = np.nonzero(sc.lags == 0)[0]
     if zero.size:
@@ -212,7 +254,7 @@ def similarity_ratio(jam_est, legit_est, f_max: int, legit_noise_var: float) -> 
     sc_max = float(sc_mags.max()) / f_max
     if sc_max == 0.0:
         raise ReceiverError("zero-energy legitimate estimate")
-    cc = cross_correlate(jam_est, legit_est, f_max, gamma)
+    cc = cross_correlate(jam_est, legit_est, f_max, gamma, spec)
     cc_max = float(np.max(np.abs(cc.values))) / f_max
     return cc_max / sc_max
 

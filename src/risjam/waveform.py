@@ -337,18 +337,3 @@ def rs_decode(block: np.ndarray, code: RsCode) -> RsDecodeResult:
     if _syndromes(fixed, nsym).any():
         return RsDecodeResult(recv[: code.k].copy(), True, 0)
     return RsDecodeResult(fixed[: code.k], False, len(err_pos))
-
-
-# ---------------------------------------------------------------------------
-# error-rate helpers
-# ---------------------------------------------------------------------------
-
-
-def measure_ber(tx_bits: np.ndarray, rx_bits: np.ndarray) -> float:
-    tx = np.asarray(tx_bits)
-    rx = np.asarray(rx_bits)
-    if tx.shape != rx.shape:
-        raise WaveformError("bit sequences differ in length")
-    if tx.size == 0:
-        return 0.0
-    return float(np.mean(tx != rx))

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+from helpers import measure_ber
 from risjam.adaptation import (
     AdaptationError,
+    _q,
     ber_awgn,
     dbm_to_watt,
     effective_ber,
@@ -26,7 +28,6 @@ from risjam.waveform import (
     ModScheme,
     RsCode,
     demodulate,
-    measure_ber,
     modulate,
 )
 
@@ -70,6 +71,14 @@ class TestErrorCurves:
         measured = measure_ber(bits, demodulate(y, scheme))
         analytic = ber_awgn(family, order, snr)
         assert measured == pytest.approx(analytic, rel=0.25)
+
+    def test_q_matches_scipy_erfc(self):
+        x = np.linspace(0.0, 8.0, 4001)
+        expected = 0.5 * erfc(x / np.sqrt(2.0))
+        assert np.allclose(_q(x), expected, rtol=1e-13, atol=0.0)
+        assert _q(x.reshape(-1, 1)).shape == (x.size, 1)
+        for v in (0.0, 0.5, 3.0, 8.0):
+            assert _q(v) == pytest.approx(0.5 * erfc(v / np.sqrt(2.0)), rel=1e-13, abs=0.0)
 
     def test_ser_capped_at_one(self):
         assert ser_awgn(Family.QAM, 64, 1e-9) <= 1.0

@@ -148,13 +148,13 @@ class TestRealization:
     def test_shapes_and_scales(self):
         rng = np.random.default_rng(5)
         cfg = RisLinkConfig(element_count=64)
-        real = sample_realization(cfg, RicianParams(), rng)
+        real = sample_realization(cfg, RicianParams(), rng, 0.0)
         assert real.h_sr.shape == (64,)
         assert real.h_rd.shape == (64,)
         assert real.h_rj.shape == (64,)
         mean_sr = np.mean(
             [
-                np.mean(np.abs(sample_realization(cfg, RicianParams(), rng).h_sr) ** 2)
+                np.mean(np.abs(sample_realization(cfg, RicianParams(), rng, 0.0).h_sr) ** 2)
                 for _ in range(200)
             ]
         )
@@ -165,13 +165,8 @@ class TestRealization:
         cfg = RisLinkConfig(element_count=256)
         rho_est = []
         for _ in range(50):
-            real = sample_realization(cfg, RicianParams(), rng, eaves_corr=0.9)
+            real = sample_realization(cfg, RicianParams(), rng, 0.9)
             a = real.h_rd / np.sqrt(np.mean(np.abs(real.h_rd) ** 2))
             b = real.h_rj / np.sqrt(np.mean(np.abs(real.h_rj) ** 2))
             rho_est.append(abs(np.vdot(a, b)) / a.size)
         assert np.mean(rho_est) > 0.8
-
-    def test_rejects_bad_eaves_corr(self):
-        rng = np.random.default_rng(5)
-        with pytest.raises(ChannelError):
-            sample_realization(RisLinkConfig(element_count=4), RicianParams(), rng, eaves_corr=1.5)

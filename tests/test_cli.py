@@ -1,9 +1,14 @@
 """CLI tests: argument handling, exit codes, CSV emission, and overrides."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import risjam
 from risjam.cli import main
 from risjam.harness import CSV_HEADER
 from risjam.waveform import DEFAULT_RS_TABLE
@@ -80,6 +85,11 @@ class TestCli:
             ("[sweep]\nseed = -1\n", []),
             ("", ["--seed", "-1"]),
             (ONE_CELL + "[link]\nbandwidth_hz = 0\n", []),
+            ("[sweep]\northogonality = none\n", []),
+            (ONE_CELL + "[link]\ntx_power_dbm = 4000\n", []),
+            (ONE_CELL + "[link]\ntx_power_dbm = -4000\n", []),
+            (ONE_CELL + "[jammer]\npower_cap_dbm = 4000\n", []),
+            (ONE_CELL + "[link]\npath_loss_exp = 200\n", []),
         ],
         ids=[
             "frame_below_pilot", "frame_equals_pilot", "spatial_one_antenna",
@@ -89,7 +99,9 @@ class TestCli:
             "pilot_len_0", "frame_below_onset_guard", "drfm_gain_0", "drfm_gain_negative",
             "eaves_corr_above_1", "eaves_corr_negative", "d_e1_0", "d_e1_loss_overflows",
             "d_j1_negative", "d_j2_0_ris_aware", "delta_0", "delta_positive",
-            "seed_negative", "seed_flag_negative", "bandwidth_0",
+            "seed_negative", "seed_flag_negative", "bandwidth_0", "orthogonality_none",
+            "tx_power_overflows", "tx_power_underflows", "power_cap_overflows",
+            "legit_power_underflows",
         ],
     )
     def test_unrunnable_config_is_exit_1(self, tmp_path, capsys, text, flags):
@@ -129,11 +141,16 @@ class TestCli:
 
 # drawn keys of a one-cell config; a key drawn as None stays at its default
 GENERATED_KEYS = {
-    ("sweep", "orthogonality"): st.sampled_from(["spatial", "temporal", "none"]),
+    ("sweep", "orthogonality"): st.sampled_from(["spatial", "temporal"]),
     ("sweep", "topology"): st.sampled_from(["source_aware", "ris_aware"]),
     ("sweep", "seed"): st.integers(-2, 2**64),
     ("link", "bandwidth_hz"): st.floats(-1.0, 1e9),
     ("link", "rician_k"): st.floats(-1.0, 100.0),
+    ("link", "tx_power_dbm"): st.floats(-5000.0, 5000.0),
+    ("link", "path_loss_exp"): st.floats(-1.0, 300.0),
+    ("link", "d_sr"): st.floats(-5.0, 100.0),
+    ("link", "d_rd"): st.floats(-5.0, 100.0),
+    ("link", "baseline_snr_db"): st.floats(-5000.0, 5000.0),
     ("link", "path_count"): st.integers(-1, 8),
     ("receiver", "frame_len"): st.integers(-1, 4096),
     ("receiver", "pilot_len"): st.integers(-1, 256),
@@ -142,6 +159,8 @@ GENERATED_KEYS = {
     ("receiver", "inversion_threshold"): st.floats(-0.25, 1.25),
     ("receiver", "peak_significance"): st.floats(-1.0, 10.0),
     ("jammer", "delay"): st.integers(-1, 4200),
+    ("jammer", "power_cap_dbm"): st.floats(-5000.0, 5000.0),
+    ("jammer", "eavesdrop_snr_db"): st.floats(-5000.0, 5000.0),
     ("jammer", "drfm_gain"): st.floats(-1.0, 10.0),
     ("jammer", "eaves_corr"): st.floats(-0.5, 1.5),
     ("jammer", "d_e1"): st.floats(-5.0, 100.0),
@@ -177,3 +196,18 @@ def test_generated_config_never_exits_2(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("generated") / "exp.ini"
     path.write_text(text)
     assert main(["--config", str(path), "--out", str(path.with_suffix(".csv"))]) in (0, 1)
+
+
+def test_cli_import_loads_no_scipy():
+    """The run path needs numpy alone; scipy is a test dependency."""
+    src = os.path.dirname(os.path.dirname(risjam.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, risjam.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -3,6 +3,9 @@ estimation, AoA estimation, LCMV separation, and jammer classification."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import signal as sps
 
 from risjam.jammer import JammerModel, JammerSpec, jammer_transform
 from risjam.receiver import (
@@ -11,6 +14,7 @@ from risjam.receiver import (
     NoPeakError,
     ReceiverError,
     SeparationFailure,
+    _local_maxima,
     _steering,
     classify_jammer,
     cross_correlate,
@@ -21,6 +25,7 @@ from risjam.receiver import (
     estimate_onset,
     partition_temporal,
     pilot_anomaly_fraction,
+    reference_spectrum,
     separate_spatial,
     similarity_ratio,
 )
@@ -73,6 +78,35 @@ class TestCrossCorrelation:
         with pytest.raises(ReceiverError):
             cross_correlate(np.ones(4), np.ones(10), f_max=8, gamma_max=2)
 
+    @settings(deadline=None, max_examples=150)
+    @given(
+        f_max=st.integers(2, 4095),
+        gamma_frac=st.floats(0.0, 1.0),
+        ref_extra=st.integers(-4096, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(f_max=4095, gamma_frac=1.0, ref_extra=0, seed=0)
+    @example(f_max=4095, gamma_frac=0.5, ref_extra=1, seed=1)
+    @example(f_max=2, gamma_frac=0.0, ref_extra=0, seed=2)
+    def test_matches_scipy_fft_correlate(self, f_max, gamma_frac, ref_extra, seed):
+        """Bit for bit the scipy.signal.correlate FFT result, alone and with
+        a shared reference spectrum."""
+        gamma = 1 + round(gamma_frac * (f_max - 2))
+        ref_len = max(f_max, f_max + gamma + ref_extra)
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=f_max + 3) + 1j * rng.normal(size=f_max + 3)
+        ref = rng.normal(size=ref_len) + 1j * rng.normal(size=ref_len)
+        rs = ref[: f_max + gamma]
+        full = sps.correlate(y[:f_max], rs, mode="full", method="fft")
+        expected = full[rs.size - 1 - np.arange(-gamma, gamma + 1)]
+        spec = reference_spectrum(ref, f_max, gamma)
+        for res in (
+            cross_correlate(y, ref, f_max, gamma),
+            cross_correlate(y, ref, f_max, gamma, spec),
+        ):
+            assert np.array_equal(res.lags, np.arange(-gamma, gamma + 1))
+            assert np.array_equal(res.values, expected)
+
     def test_zero_correlation_raises(self):
         res = cross_correlate(np.zeros(16), np.zeros(16), 8, 2)
         with pytest.raises(NoPeakError):
@@ -98,6 +132,39 @@ class TestOnset:
     def test_too_short_raises(self):
         with pytest.raises(ReceiverError):
             estimate_onset(np.ones(4), 2)
+
+
+class TestLocalMaxima:
+    """_local_maxima against scipy.signal.find_peaks with no conditions."""
+
+    @staticmethod
+    def _check(x):
+        x = np.asarray(x, dtype=float)
+        assert np.array_equal(_local_maxima(x), sps.find_peaks(x)[0])
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=60))
+    def test_integer_plateaus(self, values):
+        self._check(values)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        left=st.integers(1, 5), right=st.integers(1, 5),
+        middle=st.lists(st.integers(0, 4), max_size=20),
+        edge=st.integers(0, 4),
+    )
+    def test_edge_plateaus(self, left, right, middle, edge):
+        self._check([edge] * left + middle + [edge] * right)
+
+    def test_random(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3, 10, 361, 1000):
+            for _ in range(20):
+                self._check(rng.normal(size=n))
+
+    def test_flat_top_reports_middle_rounding_down(self):
+        assert _local_maxima(np.array([0.0, 2, 2, 2, 2, 1])).tolist() == [2]
+        assert _local_maxima(np.array([0.0, 2, 2, 2, 1])).tolist() == [2]
 
 
 class TestSpatial:

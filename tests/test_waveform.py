@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
+from helpers import measure_ber
 from risjam.waveform import (
     _GF_EXP,
     _GF_LOG,
@@ -21,7 +22,6 @@ from risjam.waveform import (
     _generator_poly,
     constellation,
     demodulate,
-    measure_ber,
     modulate,
     rs_decode,
     rs_encode,
@@ -231,10 +231,3 @@ class TestDecoderGolden:
             h.update(np.asarray(res.data, dtype=np.int64).tobytes())
             h.update(bytes([res.failure, res.corrected]))
         assert h.hexdigest() == DECODER_GOLDEN
-
-
-class TestErrorRates:
-    def test_measure_ber(self):
-        assert measure_ber([0, 1, 1, 0], [0, 1, 0, 0]) == pytest.approx(0.25)
-        with pytest.raises(WaveformError):
-            measure_ber([0, 1], [0])
