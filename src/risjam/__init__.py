@@ -14,6 +14,7 @@ from .channel import (
     PhaseMatrix,
     RicianParams,
     RisLinkConfig,
+    aligned_cascade,
     build_correlation,
     cascaded_coefficient,
     optimize_phases,
@@ -46,6 +47,7 @@ __all__ = [
     "SweepRow",
     "TrialResult",
     "TrialSettings",
+    "aligned_cascade",
     "build_correlation",
     "cascaded_coefficient",
     "classify_jammer",

@@ -8,13 +8,24 @@ which equals the element-wise triple sum over (a, k, l) of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 
 class ChannelError(ValueError):
     """Invalid channel parameter or dimension mismatch."""
+
+
+def require_finite(settings, error: type[ValueError]) -> None:
+    """Raise `error` when a float field of the dataclass `settings`, or a float
+    in one of its tuple fields, is nan or infinite."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise error(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -28,6 +39,7 @@ class RisLinkConfig:
     corr_rate: float = 0.05
 
     def __post_init__(self):
+        require_finite(self, ChannelError)
         if self.element_count < 1:
             raise ChannelError(f"element_count must be >= 1, got {self.element_count}")
         path_loss(self.d_sr, self.path_loss_exp)
@@ -44,6 +56,7 @@ class RicianParams:
     path_count: int = 1
 
     def __post_init__(self):
+        require_finite(self, ChannelError)
         if self.rician_k < 0:
             raise ChannelError("rician_k must be >= 0")
         if self.path_count < 1:
@@ -52,6 +65,8 @@ class RicianParams:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
+    """Correlation matrix R and its square root R^{1/2}."""
+
     entries: np.ndarray
     sqrt_form: np.ndarray
 
@@ -101,18 +116,21 @@ def build_correlation(cfg: RisLinkConfig) -> CorrelationMatrix:
     """Exponential element correlation rho_ij = exp(-corr_rate * |i - j|).
 
     The square root is taken by eigendecomposition with negative eigenvalues
-    clamped to zero, so the result stays PSD at any size.
+    clamped to zero, so the result stays PSD at any size. It is returned as
+    complex128 with a zero imaginary part: numpy casts a real matrix to that
+    same complex matrix before every product with a complex vector, so casting
+    once here leaves each product bit-identical and saves the per-call copy.
     """
     m = cfg.element_count
     idx = np.arange(m)
     entries = np.exp(-cfg.corr_rate * np.abs(idx[:, None] - idx[None, :]))
     vals, vecs = np.linalg.eigh(entries)
-    vals = np.clip(vals, 0.0, None)
-    sqrt_form = (vecs * np.sqrt(vals)) @ vecs.T
-    sqrt_form = 0.5 * (sqrt_form + sqrt_form.T)
-    if not np.allclose(sqrt_form @ sqrt_form, entries, atol=1e-9 * m):
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    del vals, vecs  # freed before the complex copy, so the peaks do not add up
+    root = 0.5 * (root + root.T)
+    if not np.allclose(root @ root, entries, atol=1e-9 * m):
         raise ChannelError("correlation square root failed numerical check")
-    return CorrelationMatrix(entries=entries, sqrt_form=sqrt_form)
+    return CorrelationMatrix(entries=entries, sqrt_form=root.astype(complex))
 
 
 def sample_rician(p: RicianParams, rng: np.random.Generator) -> complex:
@@ -171,6 +189,11 @@ def sample_realization(
     )
 
 
+def _project(h_in, h_out, corr: CorrelationMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """u = h_in @ R^{1/2} and v = R^{1/2} @ h_out, the two products of a cascade."""
+    return np.asarray(h_in) @ corr.sqrt_form, corr.sqrt_form @ np.asarray(h_out)
+
+
 def cascaded_coefficient(
     h_in: np.ndarray,
     h_out: np.ndarray,
@@ -186,7 +209,25 @@ def cascaded_coefficient(
             f"length mismatch: h_in {h_in.shape}, h_out {h_out.shape}, "
             f"phi {phi.phases.shape}, R {corr.sqrt_form.shape}"
         )
-    return complex(h_in @ corr.sqrt_form @ (phi.diagonal * (corr.sqrt_form @ h_out)))
+    u, v = _project(h_in, h_out, corr)
+    return complex(u @ (phi.diagonal * v))
+
+
+def aligned_cascade(
+    h_sr: np.ndarray,
+    h_rd: np.ndarray,
+    corr: CorrelationMatrix,
+) -> tuple[PhaseMatrix, complex]:
+    """The phase alignment maximizing |cascaded_coefficient| and the cascaded
+    coefficient it yields, from one projection of each vector.
+
+    With c = sum_a u_a v_a exp(j*phi_a), u = h_sr @ R^{1/2}, v = R^{1/2} @ h_rd,
+    the optimum is phi_a = -arg(u_a * v_a), giving |c| = sum_a |u_a v_a|. The
+    pair equals `(phi, cascaded_coefficient(h_sr, h_rd, corr, phi))` bit for bit.
+    """
+    u, v = _project(h_sr, h_rd, corr)
+    phi = PhaseMatrix(phases=-np.angle(u * v))
+    return phi, complex(u @ (phi.diagonal * v))
 
 
 def optimize_phases(
@@ -194,11 +235,6 @@ def optimize_phases(
     h_rd: np.ndarray,
     corr: CorrelationMatrix,
 ) -> PhaseMatrix:
-    """Per-element phase alignment maximizing |cascaded_coefficient|.
-
-    With c = sum_a u_a v_a exp(j*phi_a), u = h_sr @ R^{1/2}, v = R^{1/2} @ h_rd,
-    the optimum is phi_a = -arg(u_a * v_a), giving |c| = sum_a |u_a v_a|.
-    """
-    u = np.asarray(h_sr) @ corr.sqrt_form
-    v = corr.sqrt_form @ np.asarray(h_rd)
-    return PhaseMatrix(phases=-np.angle(u * v))
+    """Per-element phase alignment maximizing |cascaded_coefficient| (see
+    `aligned_cascade`)."""
+    return aligned_cascade(h_sr, h_rd, corr)[0]

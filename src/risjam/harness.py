@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -51,6 +53,7 @@ class ExperimentConfig:
     )
 
     def __post_init__(self):
+        ch.require_finite(self, ConfigError)
         if not self.jammers:
             raise ConfigError("jammers is empty")
         if self.trials < 1:
@@ -59,6 +62,14 @@ class ExperimentConfig:
             raise ConfigError("ris_sizes must be positive")
         if not self.jsr_grid_db:
             raise ConfigError("jsr grid is empty")
+        # each trial scales the legit power by the linear JSR
+        for jsr in self.jsr_grid_db:
+            try:
+                ratio = 10.0 ** (jsr / 10.0)
+            except OverflowError:
+                ratio = math.inf
+            if not sys.float_info.min <= ratio <= sys.float_info.max:
+                raise ConfigError(f"JSR {jsr} dB is out of float range as a power ratio")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         try:  # the rule every trial's seed sequence applies
@@ -164,7 +175,7 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
             cls, name = _SCHEMA[section, key]
             try:
                 values[cls][name] = _caster(hints[cls][name])(raw)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
     try:
@@ -200,8 +211,7 @@ def calibrate_noise(cfg: ExperimentConfig) -> tuple[float, float]:
     powers = []
     for _ in range(CALIBRATION_DRAWS):
         real = ch.sample_realization(link, s.rician, rng, s.eaves_corr)
-        phi = ch.optimize_phases(real.h_sr, real.h_rd, corr)
-        h = ch.cascaded_coefficient(real.h_sr, real.h_rd, corr, phi)
+        _, h = ch.aligned_cascade(real.h_sr, real.h_rd, corr)
         powers.append(p_t * abs(h) ** 2)
     noise_var = float(np.mean(powers)) / 10.0 ** (s.baseline_snr_db / 10.0)
 

@@ -71,6 +71,7 @@ class TrialSettings:
     snr_mode: str = "pinned"
 
     def __post_init__(self):
+        ch.require_finite(self, ConfigError)
         if self.snr_mode not in ("pinned", "faded"):
             raise ConfigError(f"snr_mode must be pinned or faded, got {self.snr_mode!r}")
         if self.pilot_len < 1:
@@ -173,6 +174,14 @@ def _corr_cached(element_count: int, corr_rate: float) -> ch.CorrelationMatrix:
     return ch.build_correlation(
         ch.RisLinkConfig(element_count=element_count, corr_rate=corr_rate)
     )
+
+
+@lru_cache(maxsize=64)
+def _jam_free_link(snr_l, base_family, delta, fixed_rate, max_order) -> ad.AdaptationDecision:
+    """The jam-free `select_link` decision, memoized. A pinned link repeats a
+    few SNR values over a whole sweep; a faded one draws a new SNR every trial,
+    which the bound keeps from growing the cache."""
+    return ad.select_link(None, snr_l, 0.0, base_family, delta, fixed_rate, max_order)
 
 
 @lru_cache(maxsize=16)
@@ -393,17 +402,15 @@ def run_trial(
     p_t = ad.dbm_to_watt(settings.tx_power_dbm)
     corr = _corr_cached(link.element_count, link.corr_rate)
     real = ch.sample_realization(link, settings.rician, rng, settings.eaves_corr)
-    phi = ch.optimize_phases(real.h_sr, real.h_rd, corr)
-    h_l = ch.cascaded_coefficient(real.h_sr, real.h_rd, corr, phi)
+    phi, h_l = ch.aligned_cascade(real.h_sr, real.h_rd, corr)
     p_l = p_t * abs(h_l) ** 2
     if settings.snr_mode == "pinned":
         noise_var_watt = p_l / 10.0 ** (settings.baseline_snr_db / 10.0)
     snr_l = p_l / noise_var_watt
 
     # baseline operating point and throughput (jammer silent)
-    base = ad.select_link(
-        None, snr_l, 0.0, settings.base_family, settings.delta, settings.fixed_rate,
-        settings.max_order,
+    base = _jam_free_link(
+        snr_l, settings.base_family, settings.delta, settings.fixed_rate, settings.max_order
     )
     t_l = ad.throughput(settings.bandwidth_hz, base.code, base.scheme, 1.0)
 

@@ -6,9 +6,11 @@ import pytest
 
 from risjam.channel import (
     ChannelError,
+    CorrelationMatrix,
     PhaseMatrix,
     RicianParams,
     RisLinkConfig,
+    aligned_cascade,
     build_correlation,
     cascaded_coefficient,
     optimize_phases,
@@ -80,6 +82,26 @@ class TestCorrelation:
         assert vals.min() > -1e-10
 
 
+def real_root(m, corr_rate):
+    """The real square root of the exponential correlation, as computed before
+    the root was held complex."""
+    idx = np.arange(m)
+    entries = np.exp(-corr_rate * np.abs(idx[:, None] - idx[None, :]))
+    vals, vecs = np.linalg.eigh(entries)
+    vals = np.clip(vals, 0.0, None)
+    root = (vecs * np.sqrt(vals)) @ vecs.T
+    return 0.5 * (root + root.T)
+
+
+class TestComplexRoot:
+    @pytest.mark.parametrize("m", [1, 3, 64, 512])
+    def test_holds_the_real_root_exactly(self, m):
+        root = build_correlation(RisLinkConfig(element_count=m, corr_rate=0.05)).sqrt_form
+        assert root.dtype == np.complex128
+        assert np.all(root.imag == 0.0)
+        assert np.array_equal(root.real, real_root(m, 0.05))
+
+
 class TestRician:
     def test_rayleigh_limit_power(self):
         rng = np.random.default_rng(7)
@@ -142,6 +164,29 @@ class TestOptimizePhases:
         for _ in range(10):
             rand = PhaseMatrix(phases=rng.uniform(0, 2 * np.pi, m))
             assert opt >= abs(cascaded_coefficient(h_sr, h_rd, corr, rand))
+
+
+class TestAlignedCascade:
+    @pytest.mark.parametrize("m", [1, 3, 64, 512])
+    def test_matches_optimize_then_cascade(self, m):
+        rng = np.random.default_rng(m)
+        roots = (
+            (build_correlation(RisLinkConfig(element_count=m)), real_root(m, 0.05)),
+            (CorrelationMatrix(entries=np.eye(m), sqrt_form=np.eye(m)), np.eye(m)),
+        )
+        for corr, root in roots:
+            for _ in range(5):
+                h_sr = rng.normal(size=m) + 1j * rng.normal(size=m)
+                h_rd = rng.normal(size=m) + 1j * rng.normal(size=m)
+                phi, h = aligned_cascade(h_sr, h_rd, corr)
+                ref_phi = optimize_phases(h_sr, h_rd, corr)
+                assert np.array_equal(phi.phases, ref_phi.phases)
+                assert h == cascaded_coefficient(h_sr, h_rd, corr, ref_phi)
+                # the same bits as the two-pass products on the real root
+                u, v = h_sr @ root, root @ h_rd
+                old_phi = PhaseMatrix(phases=-np.angle(u * v))
+                assert np.array_equal(phi.phases, old_phi.phases)
+                assert h == complex(h_sr @ root @ (old_phi.diagonal * (root @ h_rd)))
 
 
 class TestRealization:

@@ -1,5 +1,6 @@
 """CLI tests: argument handling, exit codes, CSV emission, and overrides."""
 
+import math
 import os
 import subprocess
 import sys
@@ -90,6 +91,18 @@ class TestCli:
             (ONE_CELL + "[link]\ntx_power_dbm = -4000\n", []),
             (ONE_CELL + "[jammer]\npower_cap_dbm = 4000\n", []),
             (ONE_CELL + "[link]\npath_loss_exp = 200\n", []),
+            (ONE_CELL + "[link]\ncorr_rate = nan\n", []),
+            (ONE_CELL + "[link]\ncorr_rate = inf\n", []),
+            (ONE_CELL + "[link]\nrician_k = nan\n", []),
+            (ONE_CELL.replace("jsr_db = 10", "jsr_db = nan"), []),
+            (ONE_CELL + "[adaptation]\ndelta = nan\n", []),
+            (ONE_CELL + "[receiver]\npeak_significance = nan\n", []),
+            (ONE_CELL + "[receiver]\nflip_threshold = nan\n", []),
+            (ONE_CELL + "[jammer]\ndrfm_gain = inf\n", []),
+            (ONE_CELL + "[link]\nbandwidth_hz = inf\n", []),
+            (ONE_CELL.replace("jsr_db = 10", "jsr_db = 4000"), []),
+            (ONE_CELL.replace("jsr_db = 10", "jsr_db = -4000"), []),
+            (ONE_CELL.replace("ris_sizes = 16", "ris_sizes = inf"), []),
         ],
         ids=[
             "frame_below_pilot", "frame_equals_pilot", "spatial_one_antenna",
@@ -101,7 +114,10 @@ class TestCli:
             "d_j1_negative", "d_j2_0_ris_aware", "delta_0", "delta_positive",
             "seed_negative", "seed_flag_negative", "bandwidth_0", "orthogonality_none",
             "tx_power_overflows", "tx_power_underflows", "power_cap_overflows",
-            "legit_power_underflows",
+            "legit_power_underflows", "corr_rate_nan", "corr_rate_inf", "rician_k_nan",
+            "jsr_db_nan", "delta_nan", "peak_significance_nan", "flip_threshold_nan",
+            "drfm_gain_inf", "bandwidth_inf", "jsr_ratio_overflows", "jsr_ratio_underflows",
+            "ris_sizes_inf",
         ],
     )
     def test_unrunnable_config_is_exit_1(self, tmp_path, capsys, text, flags):
@@ -139,38 +155,53 @@ class TestCli:
         assert serial.read_text() == parallel.read_text()
 
 
-# drawn keys of a one-cell config; a key drawn as None stays at its default
+def _floats(low, high):
+    """Floats in [low, high], plus the non-finite values INI text can spell."""
+    return st.floats(low, high) | st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _lists(values):
+    return st.lists(values, min_size=1, max_size=2).map(lambda v: ", ".join(map(str, v)))
+
+
+# keys a generated config may set; a key not drawn keeps its ONE_CELL value or
+# its default
 GENERATED_KEYS = {
     ("sweep", "orthogonality"): st.sampled_from(["spatial", "temporal"]),
     ("sweep", "topology"): st.sampled_from(["source_aware", "ris_aware"]),
     ("sweep", "seed"): st.integers(-2, 2**64),
-    ("link", "bandwidth_hz"): st.floats(-1.0, 1e9),
-    ("link", "rician_k"): st.floats(-1.0, 100.0),
-    ("link", "tx_power_dbm"): st.floats(-5000.0, 5000.0),
-    ("link", "path_loss_exp"): st.floats(-1.0, 300.0),
-    ("link", "d_sr"): st.floats(-5.0, 100.0),
-    ("link", "d_rd"): st.floats(-5.0, 100.0),
-    ("link", "baseline_snr_db"): st.floats(-5000.0, 5000.0),
+    ("sweep", "ris_sizes"): _lists(st.integers(-1, 64)),
+    ("sweep", "jsr_db"): _lists(_floats(-5000.0, 5000.0)),
+    ("sweep", "trials"): st.integers(-1, 3),
+    ("link", "bandwidth_hz"): _floats(-1.0, 1e9),
+    ("link", "rician_k"): _floats(-1.0, 100.0),
+    ("link", "tx_power_dbm"): _floats(-5000.0, 5000.0),
+    ("link", "path_loss_exp"): _floats(-1.0, 300.0),
+    ("link", "d_sr"): _floats(-5.0, 100.0),
+    ("link", "d_rd"): _floats(-5.0, 100.0),
+    ("link", "corr_rate"): _floats(-1.0, 10.0),
+    ("link", "baseline_snr_db"): _floats(-5000.0, 5000.0),
     ("link", "path_count"): st.integers(-1, 8),
     ("receiver", "frame_len"): st.integers(-1, 4096),
     ("receiver", "pilot_len"): st.integers(-1, 256),
     ("receiver", "antennas"): st.integers(1, 8),
-    ("receiver", "sim_threshold"): st.floats(-0.25, 1.25),
-    ("receiver", "inversion_threshold"): st.floats(-0.25, 1.25),
-    ("receiver", "peak_significance"): st.floats(-1.0, 10.0),
+    ("receiver", "sim_threshold"): _floats(-0.25, 1.25),
+    ("receiver", "inversion_threshold"): _floats(-0.25, 1.25),
+    ("receiver", "peak_significance"): _floats(-1.0, 10.0),
+    ("receiver", "flip_threshold"): _floats(-1.0, 2.0),
     ("jammer", "delay"): st.integers(-1, 4200),
-    ("jammer", "power_cap_dbm"): st.floats(-5000.0, 5000.0),
-    ("jammer", "eavesdrop_snr_db"): st.floats(-5000.0, 5000.0),
-    ("jammer", "drfm_gain"): st.floats(-1.0, 10.0),
-    ("jammer", "eaves_corr"): st.floats(-0.5, 1.5),
-    ("jammer", "d_e1"): st.floats(-5.0, 100.0),
-    ("jammer", "d_j1"): st.floats(-5.0, 100.0),
-    ("jammer", "d_j2"): st.floats(-5.0, 100.0),
-    ("adaptation", "delta"): st.floats(-0.5, 0.1),
+    ("jammer", "power_cap_dbm"): _floats(-5000.0, 5000.0),
+    ("jammer", "eavesdrop_snr_db"): _floats(-5000.0, 5000.0),
+    ("jammer", "drfm_gain"): _floats(-1.0, 10.0),
+    ("jammer", "eaves_corr"): _floats(-0.5, 1.5),
+    ("jammer", "d_e1"): _floats(-5.0, 100.0),
+    ("jammer", "d_j1"): _floats(-5.0, 100.0),
+    ("jammer", "d_j2"): _floats(-5.0, 100.0),
+    ("adaptation", "delta"): _floats(-0.5, 0.1),
     ("adaptation", "base_family"): st.sampled_from(["psk", "ask", "qam"]),
     ("adaptation", "fixed_rate"): st.one_of(
         st.sampled_from([round(c.rate, 3) for c in DEFAULT_RS_TABLE]),
-        st.floats(0.0, 1.25),
+        _floats(0.0, 1.25),
     ),
     ("adaptation", "max_order"): st.sampled_from([1, 2, 3, 4, 8, 16, 32, 64, 128]),
 }
@@ -178,14 +209,15 @@ GENERATED_KEYS = {
 
 @st.composite
 def one_cell_configs(draw):
-    sections = {"sweep": ONE_CELL.splitlines()[1:]}
-    for (section, key), values in GENERATED_KEYS.items():
-        value = draw(st.one_of(st.none(), values))
-        if value is not None:
-            sections.setdefault(section, []).append(f"{key} = {value}")
+    """ONE_CELL with a few drawn keys: most configs then set nothing else
+    invalid, so a value that passes load yet fails mid-sweep gets run."""
+    sections = {"sweep": dict(line.split(" = ") for line in ONE_CELL.splitlines()[1:])}
+    keys = draw(st.lists(st.sampled_from(list(GENERATED_KEYS)), max_size=5, unique=True))
+    for section, key in keys:
+        sections.setdefault(section, {})[key] = draw(GENERATED_KEYS[section, key])
     return "".join(
-        f"[{section}]\n" + "".join(f"{line}\n" for line in lines)
-        for section, lines in sections.items()
+        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in entries.items())
+        for section, entries in sections.items()
     )
 
 

@@ -18,6 +18,7 @@ from risjam.harness import (
     run_sweep,
     summarize,
 )
+from risjam.channel import ChannelError
 from risjam.jammer import JammerModel, PathTopology
 from risjam.pipeline import OrthogonalityMode
 
@@ -138,6 +139,20 @@ class TestConfigParsing:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
             loads_config("[sweep]\ntrials = many\n")
+
+    def test_non_finite_floats_rejected_in_code(self):
+        settings = ExperimentConfig().settings
+        with pytest.raises(ChannelError):
+            replace(settings.link, corr_rate=float("nan"))
+        with pytest.raises(ChannelError):
+            replace(settings.rician, rician_k=float("inf"))
+        for name in ("delta", "peak_significance", "flip_threshold", "drfm_gain"):
+            with pytest.raises(ConfigError, match=name):
+                replace(settings, **{name: float("nan")})
+        with pytest.raises(ConfigError, match="bandwidth_hz"):
+            replace(settings, bandwidth_hz=float("inf"))
+        with pytest.raises(ConfigError, match="jsr_grid_db"):
+            ExperimentConfig(jsr_grid_db=(0.0, np.float64("-inf")))
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(ConfigError):

@@ -8,8 +8,9 @@ import pytest
 
 from risjam import pipeline as pl
 from risjam import receiver as rx
+from risjam.adaptation import select_link
 from risjam.channel import RicianParams, RisLinkConfig
-from risjam.harness import ExperimentConfig, calibrate_noise
+from risjam.harness import ExperimentConfig, calibrate_noise, run_sweep
 from risjam.jammer import JammerModel, PathTopology
 from risjam.pipeline import OrthogonalityMode, TrialSettings, run_trial
 from risjam.waveform import Family, ModScheme
@@ -203,3 +204,29 @@ class TestDeterminism:
         a = _run(s, 7.5, JammerModel.PS, 1, noise_floors)
         b = _run(s, 7.5, JammerModel.PS, 2, noise_floors)
         assert a != b
+
+
+class TestJamFreeMemo:
+    def test_matches_fresh_select_link(self):
+        pl._jam_free_link.cache_clear()
+        for snr in (10.0**0.7, 5.0, 5.0, 123.4, 1e-3):
+            for family in (Family.PSK, Family.QAM):
+                for fixed_rate in (None, 0.94):
+                    got = pl._jam_free_link(snr, family, -0.005, fixed_rate, 64)
+                    assert got == select_link(None, snr, 0.0, family, -0.005, fixed_rate, 64)
+        assert pl._jam_free_link.cache_info().hits == 4
+
+    @pytest.mark.parametrize("snr_mode", ["pinned", "faded"])
+    def test_stays_bounded_over_a_sweep(self, snr_mode):
+        pl._jam_free_link.cache_clear()
+        run_sweep(ExperimentConfig(
+            jammers=(JammerModel.DRFM,), jsr_grid_db=(0.0, 10.0), trials=40,
+            settings=_settings(snr_mode=snr_mode),
+        ))
+        info = pl._jam_free_link.cache_info()
+        assert info.hits + info.misses == 80
+        assert info.currsize <= info.maxsize
+        if snr_mode == "faded":  # a new SNR every trial
+            assert info.misses == 80
+        else:  # the pinned SNR takes a handful of rounded values
+            assert info.misses <= 3
