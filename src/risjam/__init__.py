@@ -23,7 +23,14 @@ from .channel import (
 )
 from .harness import ExperimentConfig, SweepRow, load_config, run_sweep
 from .jammer import JammerModel, JammerSpec, PathTopology, jammer_transform
-from .pipeline import OrthogonalityMode, TrialResult, TrialSettings, run_trial
+from .pipeline import (
+    LinkDraw,
+    OrthogonalityMode,
+    TrialResult,
+    TrialSettings,
+    draw_link,
+    run_trial,
+)
 from .receiver import JammerClass, classify_jammer, estimate_delay
 from .waveform import Family, ModScheme, RsCode, modulate, demodulate, rs_decode, rs_encode
 
@@ -37,6 +44,7 @@ __all__ = [
     "JammerClass",
     "JammerModel",
     "JammerSpec",
+    "LinkDraw",
     "ModScheme",
     "OrthogonalityMode",
     "PathTopology",
@@ -52,6 +60,7 @@ __all__ = [
     "cascaded_coefficient",
     "classify_jammer",
     "demodulate",
+    "draw_link",
     "effective_ber",
     "estimate_delay",
     "jammer_transform",

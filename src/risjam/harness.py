@@ -1,15 +1,21 @@
 """Experiment harness: INI configuration, noise calibration, the Monte Carlo
 sweep over (jammer, RIS size, JSR), and CSV/summary emission.
 
-Seeding is hierarchical: every trial derives its generator from
-SeedSequence(master, spawn_key=(jammer, ris, jsr, trial)), so results are
-byte-identical for any worker count.
+Seeding is hierarchical, with common random numbers across the grid. The
+jam-free link draw of each (RIS size, trial) uses
+SeedSequence(master, spawn_key=(_LINK_KEY, ris, trial)) and is shared by
+every (jammer, JSR) cell of that trial, so cells share their channel, frame
+and noise by design; each cell's jammer-side draws use
+SeedSequence(master, spawn_key=(jammer, ris, jsr, trial)). Workers run
+whole (RIS size, trial) units, so results are byte-identical for any worker
+count.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
+import itertools
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -32,6 +38,9 @@ CSV_HEADER = (
 
 CALIBRATION_DRAWS = 256
 _CAL_KEY = 0x5EED
+_LINK_KEY = 0x11AC
+# entries a start:stop:step list may expand to; the shipped grids have 13
+MAX_RANGE_ENTRIES = 10_000
 
 
 @dataclass(frozen=True)
@@ -110,13 +119,19 @@ _SECTIONS = {section for section, _ in _SCHEMA}
 
 
 def _parse_list(raw: str, cast):
-    """Comma list, or a start:stop:step range (stop inclusive)."""
+    """Comma list, or a start:stop:step range (stop inclusive) of at most
+    MAX_RANGE_ENTRIES values."""
     raw = raw.strip()
     if ":" in raw:
         parts = [float(p) for p in raw.split(":")]
-        if len(parts) != 3 or parts[2] <= 0:
+        if len(parts) != 3 or not all(map(math.isfinite, parts)) or parts[2] <= 0:
             raise ConfigError(f"bad range spec {raw!r}, want start:stop:step")
-        vals = np.arange(parts[0], parts[1] + parts[2] / 2, parts[2])
+        start, stop, step = parts
+        stop += step / 2
+        # the length np.arange gives, worked out before it allocates
+        if (stop - start) / step > MAX_RANGE_ENTRIES:
+            raise ConfigError(f"range spec {raw!r} has more than {MAX_RANGE_ENTRIES} entries")
+        vals = np.arange(start, stop, step)
         return tuple(cast(v) for v in vals)
     return tuple(cast(p.strip()) for p in raw.split(",") if p.strip())
 
@@ -244,21 +259,22 @@ class SweepRow:
     clamped_fraction: float = 0.0
 
 
-def _trial_seed(cfg, ji, ri, ki, t):
-    return np.random.SeedSequence(cfg.seed, spawn_key=(ji, ri, ki, t))
-
-
-def _run_cell(args):
-    cfg, ji, ri, ki, noise_var, eaves_var = args
-    model = cfg.jammers[ji]
-    ris = cfg.ris_sizes[ri]
-    jsr = cfg.jsr_grid_db[ki]
-    settings = replace(cfg.settings, link=replace(cfg.settings.link, element_count=ris))
+def _run_unit(args):
+    """Every (jammer, JSR) cell's trial t at RIS size index ri, on one shared
+    jam-free link draw; the results in (jammer, JSR) order."""
+    cfg, ri, t, noise_var, eaves_var = args
+    link_cfg = replace(cfg.settings.link, element_count=cfg.ris_sizes[ri])
+    settings = replace(cfg.settings, link=link_cfg)
+    seed = np.random.SeedSequence(cfg.seed, spawn_key=(_LINK_KEY, ri, t))
+    link = pl.draw_link(settings, np.random.default_rng(seed), noise_var)
     results = []
-    for t in range(cfg.trials):
-        rng = np.random.default_rng(_trial_seed(cfg, ji, ri, ki, t))
-        results.append(pl.run_trial(settings, jsr, model, rng, noise_var, eaves_var))
-    return (ji, ri, ki), _aggregate(jsr, model, cfg.settings.topology, ris, results)
+    for ji, model in enumerate(cfg.jammers):
+        for ki, jsr in enumerate(cfg.jsr_grid_db):
+            seed = np.random.SeedSequence(cfg.seed, spawn_key=(ji, ri, ki, t))
+            results.append(pl.run_trial(
+                settings, jsr, model, np.random.default_rng(seed), noise_var, eaves_var, link
+            ))
+    return results
 
 
 def _modal(values):
@@ -299,19 +315,30 @@ def _aggregate(jsr, model, topology, ris, results) -> SweepRow:
 
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     noise_var, eaves_var = calibrate_noise(cfg)
-    cells = [
-        (cfg, ji, ri, ki, noise_var, eaves_var)
-        for ji in range(len(cfg.jammers))
+    units = [
+        (cfg, ri, t, noise_var, eaves_var)
         for ri in range(len(cfg.ris_sizes))
-        for ki in range(len(cfg.jsr_grid_db))
+        for t in range(cfg.trials)
     ]
-    if cfg.jobs > 1 and len(cells) > 1:
+    if cfg.jobs > 1 and len(units) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            keyed = list(pool.map(_run_cell, cells, chunksize=1))
-    else:
-        keyed = [_run_cell(c) for c in cells]
-    keyed.sort(key=lambda kv: kv[0])
-    return [row for _, row in keyed]
+            return _rows(cfg, pool.map(_run_unit, units, chunksize=1))
+    return _rows(cfg, map(_run_unit, units))
+
+
+def _rows(cfg: ExperimentConfig, unit_results) -> list[SweepRow]:
+    """Rows in (jammer, RIS size, JSR) order from the units' results in
+    (RIS size, trial) order, one RIS size's trials held at a time."""
+    cells = [(ji, ki) for ji in range(len(cfg.jammers)) for ki in range(len(cfg.jsr_grid_db))]
+    rows = {}
+    for ri, ris in enumerate(cfg.ris_sizes):
+        trials = list(itertools.islice(unit_results, cfg.trials))
+        for c, (ji, ki) in enumerate(cells):
+            rows[ji, ri, ki] = _aggregate(
+                cfg.jsr_grid_db[ki], cfg.jammers[ji], cfg.settings.topology, ris,
+                [results[c] for results in trials],
+            )
+    return [rows[key] for key in sorted(rows)]
 
 
 # ---------------------------------------------------------------------------

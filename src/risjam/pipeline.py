@@ -1,5 +1,7 @@
-"""End-to-end single-trial execution: channel draw, framing, jammed
-reception, detection, delay estimation, orthogonalization, classification,
+"""End-to-end single-trial execution in two phases. `draw_link` makes the
+jam-free part (channel draw, baseline link choice, framing, the received
+legit signal plus noise); `run_trial` adds the jammer and runs jammed
+reception, detection, delay estimation, orthogonalization, classification
 and adaptation.
 
 Waveform-level processing happens in receiver-normalized units (unit noise
@@ -174,14 +176,6 @@ def _corr_cached(element_count: int, corr_rate: float) -> ch.CorrelationMatrix:
     return ch.build_correlation(
         ch.RisLinkConfig(element_count=element_count, corr_rate=corr_rate)
     )
-
-
-@lru_cache(maxsize=64)
-def _jam_free_link(snr_l, base_family, delta, fixed_rate, max_order) -> ad.AdaptationDecision:
-    """The jam-free `select_link` decision, memoized. A pinned link repeats a
-    few SNR values over a whole sweep; a faded one draws a new SNR every trial,
-    which the bound keeps from growing the cache."""
-    return ad.select_link(None, snr_l, 0.0, base_family, delta, fixed_rate, max_order)
 
 
 @lru_cache(maxsize=16)
@@ -384,19 +378,39 @@ def _estimate_delay(settings, x, y, onset, jump) -> int | None:
     return onset
 
 
-def run_trial(
-    settings: TrialSettings,
-    jsr_db_target: float,
-    model: jm.JammerModel,
-    rng: np.random.Generator,
-    noise_var_watt: float,
-    eaves_noise_var_watt: float,
-) -> TrialResult:
-    """One Monte Carlo trial of the full detect/estimate/classify/adapt loop.
+@dataclass(frozen=True)
+class LinkDraw:
+    """The jam-free part of a trial, drawn once per (RIS size, trial) and
+    shared by every (jammer, JSR) cell run on it.
 
-    `noise_var_watt` is the destination noise floor in watts (calibrated by
-    the harness from the configured baseline SNR); `eaves_noise_var_watt` is
-    the jammer's own receiver floor.
+    Holds the channel products the jam phase reads (the realization and the
+    phase alignment are consumed in `draw_link`), the baseline operating
+    point, the transmitted frame and the received snapshot without the
+    jammer: `clean` is the m x f legit signal plus receiver noise, in
+    receiver-normalized units.
+    """
+
+    p_l: float
+    noise_var_watt: float
+    snr_l: float
+    h_in: complex
+    h_out: complex
+    a_l: complex
+    base: ad.AdaptationDecision
+    t_baseline: float
+    x: np.ndarray
+    tx_blocks: tuple
+    aoa_l: float | None
+    clean: np.ndarray
+
+
+def draw_link(
+    settings: TrialSettings, rng: np.random.Generator, noise_var_watt: float
+) -> LinkDraw:
+    """Channel, baseline decision, frame and jam-free snapshot of one trial.
+
+    `noise_var_watt` is the calibrated destination floor; in pinned mode the
+    floor is reset so this draw's legit SNR is the configured baseline.
     """
     link = settings.link
     p_t = ad.dbm_to_watt(settings.tx_power_dbm)
@@ -409,12 +423,13 @@ def run_trial(
     snr_l = p_l / noise_var_watt
 
     # baseline operating point and throughput (jammer silent)
-    base = _jam_free_link(
-        snr_l, settings.base_family, settings.delta, settings.fixed_rate, settings.max_order
+    base = ad.select_link(
+        None, snr_l, 0.0, settings.base_family, settings.delta, settings.fixed_rate,
+        settings.max_order,
     )
     t_l = ad.throughput(settings.bandwidth_hz, base.code, base.scheme, 1.0)
 
-    # jamming-path power bookkeeping
+    # the jammer's eavesdropping and transmit coefficients
     dexp = link.path_loss_exp
     if settings.topology == jm.PathTopology.SOURCE_AWARE:
         h_in = real.h_e1 * np.sqrt(ch.path_loss(settings.d_e1, dexp))
@@ -422,39 +437,78 @@ def run_trial(
     else:
         h_in = ch.cascaded_coefficient(real.h_sr, real.h_rj, corr, phi)
         h_out = real.h_j2 * np.sqrt(ch.path_loss(settings.d_j2, dexp))
-    gamma_e = p_t * abs(h_in) ** 2 / eaves_noise_var_watt
 
-    p_rx_target = 10.0 ** (jsr_db_target / 10.0) * p_l
-    p_jam = p_rx_target / max(abs(h_out) ** 2, 1e-300)
-    cap = ad.dbm_to_watt(settings.jam_power_cap_dbm)
-    clamped = p_jam > cap
-    p_jam = min(p_jam, cap)
-    gamma_j = p_jam * abs(h_out) ** 2 / noise_var_watt
-    snr_j = ad.snr_jamming(gamma_e, gamma_j)
-
-    # normalized-unit waveform pass (unit receiver noise variance): one frame,
-    # received on the whole array under spatial orthogonality, else on one
-    # antenna (a steering matrix of ones)
+    # one frame, received on the whole array under spatial orthogonality,
+    # else on one antenna (a steering vector of ones)
     f = settings.frame_len
-    scheme = base.scheme
-    tau = settings.jam_delay if settings.jam_delay is not None else f // 2
-    x, tx_blocks = _frame(settings, scheme, f, rng, base.code)
+    x, tx_blocks = _frame(settings, base.scheme, f, rng, base.code)
     a_l = h_l / abs(h_l) * np.sqrt(snr_l)
-    a_j = np.exp(1j * np.angle(h_in * h_out)) * np.sqrt(gamma_j)
-    jam = _replica(model, settings, x, tau, a_j, rng)[:f]
+    aoa_l = None
     if settings.orthogonality == OrthogonalityMode.SPATIAL:
         m = settings.antennas
         aoa_l = rng.uniform(-np.pi / 4, np.pi / 4)
+        steer_l = rx._steering(m, aoa_l)
+    else:
+        m, steer_l = 1, np.ones((1, 1))
+    clean = steer_l * (a_l * x) + _noise(m * f, rng).reshape(m, f)
+    x.flags.writeable = clean.flags.writeable = False
+    return LinkDraw(
+        p_l=p_l, noise_var_watt=noise_var_watt, snr_l=snr_l, h_in=complex(h_in),
+        h_out=complex(h_out), a_l=a_l, base=base, t_baseline=t_l, x=x,
+        tx_blocks=tuple(tx_blocks), aoa_l=aoa_l, clean=clean,
+    )
+
+
+def run_trial(
+    settings: TrialSettings,
+    jsr_db_target: float,
+    model: jm.JammerModel,
+    rng: np.random.Generator,
+    noise_var_watt: float,
+    eaves_noise_var_watt: float,
+    link: LinkDraw | None = None,
+) -> TrialResult:
+    """One Monte Carlo trial of the full detect/estimate/classify/adapt loop.
+
+    `noise_var_watt` is the destination noise floor in watts (calibrated by
+    the harness from the configured baseline SNR); `eaves_noise_var_watt` is
+    the jammer's own receiver floor. `link` is the trial's jam-free draw,
+    shared across the cells of a sweep; without it one is drawn from `rng`
+    (and `noise_var_watt`) first. Everything the jammer or the JSR touches
+    is drawn from `rng`.
+    """
+    if link is None:
+        link = draw_link(settings, rng, noise_var_watt)
+    p_t = ad.dbm_to_watt(settings.tx_power_dbm)
+    base, snr_l, a_l, x = link.base, link.snr_l, link.a_l, link.x
+
+    # jamming-path power bookkeeping
+    gamma_e = p_t * abs(link.h_in) ** 2 / eaves_noise_var_watt
+    p_rx_target = 10.0 ** (jsr_db_target / 10.0) * link.p_l
+    p_jam = p_rx_target / max(abs(link.h_out) ** 2, 1e-300)
+    cap = ad.dbm_to_watt(settings.jam_power_cap_dbm)
+    clamped = p_jam > cap
+    p_jam = min(p_jam, cap)
+    gamma_j = p_jam * abs(link.h_out) ** 2 / link.noise_var_watt
+    snr_j = ad.snr_jamming(gamma_e, gamma_j)
+
+    # normalized-unit waveform pass (unit receiver noise variance): the
+    # replica added to the jam-free snapshot
+    f = settings.frame_len
+    scheme = base.scheme
+    tau = settings.jam_delay if settings.jam_delay is not None else f // 2
+    a_j = np.exp(1j * np.angle(link.h_in * link.h_out)) * np.sqrt(gamma_j)
+    jam = _replica(model, settings, x, tau, a_j, rng)[:f]
+    if link.aoa_l is not None:
         while True:
             aoa_j = rng.uniform(-np.pi / 3, np.pi / 3)
-            if abs(aoa_j - aoa_l) >= np.deg2rad(15.0):
+            if abs(aoa_j - link.aoa_l) >= np.deg2rad(15.0):
                 break
-        steer = rx._steering(m, (aoa_l, aoa_j))
+        steer_j = rx._steering(settings.antennas, aoa_j)
     else:
-        m, steer = 1, np.ones((1, 2))
-    streams = (
-        steer[:, :1] * (a_l * x) + steer[:, 1:] * jam + _noise(m * f, rng).reshape(m, f)
-    )
+        steer_j = np.ones((1, 1))
+    streams = steer_j * jam
+    streams += link.clean  # in place: one m x f buffer per cell
     y = streams[0]
 
     # detection on antenna 0: RS decode failure, backed by the received-power
@@ -463,7 +517,8 @@ def run_trial(
     rx_bits = wf.demodulate((y / a_l)[settings.pilot_len :], scheme)
     onset, jump = rx.estimate_onset(y, _ONSET_GUARD)
     detected = (
-        _decode_failed(rx_bits, tx_blocks, base.code) or jump >= settings.peak_significance
+        _decode_failed(rx_bits, link.tx_blocks, base.code)
+        or jump >= settings.peak_significance
     )
     tau_hat = _estimate_delay(settings, x, y, onset, jump) if detected else None
     outcome = None
@@ -482,7 +537,7 @@ def run_trial(
         )
     t_j = ad.throughput(settings.bandwidth_hz, decision.code, decision.scheme, fraction)
     return TrialResult(
-        t_baseline=t_l, t_jammed=t_j, detected=detected, jammer_class=cls,
+        t_baseline=link.t_baseline, t_jammed=t_j, detected=detected, jammer_class=cls,
         classified_correct=(cls == _CLASS_OF_MODEL[model]), tau_true=tau,
         tau_hat=tau_hat, scheme=decision.scheme, code_rate=decision.code.rate,
         payload_fraction=fraction, snr_l=snr_l, snr_j=snr_j, gamma_j=gamma_j,

@@ -132,6 +132,18 @@ def _steering(m: int, aoa) -> np.ndarray:
     return np.exp(-1j * np.pi * np.outer(i, np.sin(np.atleast_1d(aoa))))
 
 
+_AOA_GRID = np.deg2rad(np.arange(-90.0, 90.0 + _AOA_GRID_DEG, _AOA_GRID_DEG))
+_AOA_GRID.flags.writeable = False
+
+
+@lru_cache(maxsize=8)
+def _grid_steering(m: int) -> np.ndarray:
+    """Read-only steering matrix of an m-element array over the MUSIC grid."""
+    a = _steering(m, _AOA_GRID)
+    a.flags.writeable = False
+    return a
+
+
 def estimate_aoa(array_streams: np.ndarray, source_count: int) -> np.ndarray:
     """MUSIC with forward-backward spatial smoothing (subarray size m-1).
 
@@ -153,18 +165,16 @@ def estimate_aoa(array_streams: np.ndarray, source_count: int) -> np.ndarray:
 
     vals, vecs = np.linalg.eigh(r)
     noise_space = vecs[:, : msub - source_count]
-    angles = np.deg2rad(np.arange(-90.0, 90.0 + _AOA_GRID_DEG, _AOA_GRID_DEG))
-    a = _steering(msub, angles)
-    proj = noise_space.conj().T @ a
+    proj = noise_space.conj().T @ _grid_steering(msub)
     spectrum = 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=0), 1e-15)
 
     peaks = _local_maxima(spectrum)
     if peaks.size < source_count:
         # fall back to the largest grid values
         order = np.argsort(spectrum)[::-1][:source_count]
-        return np.sort(angles[order])
+        return np.sort(_AOA_GRID[order])
     top = peaks[np.argsort(spectrum[peaks])[::-1][:source_count]]
-    return np.sort(angles[top])
+    return np.sort(_AOA_GRID[top])
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:

@@ -103,6 +103,8 @@ class TestCli:
             (ONE_CELL.replace("jsr_db = 10", "jsr_db = 4000"), []),
             (ONE_CELL.replace("jsr_db = 10", "jsr_db = -4000"), []),
             (ONE_CELL.replace("ris_sizes = 16", "ris_sizes = inf"), []),
+            (ONE_CELL.replace("ris_sizes = 16", "ris_sizes = 1:1e17:1"), []),
+            (ONE_CELL.replace("jsr_db = 10", "jsr_db = 0:1e17:1"), []),
         ],
         ids=[
             "frame_below_pilot", "frame_equals_pilot", "spatial_one_antenna",
@@ -117,7 +119,7 @@ class TestCli:
             "legit_power_underflows", "corr_rate_nan", "corr_rate_inf", "rician_k_nan",
             "jsr_db_nan", "delta_nan", "peak_significance_nan", "flip_threshold_nan",
             "drfm_gain_inf", "bandwidth_inf", "jsr_ratio_overflows", "jsr_ratio_underflows",
-            "ris_sizes_inf",
+            "ris_sizes_inf", "ris_sizes_range_too_long", "jsr_db_range_too_long",
         ],
     )
     def test_unrunnable_config_is_exit_1(self, tmp_path, capsys, text, flags):

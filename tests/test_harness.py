@@ -202,6 +202,12 @@ class TestSweep:
         par = run_sweep(replace(loads_config(SMALL_CONFIG), jobs=2))
         assert rows_to_csv(par) == rows_to_csv(rows)
 
+    def test_two_ris_sizes_identical_for_any_jobs(self):
+        cfg = replace(loads_config(SMALL_CONFIG), ris_sizes=(16, 32))
+        csvs = [rows_to_csv(run_sweep(replace(cfg, jobs=jobs))) for jobs in (1, 2, 3)]
+        assert csvs[0] == csvs[1] == csvs[2]
+        assert len(csvs[0].splitlines()) == 1 + 2 * 2 * 2
+
     def test_repeat_is_identical(self, rows):
         again = run_sweep(loads_config(SMALL_CONFIG))
         assert rows_to_csv(again) == rows_to_csv(rows)

@@ -1,6 +1,7 @@
 """Single-trial pipeline tests: detection, delay estimation, classification,
 and power bookkeeping on controlled scenarios."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 
 from risjam import pipeline as pl
 from risjam import receiver as rx
-from risjam.adaptation import select_link
 from risjam.channel import RicianParams, RisLinkConfig
-from risjam.harness import ExperimentConfig, calibrate_noise, run_sweep
+from risjam import harness
+from risjam.harness import CALIBRATION_DRAWS, ExperimentConfig, calibrate_noise, run_sweep
 from risjam.jammer import JammerModel, PathTopology
 from risjam.pipeline import OrthogonalityMode, TrialSettings, run_trial
 from risjam.waveform import Family, ModScheme
@@ -35,6 +36,21 @@ def noise_floors():
 def _run(settings, jsr, model, seed, floors):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return run_trial(settings, jsr, model, rng, floors[0], floors[1])
+
+
+def _count_calls(monkeypatch, module, name, counted=lambda *args: True):
+    """Wrap module.name; the returned list gets one entry per call that
+    `counted(*args)` accepts."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        if counted(*args):
+            calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 class TestDetection:
@@ -90,19 +106,8 @@ class TestClassification:
 
 class TestOneEmission:
     def test_spatial_trial_encodes_and_jams_one_frame(self, monkeypatch):
-        calls = {"rs_encode": 0, "jammer_transform": 0}
-
-        def counted(module, name):
-            inner = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return inner(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counted(pl.wf, "rs_encode")
-        counted(pl.jm, "jammer_transform")
+        encodes = _count_calls(monkeypatch, pl.wf, "rs_encode")
+        replicas = _count_calls(monkeypatch, pl.jm, "jammer_transform")
         cfg = ExperimentConfig()
         cfg = replace(cfg, settings=replace(
             cfg.settings, orthogonality=OrthogonalityMode.SPATIAL, baseline_snr_db=11.0
@@ -111,17 +116,10 @@ class TestOneEmission:
         r = _run(cfg.settings, 10.0, JammerModel.DRFM, 0, floors)
         assert r.jammer_class is not None and r.payload_fraction == 1.0
         # two RS blocks (head and tail) of the one frame, and its one replica
-        assert calls == {"rs_encode": 2, "jammer_transform": 1}
+        assert (len(encodes), len(replicas)) == (2, 1)
 
     def test_delay_estimate_needs_no_full_correlation(self, monkeypatch, noise_floors):
-        calls = []
-        inner = rx.cross_correlate
-
-        def counted(*args, **kwargs):
-            calls.append(args[2:])
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(rx, "cross_correlate", counted)
+        calls = _count_calls(monkeypatch, rx, "cross_correlate")
         r = _run(_settings(), 10.0, JammerModel.DRFM, 0, noise_floors)
         assert r.detected and r.tau_hat is not None and r.jammer_class is not None
         # the two correlations of similarity_ratio, none for the delay estimate
@@ -206,27 +204,49 @@ class TestDeterminism:
         assert a != b
 
 
-class TestJamFreeMemo:
-    def test_matches_fresh_select_link(self):
-        pl._jam_free_link.cache_clear()
-        for snr in (10.0**0.7, 5.0, 5.0, 123.4, 1e-3):
-            for family in (Family.PSK, Family.QAM):
-                for fixed_rate in (None, 0.94):
-                    got = pl._jam_free_link(snr, family, -0.005, fixed_rate, 64)
-                    assert got == select_link(None, snr, 0.0, family, -0.005, fixed_rate, 64)
-        assert pl._jam_free_link.cache_info().hits == 4
+def _two_ris_sweep(**kw):
+    return ExperimentConfig(
+        jammers=(JammerModel.DRFM, JammerModel.PS), ris_sizes=(16, 32),
+        jsr_grid_db=(0.0, 10.0), trials=3, settings=_settings(**kw),
+    )
+
+
+class TestSharedLinkDraw:
+    """A sweep draws each (RIS size, trial)'s jam-free link once and runs every
+    (jammer, JSR) cell of that trial on it."""
 
     @pytest.mark.parametrize("snr_mode", ["pinned", "faded"])
-    def test_stays_bounded_over_a_sweep(self, snr_mode):
-        pl._jam_free_link.cache_clear()
+    def test_one_jam_free_link_choice_per_ris_and_trial(self, monkeypatch, snr_mode):
+        calls = _count_calls(monkeypatch, pl.ad, "select_link", lambda cls, *_: cls is None)
+        cfg = _two_ris_sweep(snr_mode=snr_mode)
+        run_sweep(cfg)
+        assert len(calls) == len(cfg.ris_sizes) * cfg.trials
+
+    def test_one_channel_draw_per_ris_and_trial(self, monkeypatch):
+        calls = _count_calls(monkeypatch, pl.ch, "sample_realization")
+        cfg = _two_ris_sweep()
+        run_sweep(cfg)
+        assert len(calls) == len(cfg.ris_sizes) * cfg.trials + CALIBRATION_DRAWS
+
+    def test_cells_share_the_link_and_not_the_jammer(self, monkeypatch):
+        links, first_draws = [], []
+        inner = pl.run_trial
+
+        def trial(settings, jsr, model, rng, noise_var, eaves_var, link):
+            links.append(link)
+            first_draws.append(copy.deepcopy(rng).random())
+            return inner(settings, jsr, model, rng, noise_var, eaves_var, link)
+
+        monkeypatch.setattr(pl, "run_trial", trial)
+        cells = _count_calls(monkeypatch, harness, "_aggregate")
         run_sweep(ExperimentConfig(
-            jammers=(JammerModel.DRFM,), jsr_grid_db=(0.0, 10.0), trials=40,
-            settings=_settings(snr_mode=snr_mode),
+            jammers=tuple(JammerModel), ris_sizes=(16,), jsr_grid_db=(0.0, 10.0), trials=1,
+            settings=_settings(snr_mode="faded"),
         ))
-        info = pl._jam_free_link.cache_info()
-        assert info.hits + info.misses == 80
-        assert info.currsize <= info.maxsize
-        if snr_mode == "faded":  # a new SNR every trial
-            assert info.misses == 80
-        else:  # the pinned SNR takes a handful of rounded values
-            assert info.misses <= 3
+        results = [r for args in cells for r in args[-1]]
+        assert len(results) == 6 and all(link is links[0] for link in links)
+        assert len({r.snr_l for r in results}) == 1
+        assert len({r.t_baseline for r in results}) == 1
+        # each cell draws its jammer from a generator of its own
+        assert len(set(first_draws)) == 6
+        assert len({r.gamma_j for r in results}) == 2

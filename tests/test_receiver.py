@@ -14,6 +14,7 @@ from risjam.receiver import (
     NoPeakError,
     ReceiverError,
     SeparationFailure,
+    _grid_steering,
     _local_maxima,
     _steering,
     classify_jammer,
@@ -212,6 +213,13 @@ class TestSpatial:
         assert leak1 < 0.05 and leak2 < 0.05
         # unit gain toward each look direction, a null toward the other
         assert np.allclose(w.conj().T @ _steering(m, [a1, a2]), np.eye(2), atol=1e-9)
+
+    @pytest.mark.parametrize("m", [2, 4, 7])
+    def test_cached_music_grid_matches_fresh_steering(self, m):
+        grid = _grid_steering(m)
+        fresh = _steering(m, np.deg2rad(np.arange(-90.0, 90.5, 0.5)))
+        assert np.array_equal(grid, fresh) and grid.shape == (m, 361)
+        assert _grid_steering(m) is grid and not grid.flags.writeable
 
     def test_steering_unit_magnitude(self):
         sv = _sv(8, 0.7)
