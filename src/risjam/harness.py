@@ -25,7 +25,6 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import adaptation as ad
 from . import channel as ch
 from . import jammer as jm
 from . import pipeline as pl
@@ -41,6 +40,9 @@ _CAL_KEY = 0x5EED
 _LINK_KEY = 0x11AC
 # entries a start:stop:step list may expand to; the shipped grids have 13
 MAX_RANGE_ENTRIES = 10_000
+# RIS elements a sweep may ask for (the shipped configs go up to 512); the
+# correlation matrix holds M^2 entries and its eigendecomposition costs M^3
+MAX_RIS_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if not self.ris_sizes or min(self.ris_sizes) < 1:
             raise ConfigError("ris_sizes must be positive")
+        if max(self.ris_sizes) > MAX_RIS_SIZE:
+            raise ConfigError(f"ris_sizes must be at most {MAX_RIS_SIZE}")
         if not self.jsr_grid_db:
             raise ConfigError("jsr grid is empty")
         # each trial scales the legit power by the linear JSR
@@ -219,8 +223,7 @@ def calibrate_noise(cfg: ExperimentConfig) -> tuple[float, float]:
     source->jammer eavesdropping SNR at the configured value.
     """
     s = cfg.settings
-    link = s.link
-    p_t = ad.dbm_to_watt(s.tx_power_dbm)
+    link, p_t = s.link, s.tx_watt
     corr = pl._corr_cached(link.element_count, link.corr_rate)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(_CAL_KEY,)))
     powers = []
@@ -228,11 +231,7 @@ def calibrate_noise(cfg: ExperimentConfig) -> tuple[float, float]:
         real = ch.sample_realization(link, s.rician, rng, s.eaves_corr)
         _, h = ch.aligned_cascade(real.h_sr, real.h_rd, corr)
         powers.append(p_t * abs(h) ** 2)
-    noise_var = float(np.mean(powers)) / 10.0 ** (s.baseline_snr_db / 10.0)
-
-    mean_eaves = p_t * ch.path_loss(s.d_e1, link.path_loss_exp) * s.rician.path_count
-    eaves_var = mean_eaves / 10.0 ** (s.eavesdrop_snr_db / 10.0)
-    return noise_var, eaves_var
+    return float(np.mean(powers)) / s.baseline_snr, s.eaves_noise_watt
 
 
 # ---------------------------------------------------------------------------

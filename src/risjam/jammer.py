@@ -27,8 +27,8 @@ class PathTopology(str, Enum):
 @dataclass(frozen=True)
 class JammerSpec:
     model: JammerModel
-    amp_gain: float = 1.0  # beta_a, DRFM only
-    delay_samples: int = 0
+    amp_gain: float  # beta_a, DRFM only
+    delay_samples: int
 
     def __post_init__(self):
         if self.model == JammerModel.DRFM and self.amp_gain <= 0:

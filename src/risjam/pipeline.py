@@ -105,7 +105,7 @@ class TrialSettings:
                 0.0,
             )
             rx.ClassifierThresholds(self.sim_threshold, self.inversion_threshold)
-            jm.JammerSpec(jm.JammerModel.DRFM, self.drfm_gain)
+            jm.JammerSpec(jm.JammerModel.DRFM, self.drfm_gain, delay_samples=0)
             for d in (self.d_e1, self.d_j1, self.d_j2):
                 ch.path_loss(d, self.link.path_loss_exp)
         except (ad.AdaptationError, rx.ReceiverError, jm.JammerError, ch.ChannelError) as exc:
@@ -113,20 +113,17 @@ class TrialSettings:
         # the link budget in watts: each power a trial scales, and the noise
         # floors the two SNRs set from them, must be a normal float (+-4000
         # dBm, or a path loss exponent of 200, over- or underflows)
-        dexp = self.link.path_loss_exp
+        link, dexp = self.link, self.link.path_loss_exp
         try:
-            p_t = ad.dbm_to_watt(self.tx_power_dbm)
-            # mean legit power through one RIS element and mean power at the
-            # jammer's eavesdropping receiver
-            p_l = p_t * ch.path_loss(self.link.d_sr, dexp) * ch.path_loss(self.link.d_rd, dexp)
-            p_e = p_t * ch.path_loss(self.d_e1, dexp) * self.rician.path_count
+            # mean legit power through one RIS element
+            p_l = self.tx_watt * ch.path_loss(link.d_sr, dexp) * ch.path_loss(link.d_rd, dexp)
             budget = {
-                "transmit power": p_t,
-                "jammer power cap": ad.dbm_to_watt(self.jam_power_cap_dbm),
+                "transmit power": self.tx_watt,
+                "jammer power cap": self.jam_cap_watt,
                 "mean legit received power": p_l,
-                "mean eavesdropper power": p_e,
-                "destination noise floor": p_l / 10.0 ** (self.baseline_snr_db / 10.0),
-                "jammer noise floor": p_e / 10.0 ** (self.eavesdrop_snr_db / 10.0),
+                "mean eavesdropper power": self.eaves_watt,
+                "destination noise floor": p_l / self.baseline_snr,
+                "jammer noise floor": self.eaves_noise_watt,
             }
         except (OverflowError, ZeroDivisionError) as exc:
             raise ConfigError(f"link budget out of float range: {exc}") from exc
@@ -138,6 +135,28 @@ class TrialSettings:
             raise ConfigError(
                 f"spatial orthogonality needs at least 3 antennas, got {self.antennas}"
             )
+
+    # the link budget's powers in watts, one formula each
+    @property
+    def tx_watt(self) -> float:
+        return ad.dbm_to_watt(self.tx_power_dbm)
+
+    @property
+    def jam_cap_watt(self) -> float:
+        return ad.dbm_to_watt(self.jam_power_cap_dbm)
+
+    @property
+    def baseline_snr(self) -> float:  # a received power over this is its noise floor
+        return 10.0 ** (self.baseline_snr_db / 10.0)
+
+    @property
+    def eaves_watt(self) -> float:  # mean source power at the jammer's receiver
+        path_loss = ch.path_loss(self.d_e1, self.link.path_loss_exp)
+        return self.tx_watt * path_loss * self.rician.path_count
+
+    @property
+    def eaves_noise_watt(self) -> float:  # pins the jammer's mean eavesdropping SNR
+        return self.eaves_watt / 10.0 ** (self.eavesdrop_snr_db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -164,13 +183,6 @@ class TrialResult:
         return float(abs(self.tau_hat - self.tau_true))
 
 
-_CLASS_OF_MODEL = {
-    jm.JammerModel.DRFM: rx.JammerClass.DRFM,
-    jm.JammerModel.PS: rx.JammerClass.PS,
-    jm.JammerModel.AS: rx.JammerClass.AS,
-}
-
-
 @lru_cache(maxsize=32)
 def _corr_cached(element_count: int, corr_rate: float) -> ch.CorrelationMatrix:
     return ch.build_correlation(
@@ -194,43 +206,20 @@ def _noise(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(0, s, n) + 1j * rng.normal(0, s, n)
 
 
-def _encode_payload(n_syms, scheme, code, rng):
-    """Payload bits with RS codewords placed at both ends of the frame.
-
-    The tail-aligned block is hit by a delayed replica no matter where it
-    lands, so decoding it doubles as the jamming detector; the head block
-    covers the front. Whatever is left in between is random filler. Returns
-    (bits, [(bit offset, data bytes), ...]).
-    """
-    n_bits = n_syms * scheme.bits_per_symbol
-    cw_bits = code.n * 8
-    bits = rng.integers(0, 2, n_bits).astype(np.uint8)
-    offsets = []
-    if n_bits >= 2 * cw_bits:
-        offsets = [0, n_bits - cw_bits]
-    elif n_bits >= cw_bits:
-        offsets = [n_bits - cw_bits]
-    tx_blocks = []
-    for off in offsets:
-        data = rng.integers(0, 256, code.k)
-        bits[off : off + cw_bits] = np.unpackbits(
-            wf.rs_encode(data, code).astype(np.uint8)
-        )
-        tx_blocks.append((off, data))
-    return bits, tx_blocks
+def _block_bytes(payload, a_l, off: int, code: wf.RsCode, scheme: wf.ModScheme) -> np.ndarray:
+    """The code.n bytes at bit offset `off` of the received payload (legit gain
+    a_l), demodulating only their symbols: an RS block's offset and its 2040
+    bits are whole symbols at every order, so whole-payload demodulation gives
+    the same bytes."""
+    k = scheme.bits_per_symbol
+    span = payload[off // k : (off + code.n * 8) // k]
+    return np.packbits(wf.demodulate(span / a_l, scheme))
 
 
-def _decode_failed(rx_bits, tx_blocks, code: wf.RsCode) -> bool:
-    """Decode each placed RS block; True when any fails or miscorrects."""
-    for off, data in tx_blocks:
-        seg = rx_bits[off : off + code.n * 8]
-        if seg.size < code.n * 8:
-            continue
-        blk = np.packbits(seg.astype(np.uint8)).astype(np.int64)
-        res = wf.rs_decode(blk, code)
-        if res.failure or not np.array_equal(res.data, np.asarray(data)):
-            return True
-    return False
+def _block_lost(rx_bytes: np.ndarray, codeword: np.ndarray, code: wf.RsCode) -> bool:
+    """True when the block arrived with more than t byte errors: exactly when
+    a bounded-distance decoder fails on it or miscorrects it."""
+    return int(np.count_nonzero(rx_bytes != codeword)) > code.t
 
 
 def _replica(model, settings, x, tau, amp, rng) -> np.ndarray:
@@ -246,14 +235,26 @@ def _replica(model, settings, x, tau, amp, rng) -> np.ndarray:
 
 
 def _frame(settings, scheme, n_syms, rng, code=None):
-    """Pilot-prefixed frame of n_syms symbols; optionally RS-coded payload."""
-    pilot = _pilot(scheme, settings.pilot_len)
+    """Pilot-prefixed frame of n_syms symbols with a random payload, and the
+    RS codewords placed at both ends of the payload when `code` is given.
+
+    The tail-aligned block is hit by a delayed replica no matter where it
+    lands, so its byte errors double as the jamming detector; the head block
+    covers the front. Returns (frame, [(payload bit offset, codeword bytes),
+    ...]).
+    """
+    n_bits = (n_syms - settings.pilot_len) * scheme.bits_per_symbol
+    bits = rng.integers(0, 2, n_bits).astype(np.uint8)
+    blocks = []
     if code is not None:
-        bits, tx_blocks = _encode_payload(n_syms - settings.pilot_len, scheme, code, rng)
-    else:
-        bits = rng.integers(0, 2, (n_syms - settings.pilot_len) * scheme.bits_per_symbol)
-        bits, tx_blocks = bits.astype(np.uint8), []
-    return np.concatenate([pilot, wf.modulate(bits, scheme)]), tx_blocks
+        cw_bits = code.n * 8
+        # the tail block, and the head block too when both fit
+        for off in [0, n_bits - cw_bits][2 - min(n_bits // cw_bits, 2) :]:
+            cw = wf.rs_encode(rng.integers(0, 256, code.k), code).astype(np.uint8)
+            cw.flags.writeable = False
+            bits[off : off + cw_bits] = np.unpackbits(cw)
+            blocks.append((off, cw))
+    return np.concatenate([_pilot(scheme, settings.pilot_len), wf.modulate(bits, scheme)]), blocks
 
 
 def _classify_streams(legit_stream, jam_stream, pilot, settings, scheme, nv_legit, nv_jam):
@@ -387,7 +388,8 @@ class LinkDraw:
     phase alignment are consumed in `draw_link`), the baseline operating
     point, the transmitted frame and the received snapshot without the
     jammer: `clean` is the m x f legit signal plus receiver noise, in
-    receiver-normalized units.
+    receiver-normalized units. `rs_blocks` holds each RS block's payload bit
+    offset and transmitted codeword bytes, all that detection compares.
     """
 
     p_l: float
@@ -399,7 +401,7 @@ class LinkDraw:
     base: ad.AdaptationDecision
     t_baseline: float
     x: np.ndarray
-    tx_blocks: tuple
+    rs_blocks: tuple
     aoa_l: float | None
     clean: np.ndarray
 
@@ -413,13 +415,12 @@ def draw_link(
     floor is reset so this draw's legit SNR is the configured baseline.
     """
     link = settings.link
-    p_t = ad.dbm_to_watt(settings.tx_power_dbm)
     corr = _corr_cached(link.element_count, link.corr_rate)
     real = ch.sample_realization(link, settings.rician, rng, settings.eaves_corr)
     phi, h_l = ch.aligned_cascade(real.h_sr, real.h_rd, corr)
-    p_l = p_t * abs(h_l) ** 2
+    p_l = settings.tx_watt * abs(h_l) ** 2
     if settings.snr_mode == "pinned":
-        noise_var_watt = p_l / 10.0 ** (settings.baseline_snr_db / 10.0)
+        noise_var_watt = p_l / settings.baseline_snr
     snr_l = p_l / noise_var_watt
 
     # baseline operating point and throughput (jammer silent)
@@ -441,7 +442,7 @@ def draw_link(
     # one frame, received on the whole array under spatial orthogonality,
     # else on one antenna (a steering vector of ones)
     f = settings.frame_len
-    x, tx_blocks = _frame(settings, base.scheme, f, rng, base.code)
+    x, rs_blocks = _frame(settings, base.scheme, f, rng, base.code)
     a_l = h_l / abs(h_l) * np.sqrt(snr_l)
     aoa_l = None
     if settings.orthogonality == OrthogonalityMode.SPATIAL:
@@ -455,7 +456,7 @@ def draw_link(
     return LinkDraw(
         p_l=p_l, noise_var_watt=noise_var_watt, snr_l=snr_l, h_in=complex(h_in),
         h_out=complex(h_out), a_l=a_l, base=base, t_baseline=t_l, x=x,
-        tx_blocks=tuple(tx_blocks), aoa_l=aoa_l, clean=clean,
+        rs_blocks=tuple(rs_blocks), aoa_l=aoa_l, clean=clean,
     )
 
 
@@ -479,14 +480,13 @@ def run_trial(
     """
     if link is None:
         link = draw_link(settings, rng, noise_var_watt)
-    p_t = ad.dbm_to_watt(settings.tx_power_dbm)
     base, snr_l, a_l, x = link.base, link.snr_l, link.a_l, link.x
 
     # jamming-path power bookkeeping
-    gamma_e = p_t * abs(link.h_in) ** 2 / eaves_noise_var_watt
+    gamma_e = settings.tx_watt * abs(link.h_in) ** 2 / eaves_noise_var_watt
     p_rx_target = 10.0 ** (jsr_db_target / 10.0) * link.p_l
     p_jam = p_rx_target / max(abs(link.h_out) ** 2, 1e-300)
-    cap = ad.dbm_to_watt(settings.jam_power_cap_dbm)
+    cap = settings.jam_cap_watt
     clamped = p_jam > cap
     p_jam = min(p_jam, cap)
     gamma_j = p_jam * abs(link.h_out) ** 2 / link.noise_var_watt
@@ -511,14 +511,14 @@ def run_trial(
     streams += link.clean  # in place: one m x f buffer per cell
     y = streams[0]
 
-    # detection on antenna 0: RS decode failure, backed by the received-power
-    # monitor (a replica in phase quadrature can leave the hard decisions
-    # untouched)
-    rx_bits = wf.demodulate((y / a_l)[settings.pilot_len :], scheme)
+    # detection on antenna 0: a received-power jump, or an RS block with more
+    # byte errors than the code corrects (a replica in phase quadrature can
+    # leave the hard decisions untouched, and a weak one the power)
     onset, jump = rx.estimate_onset(y, _ONSET_GUARD)
-    detected = (
-        _decode_failed(rx_bits, link.tx_blocks, base.code)
-        or jump >= settings.peak_significance
+    payload = y[settings.pilot_len :]
+    detected = jump >= settings.peak_significance or any(
+        _block_lost(_block_bytes(payload, a_l, off, base.code, scheme), cw, base.code)
+        for off, cw in link.rs_blocks
     )
     tau_hat = _estimate_delay(settings, x, y, onset, jump) if detected else None
     outcome = None
@@ -538,7 +538,7 @@ def run_trial(
     t_j = ad.throughput(settings.bandwidth_hz, decision.code, decision.scheme, fraction)
     return TrialResult(
         t_baseline=link.t_baseline, t_jammed=t_j, detected=detected, jammer_class=cls,
-        classified_correct=(cls == _CLASS_OF_MODEL[model]), tau_true=tau,
+        classified_correct=(cls == rx.JammerClass(model.value)), tau_true=tau,
         tau_hat=tau_hat, scheme=decision.scheme, code_rate=decision.code.rate,
         payload_fraction=fraction, snr_l=snr_l, snr_j=snr_j, gamma_j=gamma_j,
         clamped=clamped,

@@ -258,9 +258,8 @@ def similarity_ratio(jam_est, legit_est, f_max: int, legit_noise_var: float) -> 
     spec = reference_spectrum(legit_est, f_max, gamma)
     sc = cross_correlate(legit_est, legit_est, f_max, gamma, spec)
     sc_mags = np.abs(sc.values).astype(float)
-    zero = np.nonzero(sc.lags == 0)[0]
-    if zero.size:
-        sc_mags[zero[0]] = max(sc_mags[zero[0]] - legit_noise_var * f_max, 0.0)
+    # lags run from -gamma, so lag 0 sits at index gamma
+    sc_mags[gamma] = max(sc_mags[gamma] - legit_noise_var * f_max, 0.0)
     sc_max = float(sc_mags.max()) / f_max
     if sc_max == 0.0:
         raise ReceiverError("zero-energy legitimate estimate")

@@ -105,6 +105,7 @@ class TestCli:
             (ONE_CELL.replace("ris_sizes = 16", "ris_sizes = inf"), []),
             (ONE_CELL.replace("ris_sizes = 16", "ris_sizes = 1:1e17:1"), []),
             (ONE_CELL.replace("jsr_db = 10", "jsr_db = 0:1e17:1"), []),
+            (ONE_CELL.replace("ris_sizes = 16", "ris_sizes = 1000000"), []),
         ],
         ids=[
             "frame_below_pilot", "frame_equals_pilot", "spatial_one_antenna",
@@ -120,6 +121,7 @@ class TestCli:
             "jsr_db_nan", "delta_nan", "peak_significance_nan", "flip_threshold_nan",
             "drfm_gain_inf", "bandwidth_inf", "jsr_ratio_overflows", "jsr_ratio_underflows",
             "ris_sizes_inf", "ris_sizes_range_too_long", "jsr_db_range_too_long",
+            "ris_size_too_large",
         ],
     )
     def test_unrunnable_config_is_exit_1(self, tmp_path, capsys, text, flags):

@@ -14,7 +14,9 @@ from risjam import harness
 from risjam.harness import CALIBRATION_DRAWS, ExperimentConfig, calibrate_noise, run_sweep
 from risjam.jammer import JammerModel, PathTopology
 from risjam.pipeline import OrthogonalityMode, TrialSettings, run_trial
-from risjam.waveform import Family, ModScheme
+from risjam.waveform import (
+    DEFAULT_RS_TABLE, ORDERS, Family, ModScheme, RsCode, demodulate, rs_decode, rs_encode,
+)
 
 
 def _settings(**kw):
@@ -69,6 +71,44 @@ class TestDetection:
         )
         assert adapted <= 4
 
+    @pytest.mark.parametrize("code", DEFAULT_RS_TABLE, ids=lambda c: f"rs{c.n}_{c.k}")
+    @pytest.mark.parametrize("data_kind", ["random", "zero"])
+    def test_byte_count_rule_matches_decode_and_compare(self, code, data_kind):
+        """More than t byte errors is exactly when the decoder fails or
+        returns other data than was sent."""
+        rng = np.random.default_rng([code.k, int(data_kind == "zero")])
+        for weight in range(2 * code.t + 17):
+            for _ in range(3):
+                if data_kind == "zero":
+                    data = np.zeros(code.k, dtype=np.int64)
+                else:
+                    data = rng.integers(0, 256, code.k)
+                cw = rs_encode(data, code).astype(np.uint8)
+                rx_bytes = cw.copy()
+                hit = rng.choice(code.n, weight, replace=False)
+                rx_bytes[hit] ^= rng.integers(1, 256, weight).astype(np.uint8)
+                res = rs_decode(rx_bytes.astype(np.int64), code)
+                want = res.failure or not np.array_equal(res.data, data)
+                assert pl._block_lost(rx_bytes, cw, code) == want
+
+    @pytest.mark.parametrize("frame_len", [4096, 2200])
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_block_span_matches_whole_payload_demodulation(self, family, order, frame_len):
+        s = _settings(frame_len=frame_len)
+        scheme, code = ModScheme(family, order), RsCode(255, 224)
+        rng = np.random.default_rng([frame_len, order, list(Family).index(family)])
+        x, blocks = pl._frame(s, scheme, frame_len, rng, code)
+        a_l = np.exp(2j * np.pi * rng.random()) * 10.0 ** (15.0 / 20.0)
+        y = a_l * x + pl._noise(frame_len, rng)
+        whole = demodulate((y / a_l)[s.pilot_len :], scheme)
+        assert blocks
+        for off, cw in blocks:
+            got = pl._block_bytes(y[s.pilot_len :], a_l, off, code, scheme)
+            assert np.array_equal(got, np.packbits(whole[off : off + code.n * 8]))
+            # noiseless, the span gives back the codeword sent
+            assert np.array_equal(pl._block_bytes(x[s.pilot_len :], 1.0, off, code, scheme), cw)
+
 
 class TestDelay:
     def test_default_delay_recovered(self, noise_floors):
@@ -117,6 +157,12 @@ class TestOneEmission:
         assert r.jammer_class is not None and r.payload_fraction == 1.0
         # two RS blocks (head and tail) of the one frame, and its one replica
         assert (len(encodes), len(replicas)) == (2, 1)
+
+    def test_detected_trial_decodes_nothing(self, monkeypatch, noise_floors):
+        decodes = _count_calls(monkeypatch, pl.wf, "rs_decode")
+        r = _run(_settings(), 10.0, JammerModel.DRFM, 0, noise_floors)
+        assert r.detected and r.jammer_class is not None
+        assert decodes == []
 
     def test_delay_estimate_needs_no_full_correlation(self, monkeypatch, noise_floors):
         calls = _count_calls(monkeypatch, rx, "cross_correlate")
