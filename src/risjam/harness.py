@@ -112,7 +112,7 @@ _SCHEMA = {
     ("jammer", "power_cap_dbm"): (pl.TrialSettings, "jam_power_cap_dbm"),
     ("jammer", "delay"): (pl.TrialSettings, "jam_delay"),
     **_fields("jammer", pl.TrialSettings,
-              "eavesdrop_snr_db", "eaves_corr", "d_e1", "d_j1", "d_j2", "drfm_gain"),
+              "eavesdrop_snr_db", "eaves_corr", "d_e1", "d_j1", "d_j2"),
     **_fields("receiver", pl.TrialSettings,
               "frame_len", "pilot_len", "antennas", "sim_threshold",
               "inversion_threshold", "peak_significance", "flip_threshold"),

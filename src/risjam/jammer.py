@@ -27,12 +27,9 @@ class PathTopology(str, Enum):
 @dataclass(frozen=True)
 class JammerSpec:
     model: JammerModel
-    amp_gain: float  # beta_a, DRFM only
     delay_samples: int
 
     def __post_init__(self):
-        if self.model == JammerModel.DRFM and self.amp_gain <= 0:
-            raise JammerError("amp_gain must be positive for DRFM")
         if self.delay_samples < 0:
             raise JammerError("delay_samples must be non-negative")
 
@@ -44,14 +41,15 @@ def jammer_transform(
 ) -> np.ndarray:
     """Apply the per-class waveform manipulation and the path delay.
 
-    Output length is len(x) + delay_samples, zero-padded at the head. The
-    PS/AS random factors are drawn once per modulation symbol.
+    Output length is len(x) + delay_samples, zero-padded at the head. DRFM
+    replays x unchanged (the transmit power scales it afterwards); the PS/AS
+    random factors are drawn once per modulation symbol.
     """
     x = np.asarray(x, dtype=complex)
     if x.size == 0:
         raise JammerError("empty input sequence")
     if spec.model == JammerModel.DRFM:
-        shaped = spec.amp_gain * x
+        shaped = x
     elif spec.model == JammerModel.PS:
         shaped = x * rng.choice([1.0, -1.0], size=x.size)
     else:

@@ -63,7 +63,6 @@ class TrialSettings:
     delta: float = -0.005
     max_order: int = 64
     antennas: int = 8
-    drfm_gain: float = 1.5
     sim_threshold: float = 0.93
     inversion_threshold: float = 0.25
     peak_significance: float = 0.15
@@ -105,10 +104,9 @@ class TrialSettings:
                 0.0,
             )
             rx.ClassifierThresholds(self.sim_threshold, self.inversion_threshold)
-            jm.JammerSpec(jm.JammerModel.DRFM, self.drfm_gain, delay_samples=0)
             for d in (self.d_e1, self.d_j1, self.d_j2):
                 ch.path_loss(d, self.link.path_loss_exp)
-        except (ad.AdaptationError, rx.ReceiverError, jm.JammerError, ch.ChannelError) as exc:
+        except (ad.AdaptationError, rx.ReceiverError, ch.ChannelError) as exc:
             raise ConfigError(str(exc)) from exc
         # the link budget in watts: each power a trial scales, and the noise
         # floors the two SNRs set from them, must be a normal float (+-4000
@@ -222,12 +220,11 @@ def _block_lost(rx_bytes: np.ndarray, codeword: np.ndarray, code: wf.RsCode) -> 
     return int(np.count_nonzero(rx_bytes != codeword)) > code.t
 
 
-def _replica(model, settings, x, tau, amp, rng) -> np.ndarray:
+def _replica(model, x, tau, amp, rng) -> np.ndarray:
     """Jammer replica of x delayed by tau, scaled so its active span [tau, end)
     has average power |amp|^2. Length len(x) + tau, zero-padded at the head.
     """
-    spec = jm.JammerSpec(model=model, amp_gain=settings.drfm_gain, delay_samples=tau)
-    shaped = jm.jammer_transform(spec, x, rng)
+    shaped = jm.jammer_transform(jm.JammerSpec(model=model, delay_samples=tau), x, rng)
     rms = np.sqrt(np.mean(np.abs(shaped[tau:]) ** 2))
     if rms == 0.0:
         return np.zeros(shaped.size, dtype=complex)
@@ -257,13 +254,21 @@ def _frame(settings, scheme, n_syms, rng, code=None):
     return np.concatenate([_pilot(scheme, settings.pilot_len), wf.modulate(bits, scheme)]), blocks
 
 
-def _classify_streams(legit_stream, jam_stream, pilot, settings, scheme, nv_legit, nv_jam):
-    legit_eq = rx.equalize_stream(legit_stream, pilot, nv_legit)
-    jam_eq = rx.equalize_stream(jam_stream, pilot, nv_jam)
-    f_max = min(legit_eq.size, jam_eq.size) - 1
-    sim = rx.similarity_ratio(
-        jam_eq, legit_eq, f_max, rx.equalized_noise_var(legit_stream, nv_legit)
-    )
+def _too_short(settings, n: int) -> bool:
+    """True when a separated pair of n samples cannot be classified: it needs
+    two pilots' worth, and the similarity ratio's correlation over f_max = n - 1
+    needs a lag window of +-1 inside it."""
+    return n < max(2 * settings.pilot_len, 3)
+
+
+def _classify(settings, scheme, legit_s, jam_s, nv_l, nv_j) -> rx.JammerClass:
+    """Equalize a separated (legit, jam) pair with receiver noise variances
+    (nv_l, nv_j) over their common length and classify the jammer."""
+    pilot = _pilot(scheme, settings.pilot_len)
+    n = min(legit_s.size, jam_s.size)
+    legit_eq, nv_legit_eq = rx.equalize_stream(legit_s[:n], pilot, nv_l)
+    jam_eq, _ = rx.equalize_stream(jam_s[:n], pilot, nv_j)
+    sim = rx.similarity_ratio(jam_eq, legit_eq, n - 1, nv_legit_eq)
     inversions = rx.pilot_anomaly_fraction(jam_eq[: pilot.size], pilot)
     thr = rx.ClassifierThresholds(settings.sim_threshold, settings.inversion_threshold)
     return rx.classify_jammer(sim, inversions, thr, scheme)
@@ -279,7 +284,7 @@ def _stage_two(settings, model, scheme, a_j, rng) -> rx.JammerClass:
     n = 1024
     bits = rng.integers(0, 2, n * scheme.bits_per_symbol).astype(np.uint8)
     x = wf.modulate(bits, scheme)
-    stream = _replica(model, settings, x, 0, a_j, rng) + _noise(n, rng)
+    stream = _replica(model, x, 0, a_j, rng) + _noise(n, rng)
     r = stream * np.conj(x) / np.abs(x) ** 2
     phase = 0.5 * np.angle(np.sum(r**2))
     signs = np.real(r * np.exp(-1j * phase)) < 0.0
@@ -287,62 +292,57 @@ def _stage_two(settings, model, scheme, a_j, rng) -> rx.JammerClass:
     return rx.JammerClass.PS if balance >= settings.flip_threshold else rx.JammerClass.AS
 
 
-def _spatial_classify(settings, scheme, streams, tau_hat):
-    """MUSIC AoAs and LCMV separation of the received array snapshot."""
+def _spatial_pair(settings, scheme, streams, tau_hat):
+    """MUSIC AoAs and LCMV separation of the received array snapshot into
+    (legit, jam aligned by tau_hat, legit noise variance, jam noise variance).
+    """
     pilot = _pilot(scheme, settings.pilot_len)
     aoas = rx.estimate_aoa(streams, 2)
-    (s0, s1), w = rx.separate_spatial(streams, aoas)
+    out, w = rx.separate_spatial(streams, aoas)
     # per-output noise variance ||w_k||^2 of the LCMV weights
     nv = [float(np.sum(np.abs(w[:, k]) ** 2)) for k in range(2)]
-
     # the legit stream is the one whose head matches the pilot
-    c0 = abs(np.vdot(pilot, s0[: pilot.size])) / np.sqrt(np.mean(np.abs(s0) ** 2))
-    c1 = abs(np.vdot(pilot, s1[: pilot.size])) / np.sqrt(np.mean(np.abs(s1) ** 2))
-    legit_s, jam_s = (s0, s1) if c0 >= c1 else (s1, s0)
-    nv_l, nv_j = (nv[0], nv[1]) if c0 >= c1 else (nv[1], nv[0])
-    jam_aligned = jam_s[tau_hat:]
-    if jam_aligned.size < 2 * settings.pilot_len:
+    c = [abs(np.vdot(pilot, s[: pilot.size])) / np.sqrt(np.mean(np.abs(s) ** 2)) for s in out]
+    k = 0 if c[0] >= c[1] else 1
+    legit_s, jam_aligned = out[k], out[1 - k][tau_hat:]
+    if _too_short(settings, min(legit_s.size, jam_aligned.size)):
         raise rx.SeparationFailure("aligned jam stream too short")
-    n = min(legit_s.size, jam_aligned.size)
-    return _classify_streams(
-        legit_s[:n], jam_aligned[:n], pilot, settings, scheme, nv_l, nv_j
-    )
+    return legit_s, jam_aligned, nv[k], nv[1 - k]
 
 
-def _temporal_classify(settings, model, scheme, a_l, a_j, tau, tau_hat, burst, rng):
-    """Probe with a shortened burst; the replica lands in a disjoint slot."""
-    pilot = _pilot(scheme, settings.pilot_len)
-    if burst < 2 * settings.pilot_len:
-        return rx.JammerClass.UNKNOWN
+def _temporal_pair(settings, model, scheme, a_l, a_j, tau, tau_hat, burst, rng):
+    """Probe with a shortened burst; the replica lands in a disjoint slot.
+
+    Returns (legit, jam, 1.0, 1.0) in unit-noise samples, or None when the
+    burst or the replica's slot is too short to classify.
+    """
+    if _too_short(settings, burst):
+        return None
     xb, _ = _frame(settings, scheme, burst, rng)
     y = _noise(tau + burst, rng)
     y[:burst] += a_l * xb
-    y += _replica(model, settings, xb, tau, a_j, rng)
-    legit_s = y[:burst]
+    y += _replica(model, xb, tau, a_j, rng)
     jam_s = y[tau_hat : tau_hat + burst]
-    if jam_s.size < 2 * settings.pilot_len:
-        return rx.JammerClass.UNKNOWN
-    n = min(legit_s.size, jam_s.size)
-    return _classify_streams(legit_s[:n], jam_s[:n], pilot, settings, scheme, 1.0, 1.0)
+    if _too_short(settings, jam_s.size):
+        return None
+    return y[:burst], jam_s, 1.0, 1.0
 
 
 def _orthogonalize_and_classify(settings, model, scheme, streams, a_l, a_j, tau, tau_hat, rng):
     """Returns (jammer class, payload fraction), or None when nothing usable."""
-    outcome = None
+    pair, fraction = None, 1.0
     if settings.orthogonality == OrthogonalityMode.SPATIAL:
         try:
-            outcome = _spatial_classify(settings, scheme, streams, tau_hat), 1.0
+            pair = _spatial_pair(settings, scheme, streams, tau_hat)
         except rx.SeparationFailure:
             pass  # fall back to temporal partitioning
-    if outcome is None:
+    if pair is None:
         try:
             burst, fraction = rx.partition_temporal(settings.frame_len, tau_hat)
         except rx.ReceiverError:
             return None
-        outcome = _temporal_classify(
-            settings, model, scheme, a_l, a_j, tau, tau_hat, burst, rng
-        ), fraction
-    cls, fraction = outcome
+        pair = _temporal_pair(settings, model, scheme, a_l, a_j, tau, tau_hat, burst, rng)
+    cls = rx.JammerClass.UNKNOWN if pair is None else _classify(settings, scheme, *pair)
     if cls == rx.JammerClass.PS:
         cls = _stage_two(settings, model, scheme, a_j, rng)
     return cls, fraction
@@ -498,7 +498,7 @@ def run_trial(
     scheme = base.scheme
     tau = settings.jam_delay if settings.jam_delay is not None else f // 2
     a_j = np.exp(1j * np.angle(link.h_in * link.h_out)) * np.sqrt(gamma_j)
-    jam = _replica(model, settings, x, tau, a_j, rng)[:f]
+    jam = _replica(model, x, tau, a_j, rng)[:f]
     if link.aoa_l is not None:
         while True:
             aoa_j = rng.uniform(-np.pi / 3, np.pi / 3)

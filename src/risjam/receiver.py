@@ -47,38 +47,27 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
-def reference_spectrum(y_ref, f_max: int, gamma_max: int) -> np.ndarray:
-    """FFT of the conjugate-reversed reference y_ref[:f_max + gamma_max] at the
-    transform length of `cross_correlate`; correlations of several sequences
-    against one reference can share it."""
-    rs = np.asarray(y_ref, dtype=complex)[: f_max + gamma_max]
-    return np.fft.fft(rs[::-1].conj(), _fast_len(f_max + rs.size - 1))
-
-
-def cross_correlate(
-    y, y_ref, f_max: int, gamma_max: int, ref_spectrum: np.ndarray | None = None
-) -> CorrelationResult:
+def cross_correlate(y, y_ref, f_max: int, gamma_max: int) -> CorrelationResult:
     """Sliding inner product R(tau) = sum_{n<f_max} y[n] * conj(y_ref[n+tau]).
 
     Out-of-range reference indices contribute zero. Lags span
-    [-gamma_max, gamma_max]. `ref_spectrum`, when given, is
-    `reference_spectrum(y_ref, f_max, gamma_max)` computed once by the caller.
+    [-gamma_max, gamma_max]. A 2-D `y` correlates each row against the one
+    reference, sharing its FFT; `values` then has one row per row of `y`.
     """
     y = np.asarray(y, dtype=complex)
     y_ref = np.asarray(y_ref, dtype=complex)
-    if y.size < f_max or y_ref.size < f_max:
+    if y.shape[-1] < f_max or y_ref.size < f_max:
         raise ReceiverError("sequences shorter than f_max")
     if gamma_max >= f_max:
         raise ReceiverError(f"gamma_max {gamma_max} must be < f_max {f_max}")
-    if ref_spectrum is None:
-        ref_spectrum = reference_spectrum(y_ref, f_max, gamma_max)
     # full linear correlation of ys = y[:f_max] against rs = y_ref[:f_max +
     # gamma_max]: full[k] = sum_n ys[n] * conj(rs[n - (k - (len(rs)-1))]), so
     # R(tau) sits at index (len(rs)-1) - tau
-    center = min(y_ref.size, f_max + gamma_max) - 1
-    full = np.fft.ifft(np.fft.fft(y[:f_max], ref_spectrum.size) * ref_spectrum)
+    rs = y_ref[: f_max + gamma_max]
+    nfft = _fast_len(f_max + rs.size - 1)
+    spectrum = np.fft.fft(y[..., :f_max], nfft) * np.fft.fft(rs[::-1].conj(), nfft)
     lags = np.arange(-gamma_max, gamma_max + 1)
-    return CorrelationResult(lags=lags, values=full[center - lags])
+    return CorrelationResult(lags=lags, values=np.fft.ifft(spectrum)[..., rs.size - 1 - lags])
 
 
 def estimate_delay(corr: CorrelationResult) -> int:
@@ -255,17 +244,14 @@ def similarity_ratio(jam_est, legit_est, f_max: int, legit_noise_var: float) -> 
     if jam_est.size < f_max or legit_est.size < f_max:
         raise ReceiverError("sequences shorter than f_max")
     gamma = max(1, f_max // 2)
-    spec = reference_spectrum(legit_est, f_max, gamma)
-    sc = cross_correlate(legit_est, legit_est, f_max, gamma, spec)
-    sc_mags = np.abs(sc.values).astype(float)
+    both = np.stack([legit_est[:f_max], jam_est[:f_max]])
+    sc_mags, cc_mags = np.abs(cross_correlate(both, legit_est, f_max, gamma).values)
     # lags run from -gamma, so lag 0 sits at index gamma
     sc_mags[gamma] = max(sc_mags[gamma] - legit_noise_var * f_max, 0.0)
     sc_max = float(sc_mags.max()) / f_max
     if sc_max == 0.0:
         raise ReceiverError("zero-energy legitimate estimate")
-    cc = cross_correlate(jam_est, legit_est, f_max, gamma, spec)
-    cc_max = float(np.max(np.abs(cc.values))) / f_max
-    return cc_max / sc_max
+    return float(cc_mags.max()) / f_max / sc_max
 
 
 class JammerClass(str, Enum):
@@ -312,28 +298,19 @@ def equalize_stream(
     stream: np.ndarray,
     pilot_syms: np.ndarray,
     noise_var: float,
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """Remove the complex channel gain from a separated stream.
 
     Phase comes from pilot least squares (the Gaussian ML estimate); the
     magnitude comes from a noise-debiased RMS over the whole stream, which is
     robust to the PS jammer's sign flips cancelling the pilot average.
+    Returns (equalized stream, its noise variance after the gain removal).
     """
     stream = np.asarray(stream, dtype=complex)
     p = np.asarray(pilot_syms, dtype=complex)
     ls = np.vdot(p, stream[: p.size]) / np.vdot(p, p)
-    power = max(np.mean(np.abs(stream) ** 2) - noise_var, _power_floor(noise_var))
+    # the floor keeps a near-noise stream from being amplified into a fake signal
+    floor = 0.1 * noise_var if noise_var > 0.0 else 1e-30
+    power = max(np.mean(np.abs(stream) ** 2) - noise_var, floor)
     gain = np.sqrt(power) * np.exp(1j * np.angle(ls))
-    return stream / gain
-
-
-def _power_floor(noise_var: float) -> float:
-    # keeps a near-noise stream from being amplified into a fake signal
-    return 0.1 * noise_var if noise_var > 0.0 else 1e-30
-
-
-def equalized_noise_var(stream, noise_var: float) -> float:
-    """Noise variance of `stream` after equalize_stream's gain removal."""
-    stream = np.asarray(stream, dtype=complex)
-    power = max(np.mean(np.abs(stream) ** 2) - noise_var, _power_floor(noise_var))
-    return noise_var / power
+    return stream / gain, noise_var / power

@@ -45,38 +45,31 @@ class ModScheme:
         return f"{self.family.value}{self.order}"
 
 
-def _gray(n: int) -> int:
+def _gray(n):
     return n ^ (n >> 1)
 
 
 @lru_cache(maxsize=None)
 def constellation(family: Family, order: int) -> np.ndarray:
-    """Complex points indexed by data value; Gray-adjacent in signal space."""
+    """Complex points indexed by data value; Gray-adjacent in signal space.
+
+    The point at position p (on the PSK ring, the ASK level axis or each QAM
+    axis) carries the data value whose bits are p's Gray code.
+    """
     m = order
+    pos = np.arange(m)
+    pts = np.zeros(m, dtype=complex)
     if family == Family.PSK:
-        pts = np.zeros(m, dtype=complex)
-        for data in range(m):
-            # place data value at the ring position whose Gray code equals it
-            pos = next(p for p in range(m) if _gray(p) == data)
-            pts[data] = np.exp(2j * np.pi * pos / m)
+        pts[_gray(pos)] = np.exp(2j * np.pi * pos / m)
     elif family == Family.ASK:
-        levels = np.arange(1, m + 1, dtype=float)
-        pts = np.zeros(m, dtype=complex)
-        for data in range(m):
-            pos = next(p for p in range(m) if _gray(p) == data)
-            pts[data] = levels[pos]
-    else:  # rectangular QAM, Gray per axis
+        pts[_gray(pos)] = np.arange(1, m + 1, dtype=float)
+    else:  # rectangular QAM, Gray per axis: the I data value sits above the Q one
         mi = 1 << ((int(np.log2(m)) + 1) // 2)
         mq = m // mi
-        bi = int(np.log2(mi))
-        li = np.arange(mi) * 2.0 - (mi - 1)
-        lq = np.arange(mq) * 2.0 - (mq - 1)
-        pts = np.zeros(m, dtype=complex)
-        for data in range(m):
-            di, dq = data >> (int(np.log2(m)) - bi), data & (mq - 1)
-            pi = next(p for p in range(mi) if _gray(p) == di)
-            pq = next(p for p in range(mq) if _gray(p) == dq)
-            pts[data] = li[pi] + 1j * lq[pq]
+        pi, pq = np.arange(mi), np.arange(mq)
+        li = pi * 2.0 - (mi - 1)
+        lq = pq * 2.0 - (mq - 1)
+        pts[(_gray(pi)[:, None] * mq + _gray(pq)).ravel()] = (li[:, None] + 1j * lq).ravel()
     return pts / np.sqrt(np.mean(np.abs(pts) ** 2))
 
 

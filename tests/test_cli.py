@@ -74,7 +74,6 @@ class TestCli:
             ("[receiver]\npilot_len = 0\n", []),
             ("[receiver]\nframe_len = 5\npilot_len = 1\n", []),
             ("[jammer]\ndrfm_gain = 0\n", []),
-            ("[jammer]\ndrfm_gain = -1.5\n", []),
             ("[jammer]\neaves_corr = 1.5\n", []),
             ("[jammer]\neaves_corr = -0.1\n", []),
             ("[jammer]\nd_e1 = 0\n", []),
@@ -98,7 +97,6 @@ class TestCli:
             (ONE_CELL + "[adaptation]\ndelta = nan\n", []),
             (ONE_CELL + "[receiver]\npeak_significance = nan\n", []),
             (ONE_CELL + "[receiver]\nflip_threshold = nan\n", []),
-            (ONE_CELL + "[jammer]\ndrfm_gain = inf\n", []),
             (ONE_CELL + "[link]\nbandwidth_hz = inf\n", []),
             (ONE_CELL.replace("jsr_db = 10", "jsr_db = 4000"), []),
             (ONE_CELL.replace("jsr_db = 10", "jsr_db = -4000"), []),
@@ -112,14 +110,14 @@ class TestCli:
             "spatial_two_antennas", "delay_past_frame", "delay_at_frame_end",
             "max_order_3", "max_order_128", "carrier_hz", "power_floor_dbm",
             "fixed_rate_off_table", "sim_threshold_above_1", "inversion_threshold_0",
-            "pilot_len_0", "frame_below_onset_guard", "drfm_gain_0", "drfm_gain_negative",
+            "pilot_len_0", "frame_below_onset_guard", "drfm_gain_0",
             "eaves_corr_above_1", "eaves_corr_negative", "d_e1_0", "d_e1_loss_overflows",
             "d_j1_negative", "d_j2_0_ris_aware", "delta_0", "delta_positive",
             "seed_negative", "seed_flag_negative", "bandwidth_0", "orthogonality_none",
             "tx_power_overflows", "tx_power_underflows", "power_cap_overflows",
             "legit_power_underflows", "corr_rate_nan", "corr_rate_inf", "rician_k_nan",
             "jsr_db_nan", "delta_nan", "peak_significance_nan", "flip_threshold_nan",
-            "drfm_gain_inf", "bandwidth_inf", "jsr_ratio_overflows", "jsr_ratio_underflows",
+            "bandwidth_inf", "jsr_ratio_overflows", "jsr_ratio_underflows",
             "ris_sizes_inf", "ris_sizes_range_too_long", "jsr_db_range_too_long",
             "ris_size_too_large",
         ],
@@ -129,6 +127,21 @@ class TestCli:
         assert main(["--config", cfg, "--out", str(tmp_path / "o.csv"), *flags]) == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "orthogonality,delay", [("temporal", 4), ("spatial", 1)], ids=["temporal", "spatial"]
+    )
+    def test_two_sample_stream_pair_runs(self, tmp_path, orthogonality, delay):
+        """A separated pair of 2 samples holds two 1-symbol pilots, yet is one
+        too short for the similarity ratio: it is classified Unknown (temporal)
+        or falls back (spatial) instead of failing mid-sweep."""
+        cfg = _write_config(tmp_path, (
+            "[sweep]\njammers = drfm, ps, as\nris_sizes = 16\njsr_db = 10, 20\ntrials = 3\n"
+            f"orthogonality = {orthogonality}\n"
+            "[receiver]\npilot_len = 1\nframe_len = 6\n"
+            f"[jammer]\ndelay = {delay}\n"
+        ))
+        assert main(["--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
 
     def test_unwritable_output_is_exit_2(self, tmp_path):
         cfg = _write_config(tmp_path)
@@ -196,7 +209,6 @@ GENERATED_KEYS = {
     ("jammer", "delay"): st.integers(-1, 4200),
     ("jammer", "power_cap_dbm"): _floats(-5000.0, 5000.0),
     ("jammer", "eavesdrop_snr_db"): _floats(-5000.0, 5000.0),
-    ("jammer", "drfm_gain"): _floats(-1.0, 10.0),
     ("jammer", "eaves_corr"): _floats(-0.5, 1.5),
     ("jammer", "d_e1"): _floats(-5.0, 100.0),
     ("jammer", "d_j1"): _floats(-5.0, 100.0),

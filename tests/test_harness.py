@@ -2,6 +2,9 @@
 and seed-stable parallel execution."""
 
 from dataclasses import replace
+from enum import Enum
+from functools import lru_cache
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -67,7 +70,6 @@ NON_DEFAULT = {
     ("jammer", "d_e1"): "20",
     ("jammer", "d_j1"): "5",
     ("jammer", "d_j2"): "5",
-    ("jammer", "drfm_gain"): "2",
     ("receiver", "frame_len"): "2048",
     ("receiver", "pilot_len"): "32",
     ("receiver", "antennas"): "4",
@@ -146,7 +148,7 @@ class TestConfigParsing:
             replace(settings.link, corr_rate=float("nan"))
         with pytest.raises(ChannelError):
             replace(settings.rician, rician_k=float("inf"))
-        for name in ("delta", "peak_significance", "flip_threshold", "drfm_gain"):
+        for name in ("delta", "peak_significance", "flip_threshold"):
             with pytest.raises(ConfigError, match=name):
                 replace(settings, **{name: float("nan")})
         with pytest.raises(ConfigError, match="bandwidth_hz"):
@@ -159,6 +161,93 @@ class TestConfigParsing:
             loads_config("[sweep]\ntrials = 0\n")
         with pytest.raises(ConfigError):
             loads_config("[sweep]\njobs = 0\n")
+
+
+
+def _ini(entries: dict) -> str:
+    """INI text of {(section, key): value}, one block per section."""
+    sections = {}
+    for (section, key), value in entries.items():
+        sections.setdefault(section, {})[key] = value
+    return "".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for section, keys in sections.items()
+    )
+
+
+# a small sweep: 3 jammers x 3 JSRs x 3 trials at RIS size 16
+RUN_BASE = {
+    ("sweep", "jammers"): "drfm, ps, as",
+    ("sweep", "ris_sizes"): "16",
+    ("sweep", "jsr_db"): "0, 10, 20",
+    ("sweep", "trials"): "3",
+    ("sweep", "seed"): "7",
+}
+RIS_AWARE = {("sweep", "topology"): "ris_aware"}
+SPATIAL = {("sweep", "orthogonality"): "spatial"}
+# keys whose NON_DEFAULT value leaves RUN_BASE's sweep as it is: a value and
+# the context they are live in
+LIVE = {
+    # the RIS-aware jammer eavesdrops through the RIS cascade
+    ("link", "corr_rate"): ("0.9", RIS_AWARE),
+    ("jammer", "eaves_corr"): ("1", RIS_AWARE),
+    ("jammer", "d_e1"): ("100", RIS_AWARE),
+    ("jammer", "d_j2"): ("1000", RIS_AWARE),
+    # a transmit path loss the jammer's power cap cannot make up for
+    ("jammer", "d_j1"): ("1000", {}),
+    ("receiver", "antennas"): ("16", SPATIAL),
+    ("receiver", "sim_threshold"): ("0.5", {}),
+    ("receiver", "inversion_threshold"): ("0.9", {}),
+    ("receiver", "peak_significance"): ("1", {}),
+    ("receiver", "flip_threshold"): ("0.9", {}),
+}
+
+
+def _run(entries: dict) -> str:
+    """RUN_BASE's sweep with `entries` set, as CSV without its label columns,
+    which echo the config."""
+    return _label_free_csv(_ini(RUN_BASE | entries))
+
+
+@lru_cache(maxsize=None)
+def _label_free_csv(text: str) -> str:
+    columns = CSV_HEADER.split(",")
+    labels = {columns.index("jammer"), columns.index("topology")}
+    csv = rows_to_csv(run_sweep(loads_config(text)))
+    return "\n".join(
+        ",".join(cell for i, cell in enumerate(line.split(",")) if i not in labels)
+        for line in csv.splitlines()
+    )
+
+
+def _enum_keys():
+    """Schema keys whose type is an Enum or a tuple of one, with that Enum."""
+    for key, (cls, name) in _SCHEMA.items():
+        hint = get_type_hints(cls)[name]
+        hint = get_args(hint)[0] if get_origin(hint) is tuple else hint
+        if isinstance(hint, type) and issubclass(hint, Enum):
+            yield key, hint
+
+
+class TestEveryKeyChangesTheRun:
+    @pytest.mark.parametrize(
+        "key", [k for k in NON_DEFAULT if k != ("sweep", "jobs")], ids="_".join
+    )
+    def test_key_changes_the_sweep(self, key):
+        value, context = LIVE.get(key, (NON_DEFAULT[key], {}))
+        assert _run(context | {key: value}) != _run(context), (
+            f"[{key[0]}] {key[1]} = {value} does not change the run"
+        )
+
+    @pytest.mark.parametrize(
+        "key,enum_cls", [pytest.param(k, cls, id="_".join(k)) for k, cls in _enum_keys()]
+    )
+    def test_every_enum_value_runs_differently(self, key, enum_cls):
+        runs = [_run({key: member.value}) for member in enum_cls]
+        assert len(set(runs)) == len(runs), f"[{key[0]}] {key[1]} has a dead value"
+
+    def test_jobs_changes_nothing(self):
+        assert _run({("sweep", "jobs"): "2"}) == _run({})
 
 
 class TestCalibration:

@@ -20,13 +20,11 @@ from risjam.receiver import (
     classify_jammer,
     cross_correlate,
     equalize_stream,
-    equalized_noise_var,
     estimate_aoa,
     estimate_delay,
     estimate_onset,
     partition_temporal,
     pilot_anomaly_fraction,
-    reference_spectrum,
     separate_spatial,
     similarity_ratio,
 )
@@ -90,8 +88,8 @@ class TestCrossCorrelation:
     @example(f_max=4095, gamma_frac=0.5, ref_extra=1, seed=1)
     @example(f_max=2, gamma_frac=0.0, ref_extra=0, seed=2)
     def test_matches_scipy_fft_correlate(self, f_max, gamma_frac, ref_extra, seed):
-        """Bit for bit the scipy.signal.correlate FFT result, alone and with
-        a shared reference spectrum."""
+        """Bit for bit the scipy.signal.correlate FFT result, alone and as a
+        row of a stacked 2-D input."""
         gamma = 1 + round(gamma_frac * (f_max - 2))
         ref_len = max(f_max, f_max + gamma + ref_extra)
         rng = np.random.default_rng(seed)
@@ -100,13 +98,14 @@ class TestCrossCorrelation:
         rs = ref[: f_max + gamma]
         full = sps.correlate(y[:f_max], rs, mode="full", method="fft")
         expected = full[rs.size - 1 - np.arange(-gamma, gamma + 1)]
-        spec = reference_spectrum(ref, f_max, gamma)
-        for res in (
-            cross_correlate(y, ref, f_max, gamma),
-            cross_correlate(y, ref, f_max, gamma, spec),
-        ):
-            assert np.array_equal(res.lags, np.arange(-gamma, gamma + 1))
-            assert np.array_equal(res.values, expected)
+        alone = cross_correlate(y, ref, f_max, gamma)
+        assert np.array_equal(alone.lags, np.arange(-gamma, gamma + 1))
+        assert np.array_equal(alone.values, expected)
+        # rows of a stacked input: y against ref, and ref against itself
+        stacked = cross_correlate(np.stack([ref[:f_max], y[:f_max]]), ref, f_max, gamma)
+        assert np.array_equal(stacked.lags, alone.lags)
+        assert np.array_equal(stacked.values[1], expected)
+        assert np.array_equal(stacked.values[0], cross_correlate(ref, ref, f_max, gamma).values)
 
     def test_zero_correlation_raises(self):
         res = cross_correlate(np.zeros(16), np.zeros(16), 8, 2)
@@ -246,7 +245,7 @@ class TestTemporalPartition:
 class TestClassification:
     def _streams(self, model, rng, n=2048, snr_db=15.0):
         x = _qpsk(n, rng)
-        spec = JammerSpec(model=model, amp_gain=1.5, delay_samples=0)
+        spec = JammerSpec(model=model, delay_samples=0)
         jam = jammer_transform(spec, x, rng)[:n]
         jam = jam / np.sqrt(np.mean(np.abs(jam) ** 2))
         sigma = np.sqrt(10 ** (-snr_db / 10.0) / 2.0)
@@ -257,18 +256,18 @@ class TestClassification:
         rng = np.random.default_rng(8)
         legit, jam, pilot = self._streams(JammerModel.DRFM, rng)
         nv = 10 ** (-1.5)
-        le = equalize_stream(legit, pilot, nv)
-        je = equalize_stream(jam, pilot, nv)
-        sim = similarity_ratio(je, le, 2000, equalized_noise_var(legit, nv))
+        le, nv_le = equalize_stream(legit, pilot, nv)
+        je, _ = equalize_stream(jam, pilot, nv)
+        sim = similarity_ratio(je, le, 2000, nv_le)
         assert sim > 0.95
 
     def test_similarity_low_for_ps(self):
         rng = np.random.default_rng(9)
         legit, jam, pilot = self._streams(JammerModel.PS, rng)
         nv = 10 ** (-1.5)
-        le = equalize_stream(legit, pilot, nv)
-        je = equalize_stream(jam, pilot, nv)
-        sim = similarity_ratio(je, le, 2000, equalized_noise_var(legit, nv))
+        le, nv_le = equalize_stream(legit, pilot, nv)
+        je, _ = equalize_stream(jam, pilot, nv)
+        sim = similarity_ratio(je, le, 2000, nv_le)
         assert sim < 0.5
 
     def test_threshold_rules(self):
@@ -293,5 +292,11 @@ class TestClassification:
         rng = np.random.default_rng(10)
         x = _qpsk(1024, rng)
         g = 3.0 * np.exp(1j * 0.7)
-        eq = equalize_stream(g * x, x[:64], 0.0)
+        eq, nv = equalize_stream(g * x, x[:64], 0.0)
         assert np.mean(np.abs(eq - x) ** 2) < 1e-3
+        assert nv == 0.0
+        # a noisy stream's post-equalization noise variance is the input
+        # variance over the debiased signal power
+        eq, nv = equalize_stream(g * x + 0.1, x[:64], 0.5)
+        power = np.mean(np.abs(g * x + 0.1) ** 2) - 0.5
+        assert nv == pytest.approx(0.5 / power)

@@ -34,7 +34,39 @@ ALL_SCHEMES = [
 ]
 
 
+def _constellation_by_search(family, m):
+    """Reference constellation: for each data value, search the position
+    whose Gray code it is."""
+
+    def ungray(data, size):
+        return next(p for p in range(size) if p ^ (p >> 1) == data)
+
+    pts = np.zeros(m, dtype=complex)
+    if family == Family.PSK:
+        for data in range(m):
+            pts[data] = np.exp(2j * np.pi * ungray(data, m) / m)
+    elif family == Family.ASK:
+        levels = np.arange(1, m + 1, dtype=float)
+        for data in range(m):
+            pts[data] = levels[ungray(data, m)]
+    else:
+        mi = 1 << ((int(np.log2(m)) + 1) // 2)
+        mq = m // mi
+        bi = int(np.log2(mi))
+        li = np.arange(mi) * 2.0 - (mi - 1)
+        lq = np.arange(mq) * 2.0 - (mq - 1)
+        for data in range(m):
+            di, dq = data >> (int(np.log2(m)) - bi), data & (mq - 1)
+            pts[data] = li[ungray(di, mi)] + 1j * lq[ungray(dq, mq)]
+    return pts / np.sqrt(np.mean(np.abs(pts) ** 2))
+
+
 class TestConstellations:
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
+    def test_matches_gray_search(self, scheme):
+        expected = _constellation_by_search(scheme.family, scheme.order)
+        assert np.array_equal(constellation(scheme.family, scheme.order), expected)
+
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
     def test_unit_energy(self, scheme):
         pts = constellation(scheme.family, scheme.order)
