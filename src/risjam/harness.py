@@ -28,6 +28,7 @@ import numpy as np
 from . import channel as ch
 from . import jammer as jm
 from . import pipeline as pl
+from . import waveform as wf
 from .pipeline import ConfigError
 
 CSV_HEADER = (
@@ -255,43 +256,55 @@ class SweepRow:
     code_rate: float
     payload_fraction: float
     stderr_gain: float
-    clamped_fraction: float = 0.0
+    clamped_fraction: float
 
 
-def _run_unit(args):
+# every scheme a trial can pick, in the order of its name: the index a cell
+# array stores, so the lowest index among tied modes is the smallest name
+_SCHEMES = tuple(sorted((wf.ModScheme(f, o) for f in wf.Family for o in wf.ORDERS), key=str))
+_SCHEME_INDEX = {scheme: i for i, scheme in enumerate(_SCHEMES)}
+
+
+def _numbers(r: pl.TrialResult) -> tuple:
+    """The numbers of a trial that its cell's row reads, in `_aggregate`'s order."""
+    return (
+        r.t_baseline, r.t_jammed, r.detected, r.jammer_class is not None,
+        r.classified_correct, r.tau_err, _SCHEME_INDEX[r.scheme], r.code_rate,
+        r.payload_fraction, r.clamped,
+    )
+
+
+def _run_unit(args) -> np.ndarray:
     """Every (jammer, JSR) cell's trial t at RIS size index ri, on one shared
-    jam-free link draw; the results in (jammer, JSR) order."""
+    jam-free link draw: a (cell, number) array, cells in (jammer, JSR) order."""
     cfg, ri, t, noise_var, eaves_var = args
     link_cfg = replace(cfg.settings.link, element_count=cfg.ris_sizes[ri])
     settings = replace(cfg.settings, link=link_cfg)
     seed = np.random.SeedSequence(cfg.seed, spawn_key=(_LINK_KEY, ri, t))
     link = pl.draw_link(settings, np.random.default_rng(seed), noise_var)
-    results = []
+    cells = []
     for ji, model in enumerate(cfg.jammers):
         for ki, jsr in enumerate(cfg.jsr_grid_db):
             seed = np.random.SeedSequence(cfg.seed, spawn_key=(ji, ri, ki, t))
-            results.append(pl.run_trial(
+            cells.append(_numbers(pl.run_trial(
                 settings, jsr, model, np.random.default_rng(seed), noise_var, eaves_var, link
-            ))
-    return results
+            )))
+    return np.array(cells, dtype=float)
 
 
 def _modal(values):
-    uniq, counts = np.unique(np.asarray(values), return_counts=True)
+    """The most frequent value; the smallest among ties."""
+    uniq, counts = np.unique(values, return_counts=True)
     return uniq[np.argmax(counts)]
 
 
-def _aggregate(jsr, model, topology, ris, results) -> SweepRow:
-    t_l = np.array([r.t_baseline for r in results])
-    t_j = np.array([r.t_jammed for r in results])
+def _aggregate(jsr, model, topology, ris, cell) -> SweepRow:
+    """One cell's row from its (number, trial) array. Each column is a
+    contiguous 1-D array, so its mean adds the trials as a list of them would."""
+    t_l, t_j, detected, attempted, correct, tau_err, scheme, code_rate, fraction, clamped = cell
     gains = t_j / t_l
-    detected = np.array([r.detected for r in results], dtype=float)
-    attempted = [r for r in results if r.jammer_class is not None]
-    classify = (
-        float(np.mean([r.classified_correct for r in attempted])) if attempted else 0.0
-    )
-    tau_errs = [r.tau_err for r in results if r.tau_hat is not None]
-    tau_err = float(np.mean(tau_errs)) if tau_errs else float("nan")
+    correct = correct[attempted == 1.0]
+    tau_err = tau_err[~np.isnan(tau_err)]
     stderr = float(np.std(gains, ddof=1) / np.sqrt(gains.size)) if gains.size > 1 else 0.0
     return SweepRow(
         jsr_db=float(jsr),
@@ -302,13 +315,13 @@ def _aggregate(jsr, model, topology, ris, results) -> SweepRow:
         t_jammed=float(np.mean(t_j)),
         gain=float(np.mean(t_j) / np.mean(t_l)),
         detect_rate=float(np.mean(detected)),
-        classify_rate=classify,
-        tau_err=tau_err,
-        modulation=str(_modal([str(r.scheme) for r in results])),
-        code_rate=float(_modal([r.code_rate for r in results])),
-        payload_fraction=float(np.mean([r.payload_fraction for r in results])),
+        classify_rate=float(np.mean(correct)) if correct.size else 0.0,
+        tau_err=float(np.mean(tau_err)) if tau_err.size else float("nan"),
+        modulation=str(_SCHEMES[int(_modal(scheme))]),
+        code_rate=float(_modal(code_rate)),
+        payload_fraction=float(np.mean(fraction)),
         stderr_gain=stderr,
-        clamped_fraction=float(np.mean([r.clamped for r in results])),
+        clamped_fraction=float(np.mean(clamped)),
     )
 
 
@@ -326,16 +339,15 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
 
 
 def _rows(cfg: ExperimentConfig, unit_results) -> list[SweepRow]:
-    """Rows in (jammer, RIS size, JSR) order from the units' results in
-    (RIS size, trial) order, one RIS size's trials held at a time."""
+    """Rows in (jammer, RIS size, JSR) order from the units' arrays in (RIS size,
+    trial) order; each RIS size's units are stacked with the trial axis last."""
     cells = [(ji, ki) for ji in range(len(cfg.jammers)) for ki in range(len(cfg.jsr_grid_db))]
     rows = {}
     for ri, ris in enumerate(cfg.ris_sizes):
-        trials = list(itertools.islice(unit_results, cfg.trials))
+        block = np.stack(list(itertools.islice(unit_results, cfg.trials)), axis=-1)
         for c, (ji, ki) in enumerate(cells):
             rows[ji, ri, ki] = _aggregate(
-                cfg.jsr_grid_db[ki], cfg.jammers[ji], cfg.settings.topology, ris,
-                [results[c] for results in trials],
+                cfg.jsr_grid_db[ki], cfg.jammers[ji], cfg.settings.topology, ris, block[c]
             )
     return [rows[key] for key in sorted(rows)]
 
@@ -345,16 +357,12 @@ def _rows(cfg: ExperimentConfig, unit_results) -> list[SweepRow]:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".6g")
-
-
 def _cell(value) -> str:
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, (int, str)):
         return str(value)
-    return _fmt(value)
+    return format(value, ".6g")
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

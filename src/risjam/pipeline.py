@@ -157,28 +157,18 @@ class TrialSettings:
         return self.eaves_watt / 10.0 ** (self.eavesdrop_snr_db / 10.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialResult:
     t_baseline: float
     t_jammed: float
     detected: bool
     jammer_class: rx.JammerClass | None
     classified_correct: bool
-    tau_true: int
-    tau_hat: int | None
+    tau_err: float  # |estimated - configured replica delay|; nan with no estimate
     scheme: wf.ModScheme
     code_rate: float
     payload_fraction: float
-    snr_l: float
-    snr_j: float
-    gamma_j: float
     clamped: bool
-
-    @property
-    def tau_err(self) -> float:
-        if self.tau_hat is None:
-            return float("nan")
-        return float(abs(self.tau_hat - self.tau_true))
 
 
 @lru_cache(maxsize=32)
@@ -538,8 +528,8 @@ def run_trial(
     t_j = ad.throughput(settings.bandwidth_hz, decision.code, decision.scheme, fraction)
     return TrialResult(
         t_baseline=link.t_baseline, t_jammed=t_j, detected=detected, jammer_class=cls,
-        classified_correct=(cls == rx.JammerClass(model.value)), tau_true=tau,
-        tau_hat=tau_hat, scheme=decision.scheme, code_rate=decision.code.rate,
-        payload_fraction=fraction, snr_l=snr_l, snr_j=snr_j, gamma_j=gamma_j,
+        classified_correct=(cls == rx.JammerClass(model.value)),
+        tau_err=np.nan if tau_hat is None else float(abs(tau_hat - tau)),
+        scheme=decision.scheme, code_rate=decision.code.rate, payload_fraction=fraction,
         clamped=clamped,
     )

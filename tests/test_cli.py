@@ -226,8 +226,14 @@ GENERATED_KEYS = {
 @st.composite
 def one_cell_configs(draw):
     """ONE_CELL with a few drawn keys: most configs then set nothing else
-    invalid, so a value that passes load yet fails mid-sweep gets run."""
+    invalid, so a value that passes load yet fails mid-sweep gets run. About
+    half start from a short frame with its pilot and replica delay drawn inside
+    it, where the separated pair can be a few samples long."""
     sections = {"sweep": dict(line.split(" = ") for line in ONE_CELL.splitlines()[1:])}
+    if draw(st.booleans()):
+        frame_len = draw(st.integers(6, 14))
+        sections["receiver"] = {"frame_len": frame_len, "pilot_len": draw(st.integers(1, 2))}
+        sections["jammer"] = {"delay": draw(st.integers(0, frame_len - 1))}
     keys = draw(st.lists(st.sampled_from(list(GENERATED_KEYS)), max_size=5, unique=True))
     for section, key in keys:
         sections.setdefault(section, {})[key] = draw(GENERATED_KEYS[section, key])

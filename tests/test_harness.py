@@ -9,6 +9,8 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 import pytest
 
+from risjam import harness
+from risjam import pipeline as pl
 from risjam.harness import (
     _SCHEMA,
     CSV_HEADER,
@@ -24,6 +26,7 @@ from risjam.harness import (
 from risjam.channel import ChannelError
 from risjam.jammer import JammerModel, PathTopology
 from risjam.pipeline import OrthogonalityMode
+from risjam.waveform import Family, ModScheme
 
 SMALL_CONFIG = """
 [sweep]
@@ -300,6 +303,90 @@ class TestSweep:
     def test_repeat_is_identical(self, rows):
         again = run_sweep(loads_config(SMALL_CONFIG))
         assert rows_to_csv(again) == rows_to_csv(rows)
+
+
+# faded links and adaptive coding, so each cell's trials differ in every
+# column that is averaged; 12 trials reach numpy's 8-element pairwise blocks
+ORACLE_CONFIG = """
+[sweep]
+jammers = drfm, as
+ris_sizes = 16, 32
+jsr_db = 5, 15
+trials = 12
+seed = 3
+
+[link]
+snr_mode = faded
+
+[jammer]
+power_cap_dbm = 15
+"""
+
+
+def _trial_rng(seed, *spawn_key):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
+
+
+class TestAggregation:
+    def test_rows_are_the_means_of_direct_trials(self):
+        """Each cell recomputed from run_trial calls on the documented seed keys:
+        (link tag, ris, trial) for the shared link and (jammer, ris, jsr, trial)
+        for the cell; every mean is the 1-D numpy mean over the cell's trials."""
+        cfg = loads_config(ORACLE_CONFIG)
+        noise_var, eaves_var = calibrate_noise(cfg)
+        rows = {(r.jammer, r.ris_size, r.jsr_db): r for r in run_sweep(cfg)}
+        n, estimated = cfg.trials, 0
+        for ri, ris in enumerate(cfg.ris_sizes):
+            settings = replace(cfg.settings, link=replace(cfg.settings.link, element_count=ris))
+            links = [
+                pl.draw_link(settings, _trial_rng(cfg.seed, harness._LINK_KEY, ri, t), noise_var)
+                for t in range(n)
+            ]
+            for ji, model in enumerate(cfg.jammers):
+                for ki, jsr in enumerate(cfg.jsr_grid_db):
+                    res = [
+                        pl.run_trial(settings, jsr, model, _trial_rng(cfg.seed, ji, ri, ki, t),
+                                     noise_var, eaves_var, links[t])
+                        for t in range(n)
+                    ]
+                    row = rows[model, ris, jsr]
+                    t_l = np.array([r.t_baseline for r in res])
+                    t_j = np.array([r.t_jammed for r in res])
+                    assert row.t_baseline == np.mean(t_l)
+                    assert row.t_jammed == np.mean(t_j)
+                    assert row.gain == np.mean(t_j) / np.mean(t_l)
+                    assert row.payload_fraction == np.mean([r.payload_fraction for r in res])
+                    assert row.stderr_gain == np.std(t_j / t_l, ddof=1) / np.sqrt(n)
+                    errs = [r.tau_err for r in res if not np.isnan(r.tau_err)]
+                    if errs:
+                        assert row.tau_err == np.mean(errs)
+                    else:
+                        assert np.isnan(row.tau_err)
+                    estimated += len(errs)
+                    attempted = [r for r in res if r.jammer_class is not None]
+                    assert row.detect_rate == sum(r.detected for r in res) / n
+                    assert row.classify_rate == (
+                        sum(r.classified_correct for r in attempted) / len(attempted)
+                        if attempted else 0.0
+                    )
+                    assert row.clamped_fraction == sum(r.clamped for r in res) / n
+                    # the oracle sees summation order only where the trials differ
+                    assert len(set(t_l)) > 1 and len(set(t_j)) > 1
+        assert estimated > 0
+
+    def test_modal_ties_go_to_the_smallest_name_and_lowest_rate(self):
+        def result(order, code_rate):
+            return pl.TrialResult(
+                t_baseline=1.0, t_jammed=1.0, detected=False, jammer_class=None,
+                classified_correct=False, tau_err=np.nan, scheme=ModScheme(Family.PSK, order),
+                code_rate=code_rate, payload_fraction=1.0, clamped=False,
+            )
+
+        # two of each; the first seen are psk4 and 0.94
+        trials = [result(4, 0.94), result(16, 0.5), result(16, 0.94), result(4, 0.5)]
+        cell = np.array([harness._numbers(r) for r in trials], dtype=float).T
+        row = harness._aggregate(10.0, JammerModel.DRFM, PathTopology.SOURCE_AWARE, 16, cell)
+        assert (row.modulation, row.code_rate) == ("psk16", 0.5)
 
 
 class TestOutput:

@@ -10,7 +10,6 @@ import pytest
 from risjam import pipeline as pl
 from risjam import receiver as rx
 from risjam.channel import RicianParams, RisLinkConfig
-from risjam import harness
 from risjam.harness import CALIBRATION_DRAWS, ExperimentConfig, calibrate_noise, run_sweep
 from risjam.jammer import JammerModel, PathTopology
 from risjam.pipeline import OrthogonalityMode, TrialSettings, run_trial
@@ -122,8 +121,7 @@ class TestDelay:
     def test_custom_delay(self, noise_floors):
         s = _settings(jam_delay=1000)
         r = _run(s, 10.0, JammerModel.DRFM, 0, noise_floors)
-        assert r.tau_true == 1000
-        assert r.tau_hat is not None and abs(r.tau_hat - 1000) <= 8
+        assert np.isfinite(r.tau_err) and r.tau_err <= 8
 
 
 class TestClassification:
@@ -167,7 +165,7 @@ class TestOneEmission:
     def test_delay_estimate_needs_no_full_correlation(self, monkeypatch, noise_floors):
         calls = _count_calls(monkeypatch, rx, "cross_correlate")
         r = _run(_settings(), 10.0, JammerModel.DRFM, 0, noise_floors)
-        assert r.detected and r.tau_hat is not None and r.jammer_class is not None
+        assert r.detected and np.isfinite(r.tau_err) and r.jammer_class is not None
         # similarity_ratio's one call on the stacked legit and jam streams, none
         # for the delay estimate
         assert [np.shape(args[0])[0] for args in calls] == [2]
@@ -220,8 +218,8 @@ class TestDelayEstimate:
 class TestPowerBookkeeping:
     def test_pinned_snr_is_exact(self, noise_floors):
         s = _settings(baseline_snr_db=7.0)
-        r = _run(s, 0.0, JammerModel.DRFM, 0, noise_floors)
-        assert r.snr_l == pytest.approx(10 ** 0.7, rel=1e-9)
+        link = pl.draw_link(s, np.random.default_rng(np.random.SeedSequence(0)), noise_floors[0])
+        assert link.snr_l == pytest.approx(10 ** 0.7, rel=1e-9)
 
     def test_power_cap_clamps_high_jsr(self, noise_floors):
         s = _settings(link=RisLinkConfig(element_count=512))
@@ -276,24 +274,21 @@ class TestSharedLinkDraw:
         assert len(calls) == len(cfg.ris_sizes) * cfg.trials + CALIBRATION_DRAWS
 
     def test_cells_share_the_link_and_not_the_jammer(self, monkeypatch):
-        links, first_draws = [], []
+        links, first_draws, results = [], [], []
         inner = pl.run_trial
 
         def trial(settings, jsr, model, rng, noise_var, eaves_var, link):
             links.append(link)
             first_draws.append(copy.deepcopy(rng).random())
-            return inner(settings, jsr, model, rng, noise_var, eaves_var, link)
+            results.append(inner(settings, jsr, model, rng, noise_var, eaves_var, link))
+            return results[-1]
 
         monkeypatch.setattr(pl, "run_trial", trial)
-        cells = _count_calls(monkeypatch, harness, "_aggregate")
         run_sweep(ExperimentConfig(
             jammers=tuple(JammerModel), ris_sizes=(16,), jsr_grid_db=(0.0, 10.0), trials=1,
             settings=_settings(snr_mode="faded"),
         ))
-        results = [r for args in cells for r in args[-1]]
         assert len(results) == 6 and all(link is links[0] for link in links)
-        assert len({r.snr_l for r in results}) == 1
         assert len({r.t_baseline for r in results}) == 1
         # each cell draws its jammer from a generator of its own
         assert len(set(first_draws)) == 6
-        assert len({r.gamma_j for r in results}) == 2
