@@ -22,7 +22,7 @@ from .channel import (
     sample_realization,
 )
 from .harness import ExperimentConfig, SweepRow, load_config, run_sweep
-from .jammer import JammerModel, JammerSpec, PathTopology, jammer_transform
+from .jammer import JammerModel, PathTopology, jammer_transform
 from .pipeline import (
     LinkDraw,
     OrthogonalityMode,
@@ -43,7 +43,6 @@ __all__ = [
     "Family",
     "JammerClass",
     "JammerModel",
-    "JammerSpec",
     "LinkDraw",
     "ModScheme",
     "OrthogonalityMode",

@@ -21,8 +21,6 @@ class AdaptationError(ValueError):
 def _q(x):
     """Gaussian tail Q(x) = erfc(x / sqrt(2)) / 2, elementwise."""
     z = np.asarray(x, dtype=float) / np.sqrt(2.0)
-    if z.ndim == 0:
-        return 0.5 * math.erfc(z)
     return 0.5 * np.array([math.erfc(v) for v in z.ravel().tolist()]).reshape(z.shape)
 
 

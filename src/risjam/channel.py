@@ -48,6 +48,10 @@ class RisLinkConfig:
             raise ChannelError("corr_rate must be non-negative")
 
 
+# diffuse paths a Rician draw sums, each an allocated amplitude and phase
+MAX_PATH_COUNT = 1_000_000
+
+
 @dataclass(frozen=True)
 class RicianParams:
     """Rician scalar-channel parameters (kappa=0 degenerates to Rayleigh)."""
@@ -59,8 +63,8 @@ class RicianParams:
         require_finite(self, ChannelError)
         if self.rician_k < 0:
             raise ChannelError("rician_k must be >= 0")
-        if self.path_count < 1:
-            raise ChannelError("path_count must be >= 1")
+        if not 1 <= self.path_count <= MAX_PATH_COUNT:
+            raise ChannelError(f"path_count must lie in [1, {MAX_PATH_COUNT}]")
 
 
 @dataclass(frozen=True)

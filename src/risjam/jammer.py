@@ -3,7 +3,6 @@ two eavesdropping topologies."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,19 +23,10 @@ class PathTopology(str, Enum):
     RIS_AWARE = "ris_aware"
 
 
-@dataclass(frozen=True)
-class JammerSpec:
-    model: JammerModel
-    delay_samples: int
-
-    def __post_init__(self):
-        if self.delay_samples < 0:
-            raise JammerError("delay_samples must be non-negative")
-
-
 def jammer_transform(
-    spec: JammerSpec,
+    model: JammerModel,
     x: np.ndarray,
+    delay_samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Apply the per-class waveform manipulation and the path delay.
@@ -45,13 +35,15 @@ def jammer_transform(
     replays x unchanged (the transmit power scales it afterwards); the PS/AS
     random factors are drawn once per modulation symbol.
     """
+    if delay_samples < 0:
+        raise JammerError("delay_samples must be non-negative")
     x = np.asarray(x, dtype=complex)
     if x.size == 0:
         raise JammerError("empty input sequence")
-    if spec.model == JammerModel.DRFM:
+    if model == JammerModel.DRFM:
         shaped = x
-    elif spec.model == JammerModel.PS:
+    elif model == JammerModel.PS:
         shaped = x * rng.choice([1.0, -1.0], size=x.size)
     else:
         shaped = x * rng.uniform(0.0, 2.0, size=x.size)
-    return np.concatenate([np.zeros(spec.delay_samples, dtype=complex), shaped])
+    return np.concatenate([np.zeros(delay_samples, dtype=complex), shaped])

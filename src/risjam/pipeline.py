@@ -32,6 +32,9 @@ class OrthogonalityMode(str, Enum):
 
 # samples the power change-point keeps clear of each frame edge
 _ONSET_GUARD = 2
+# samples in a trial's m x frame_len snapshot (m antennas under spatial
+# orthogonality, else 1; the shipped configs hold 8 x 4096 at most)
+MAX_SNAPSHOT_SAMPLES = 1 << 22
 
 
 class ConfigError(ValueError):
@@ -133,6 +136,9 @@ class TrialSettings:
             raise ConfigError(
                 f"spatial orthogonality needs at least 3 antennas, got {self.antennas}"
             )
+        m = self.antennas if self.orthogonality == OrthogonalityMode.SPATIAL else 1
+        if m * self.frame_len > MAX_SNAPSHOT_SAMPLES:
+            raise ConfigError(f"{m} x {self.frame_len} snapshot exceeds {MAX_SNAPSHOT_SAMPLES}")
 
     # the link budget's powers in watts, one formula each
     @property
@@ -214,7 +220,7 @@ def _replica(model, x, tau, amp, rng) -> np.ndarray:
     """Jammer replica of x delayed by tau, scaled so its active span [tau, end)
     has average power |amp|^2. Length len(x) + tau, zero-padded at the head.
     """
-    shaped = jm.jammer_transform(jm.JammerSpec(model=model, delay_samples=tau), x, rng)
+    shaped = jm.jammer_transform(model, x, tau, rng)
     rms = np.sqrt(np.mean(np.abs(shaped[tau:]) ** 2))
     if rms == 0.0:
         return np.zeros(shaped.size, dtype=complex)
@@ -285,10 +291,12 @@ def _stage_two(settings, model, scheme, a_j, rng) -> rx.JammerClass:
 def _spatial_pair(settings, scheme, streams, tau_hat):
     """MUSIC AoAs and LCMV separation of the received array snapshot into
     (legit, jam aligned by tau_hat, legit noise variance, jam noise variance).
+    Both read the one m x m array covariance of the snapshot.
     """
     pilot = _pilot(scheme, settings.pilot_len)
-    aoas = rx.estimate_aoa(streams, 2)
-    out, w = rx.separate_spatial(streams, aoas)
+    cov = streams @ streams.conj().T / streams.shape[1]
+    aoas = rx.estimate_aoa(cov, 2)
+    out, w = rx.separate_spatial(streams, cov, aoas)
     # per-output noise variance ||w_k||^2 of the LCMV weights
     nv = [float(np.sum(np.abs(w[:, k]) ** 2)) for k in range(2)]
     # the legit stream is the one whose head matches the pilot
@@ -354,7 +362,6 @@ def _estimate_delay(settings, x, y, onset, jump) -> int | None:
     sig = settings.peak_significance
     if jump < sig:
         return None
-    x, y = x[:f], y[:f]
 
     def corr(tau):
         if tau >= 0:

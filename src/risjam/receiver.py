@@ -133,26 +133,25 @@ def _grid_steering(m: int) -> np.ndarray:
     return a
 
 
-def estimate_aoa(array_streams: np.ndarray, source_count: int) -> np.ndarray:
-    """MUSIC with forward-backward spatial smoothing (subarray size m-1).
+def _fb_smoothed(cov: np.ndarray) -> np.ndarray:
+    """Forward-backward smoothing over the two (m-1)-element subarrays, whose
+    covariances are cov's leading and trailing blocks; the backward term
+    J r* J (J the exchange matrix) is r* with both indices reversed."""
+    r = 0.5 * (cov[:-1, :-1] + cov[1:, 1:])
+    return 0.5 * (r + r[::-1, ::-1].conj())
+
+
+def estimate_aoa(cov: np.ndarray, source_count: int) -> np.ndarray:
+    """MUSIC on the m x m array covariance `cov`, forward-backward smoothed.
 
     Smoothing with two forward subarrays plus the conjugate-flipped covariance
     decorrelates one coherent replica, which is exactly the DRFM situation.
     """
-    x = np.asarray(array_streams)
-    m = x.shape[0]
+    m = cov.shape[0]
     if m <= source_count:
         raise ReceiverError(f"need more antennas ({m}) than sources ({source_count})")
     msub = m - 1
-    r = np.zeros((msub, msub), dtype=complex)
-    for start in (0, 1):
-        sub = x[start : start + msub]
-        r += sub @ sub.conj().T / sub.shape[1]
-    r /= 2.0
-    j = np.eye(msub)[::-1]
-    r = 0.5 * (r + j @ r.conj() @ j)
-
-    vals, vecs = np.linalg.eigh(r)
+    vals, vecs = np.linalg.eigh(_fb_smoothed(cov))
     noise_space = vecs[:, : msub - source_count]
     proj = noise_space.conj().T @ _grid_steering(msub)
     spectrum = 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=0), 1e-15)
@@ -181,14 +180,14 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return (starts[1:-1][top] + ends[1:-1][top]) // 2
 
 
-def separate_spatial(array_streams: np.ndarray, aoas) -> tuple[np.ndarray, np.ndarray]:
+def separate_spatial(array_streams, cov, aoas) -> tuple[np.ndarray, np.ndarray]:
     """LCMV beamformer: unit gain toward each AoA, a null toward the other.
 
-    Returns (streams, weights): row k of the 2 x n streams is the output
-    steered at aoas[k], and column k of the m x 2 weights is its beamformer.
+    `cov` is the m x m covariance of the m x n `array_streams`. Returns
+    (streams, weights): row k of the 2 x n streams is the output steered at
+    aoas[k], and column k of the m x 2 weights is its beamformer.
     """
-    x = np.asarray(array_streams)
-    m = x.shape[0]
+    m = cov.shape[0]
     aoas = np.asarray(aoas, dtype=float)
     if aoas.size != 2:
         raise ReceiverError("exactly two angles expected")
@@ -197,11 +196,10 @@ def separate_spatial(array_streams: np.ndarray, aoas) -> tuple[np.ndarray, np.nd
             f"angles {np.rad2deg(aoas)} deg closer than the resolution limit"
         )
     c = _steering(m, aoas)
-    r = x @ x.conj().T / x.shape[1]
-    r += _DIAGONAL_LOADING * np.trace(r).real / m * np.eye(m)
+    r = cov + _DIAGONAL_LOADING * np.trace(cov).real / m * np.eye(m)
     rinv_c = np.linalg.solve(r, c)
     w = rinv_c @ np.linalg.inv(c.conj().T @ rinv_c)  # column k: unit gain to aoas[k]
-    return w.conj().T @ x, w
+    return w.conj().T @ array_streams, w
 
 
 def partition_temporal(frame_len: int, tau_hat: int) -> tuple[int, float]:

@@ -104,6 +104,9 @@ class TestCli:
             (ONE_CELL.replace("ris_sizes = 16", "ris_sizes = 1:1e17:1"), []),
             (ONE_CELL.replace("jsr_db = 10", "jsr_db = 0:1e17:1"), []),
             (ONE_CELL.replace("ris_sizes = 16", "ris_sizes = 1000000"), []),
+            (ONE_CELL + "orthogonality = spatial\n[receiver]\nantennas = 1000000000000\n", []),
+            (ONE_CELL + "[receiver]\nframe_len = 10000000000000\n", []),
+            (ONE_CELL + "[link]\npath_count = 10000000000000\n", []),
         ],
         ids=[
             "frame_below_pilot", "frame_equals_pilot", "spatial_one_antenna",
@@ -119,7 +122,8 @@ class TestCli:
             "jsr_db_nan", "delta_nan", "peak_significance_nan", "flip_threshold_nan",
             "bandwidth_inf", "jsr_ratio_overflows", "jsr_ratio_underflows",
             "ris_sizes_inf", "ris_sizes_range_too_long", "jsr_db_range_too_long",
-            "ris_size_too_large",
+            "ris_size_too_large", "spatial_snapshot_too_large", "frame_len_too_large",
+            "path_count_too_large",
         ],
     )
     def test_unrunnable_config_is_exit_1(self, tmp_path, capsys, text, flags):

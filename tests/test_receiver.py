@@ -7,13 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
-from risjam.jammer import JammerModel, JammerSpec, jammer_transform
+from risjam import receiver
+from risjam.jammer import JammerModel, jammer_transform
 from risjam.receiver import (
+    _DIAGONAL_LOADING,
     ClassifierThresholds,
     JammerClass,
     NoPeakError,
     ReceiverError,
     SeparationFailure,
+    _fb_smoothed,
     _grid_steering,
     _local_maxima,
     _steering,
@@ -51,6 +54,53 @@ def _qpsk(n, rng):
 
 def _sv(m, aoa):
     return _steering(m, aoa)[:, 0]
+
+
+def _cov(x):
+    """The m x m array covariance the pipeline forms once per snapshot."""
+    return x @ x.conj().T / x.shape[1]
+
+
+def _smoothed_by_subarrays(x):
+    """Reference forward-backward smoothing: one Gram per (m-1)-element
+    subarray of the snapshot, averaged, then the exchange-matrix products."""
+    msub = x.shape[0] - 1
+    r = np.zeros((msub, msub), dtype=complex)
+    for start in (0, 1):
+        sub = x[start : start + msub]
+        r += sub @ sub.conj().T / sub.shape[1]
+    r /= 2.0
+    j = np.eye(msub)[::-1]
+    return 0.5 * (r + j @ r.conj() @ j)
+
+
+def _lcmv_forming_gram(x, aoas):
+    """Reference LCMV that forms the snapshot's Gram itself."""
+    m = x.shape[0]
+    c = _steering(m, aoas)
+    r = x @ x.conj().T / x.shape[1]
+    r += _DIAGONAL_LOADING * np.trace(r).real / m * np.eye(m)
+    rinv_c = np.linalg.solve(r, c)
+    w = rinv_c @ np.linalg.inv(c.conj().T @ rinv_c)
+    return w.conj().T @ x, w
+
+
+def _two_source_snapshot(m, kind, rng, n=4096):
+    """m x n snapshot of a QPSK source and a second one that is a scaled copy
+    (coherent, DRFM-like), a per-sample sign-flipped copy, or independent."""
+    s1 = _qpsk(n, rng)
+    if kind == "coherent":
+        s2 = s1
+    elif kind == "sign_flipped":
+        s2 = s1 * rng.choice([1.0, -1.0], size=n)
+    else:
+        s2 = _qpsk(n, rng)
+    a1 = rng.uniform(-np.pi / 3, np.pi / 3)
+    a2 = a1 + rng.choice([-1.0, 1.0]) * rng.uniform(np.deg2rad(15.0), np.deg2rad(60.0))
+    g = rng.uniform(0.3, 3.0) * np.exp(2j * np.pi * rng.random())
+    sigma = 10.0 ** (-rng.uniform(-5.0, 25.0) / 20.0) / np.sqrt(2.0)
+    noise = sigma * (rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
+    return np.outer(_sv(m, a1), s1) + np.outer(_sv(m, a2), g * s2) + noise, [a1, a2]
 
 
 class TestCrossCorrelation:
@@ -179,7 +229,7 @@ class TestSpatial:
             + np.outer(_sv(m, a2), s2)
             + 0.1 * (rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
         )
-        est = estimate_aoa(x, 2)
+        est = estimate_aoa(_cov(x), 2)
         assert np.allclose(np.rad2deg(est), [-20.0, 25.0], atol=1.0)
 
     def test_music_coherent_replica(self):
@@ -193,7 +243,7 @@ class TestSpatial:
             + np.outer(_sv(m, a2), 0.9 * s)
             + 0.05 * (rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
         )
-        est = np.rad2deg(estimate_aoa(x, 2))
+        est = np.rad2deg(estimate_aoa(_cov(x), 2))
         assert np.allclose(est, [-10.0, 30.0], atol=3.0)
 
     def test_lcmv_nulls_interferer(self):
@@ -206,7 +256,7 @@ class TestSpatial:
             + np.outer(_sv(m, a2), s2)
             + 0.1 * (rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
         )
-        (out1, out2), w = separate_spatial(x, [a1, a2])
+        (out1, out2), w = separate_spatial(x, _cov(x), [a1, a2])
         leak1 = np.mean(np.abs(out1 - s1) ** 2)
         leak2 = np.mean(np.abs(out2 - s2) ** 2)
         assert leak1 < 0.05 and leak2 < 0.05
@@ -228,7 +278,39 @@ class TestSpatial:
     def test_lcmv_rejects_close_angles(self):
         x = np.zeros((8, 64), dtype=complex)
         with pytest.raises(SeparationFailure):
-            separate_spatial(x, [0.0, np.deg2rad(2.0)])
+            separate_spatial(x, _cov(x), [0.0, np.deg2rad(2.0)])
+
+
+class TestCovariancePath:
+    """MUSIC and LCMV read the one array covariance: the smoothing taken from
+    its blocks matches per-subarray Grams, and LCMV on it is bit-identical to
+    LCMV forming the Gram itself."""
+
+    @pytest.mark.parametrize("kind", ["coherent", "sign_flipped", "independent"])
+    @pytest.mark.parametrize("m", [3, 4, 8])
+    def test_block_smoothing_matches_subarray_grams(self, monkeypatch, m, kind):
+        rng = np.random.default_rng([m, len(kind)])
+        for _ in range(20):
+            x, _ = _two_source_snapshot(m, kind, rng)
+            cov = _cov(x)
+            ref = _smoothed_by_subarrays(x)
+            got = _fb_smoothed(cov)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+            angles = estimate_aoa(cov, 2)
+            # MUSIC on the reference: the same estimator fed the reference matrix
+            with monkeypatch.context() as patch:
+                patch.setattr(receiver, "_fb_smoothed", lambda _cov: ref)
+                assert np.array_equal(angles, estimate_aoa(cov, 2))
+
+    @pytest.mark.parametrize("kind", ["coherent", "sign_flipped", "independent"])
+    @pytest.mark.parametrize("m", [3, 4, 8])
+    def test_lcmv_on_passed_covariance_is_bit_identical(self, m, kind):
+        rng = np.random.default_rng([m, len(kind), 1])
+        for _ in range(5):
+            x, aoas = _two_source_snapshot(m, kind, rng)
+            out, w = separate_spatial(x, _cov(x), aoas)
+            ref_out, ref_w = _lcmv_forming_gram(x, aoas)
+            assert np.array_equal(out, ref_out) and np.array_equal(w, ref_w)
 
 
 class TestTemporalPartition:
@@ -245,8 +327,7 @@ class TestTemporalPartition:
 class TestClassification:
     def _streams(self, model, rng, n=2048, snr_db=15.0):
         x = _qpsk(n, rng)
-        spec = JammerSpec(model=model, delay_samples=0)
-        jam = jammer_transform(spec, x, rng)[:n]
+        jam = jammer_transform(model, x, 0, rng)[:n]
         jam = jam / np.sqrt(np.mean(np.abs(jam) ** 2))
         sigma = np.sqrt(10 ** (-snr_db / 10.0) / 2.0)
         noise = lambda: sigma * (rng.normal(size=n) + 1j * rng.normal(size=n))
