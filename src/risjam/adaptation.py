@@ -36,36 +36,33 @@ def snr_jamming(gamma_e: float, gamma_j: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def ser_awgn(family: Family, order: int, snr) -> np.ndarray | float:
-    """Approximate symbol error rate on AWGN at linear symbol SNR."""
+def ser_awgn(family: Family, order, snr) -> np.ndarray | float:
+    """Approximate symbol error rate on AWGN at linear symbol SNR,
+    broadcast over `order` and `snr`."""
     snr = np.asarray(snr, dtype=float)
-    m = order
+    m = np.asarray(order)
     if family == Family.PSK:
-        if m == 2:
-            ser = _q(np.sqrt(2.0 * snr))
-        else:
-            ser = 2.0 * _q(np.sqrt(2.0 * snr) * np.sin(np.pi / m))
+        # sin(pi/2) is exactly 1: BPSK is Q(sqrt(2 snr)) with coefficient 1
+        ser = np.where(m == 2, 1.0, 2.0) * _q(np.sqrt(2.0 * snr) * np.sin(np.pi / m))
     elif family == Family.ASK:
         # positive levels c*{1..M}, adjacent spacing c
         c = np.sqrt(6.0 / ((m + 1) * (2 * m + 1)))
         ser = 2.0 * (m - 1) / m * _q(c * np.sqrt(snr / 2.0))
     else:
-        mi = 1 << ((int(np.log2(m)) + 1) // 2)
+        # an mi x mq grid; mq = 1 (order 2) zeroes the quadrature term
+        mi = 1 << ((np.log2(m).astype(int) + 1) // 2)
         mq = m // mi
-        scale = np.sqrt(3.0 / (mi * mi + mq * mq - 2.0))
-        pi = 2.0 * (1 - 1.0 / mi) * _q(scale * np.sqrt(2.0 * snr))
-        pq = 2.0 * (1 - 1.0 / mq) * _q(scale * np.sqrt(2.0 * snr)) if mq > 1 else 0.0
+        q = _q(np.sqrt(3.0 / (mi * mi + mq * mq - 2.0)) * np.sqrt(2.0 * snr))
+        pi = 2.0 * (1 - 1.0 / mi) * q
+        pq = 2.0 * (1 - 1.0 / mq) * q
         ser = 1.0 - (1.0 - pi) * (1.0 - pq)
     out = np.minimum(ser, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
-def ber_awgn(family: Family, order: int, snr) -> np.ndarray | float:
+def ber_awgn(family: Family, order, snr) -> np.ndarray | float:
     """Gray-coded bit error rate (SER spread over log2(order) bits)."""
-    k = np.log2(order)
-    if family == Family.PSK and order == 2:
-        return ser_awgn(family, order, snr)
-    return ser_awgn(family, order, snr) / k
+    return ser_awgn(family, order, snr) / np.log2(order)
 
 
 _GL_NODES, _GL_WEIGHTS = leggauss(48)
@@ -76,12 +73,12 @@ _AS_W = _GL_WEIGHTS / 2.0
 def effective_ber(
     jammer_class: JammerClass | None,
     family: Family,
-    order: int,
+    order,
     snr_l: float,
     snr_j: float,
-) -> float:
+) -> np.ndarray | float:
     """Post-separation BER when the jam replica is combined with the legit
-    stream.
+    stream, broadcast over `order`.
 
     DRFM replays coherently, so powers add. The AS factor V ~ U[0, 2] scales
     the replica per symbol; the combiner input is limiter-capped at the
@@ -90,12 +87,15 @@ def effective_ber(
     positive-real ASK constellation, leaving full power. An unclassified
     jammer contributes nothing.
     """
-    if jammer_class in (None, JammerClass.UNKNOWN):
-        return float(ber_awgn(family, order, snr_l))
     if jammer_class == JammerClass.AS:
-        bers = ber_awgn(family, order, snr_l + _AS_V**2 * snr_j)
-        return float(np.sum(_AS_W * bers))
-    return float(ber_awgn(family, order, snr_l + snr_j))
+        snr, weights = snr_l + _AS_V**2 * snr_j, _AS_W
+    elif jammer_class in (None, JammerClass.UNKNOWN):
+        snr, weights = snr_l, 1.0
+    else:
+        snr, weights = snr_l + snr_j, 1.0
+    # orders down the first axis, quadrature nodes (or one SNR) along the last
+    ber = np.sum(weights * ber_awgn(family, np.asarray(order)[..., None], snr), axis=-1)
+    return float(ber) if ber.ndim == 0 else ber
 
 
 def remap_modulation(jammer_class: JammerClass | None, current: ModScheme) -> ModScheme:
@@ -168,13 +168,11 @@ def select_link(
     """
     family = remap_modulation(jammer_class, ModScheme(base_family, 2)).family
     table = code_table(fixed_rate)
+    orders = [order for order in ORDERS if order <= max_order]
+    bers = effective_ber(jammer_class, family, np.array(orders), snr_l, snr_j)
     decisions = [
-        select_code(
-            ModScheme(family, order), delta, table,
-            effective_ber(jammer_class, family, order, snr_l, snr_j),
-        )
-        for order in ORDERS
-        if order <= max_order
+        select_code(ModScheme(family, order), delta, table, ber)
+        for order, ber in zip(orders, bers.tolist())
     ]
     compliant = [d for d in decisions if d.compliant]
     if not compliant:

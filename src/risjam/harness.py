@@ -76,6 +76,11 @@ class ExperimentConfig:
             raise ConfigError(f"ris_sizes must be at most {MAX_RIS_SIZE}")
         if not self.jsr_grid_db:
             raise ConfigError("jsr grid is empty")
+        # a repeated entry would repeat its cells' rows
+        for name in ("jammers", "ris_sizes", "jsr_grid_db"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} repeats an entry")
         # each trial scales the legit power by the linear JSR
         for jsr in self.jsr_grid_db:
             try:
@@ -136,8 +141,8 @@ def _parse_list(raw: str, cast):
         # the length np.arange gives, worked out before it allocates
         if (stop - start) / step > MAX_RANGE_ENTRIES:
             raise ConfigError(f"range spec {raw!r} has more than {MAX_RANGE_ENTRIES} entries")
-        vals = np.arange(start, stop, step)
-        return tuple(cast(v) for v in vals)
+        # each value as its shortest round-trip text, as if written out
+        return tuple(cast(str(v)) for v in np.arange(start, stop, step))
     return tuple(cast(p.strip()) for p in raw.split(",") if p.strip())
 
 
@@ -153,7 +158,12 @@ def _caster(hint):
     """Parser from INI text to a value of the annotated field type."""
     if get_origin(hint) is tuple:
         item = get_args(hint)[0]
-        cast = (lambda v: int(float(v))) if item is int else _caster(item)
+        # an int entry may be written 1e3 or 64.0, but must be integral:
+        # int() of the text rejects 16.7
+        cast = (
+            (lambda v: int(float(v)) if float(v).is_integer() else int(v))
+            if item is int else _caster(item)
+        )
         return lambda raw: _parse_list(raw, cast)
     optional = [a for a in get_args(hint) if a is not type(None)]
     if optional:  # `T | None`: empty text means None

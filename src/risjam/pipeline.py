@@ -131,10 +131,11 @@ class TrialSettings:
         for name, watts in budget.items():
             if not sys.float_info.min <= watts <= sys.float_info.max:
                 raise ConfigError(f"{name} {watts:g} W is out of float range")
-        # MUSIC resolves two sources on an (antennas - 1)-element subarray
-        if self.orthogonality == OrthogonalityMode.SPATIAL and self.antennas < 3:
+        # MUSIC resolves two sources on an (antennas - 1)-element subarray,
+        # which needs one more element for its noise subspace
+        if self.orthogonality == OrthogonalityMode.SPATIAL and self.antennas < 4:
             raise ConfigError(
-                f"spatial orthogonality needs at least 3 antennas, got {self.antennas}"
+                f"spatial orthogonality needs at least 4 antennas, got {self.antennas}"
             )
         m = self.antennas if self.orthogonality == OrthogonalityMode.SPATIAL else 1
         if m * self.frame_len > MAX_SNAPSHOT_SAMPLES:

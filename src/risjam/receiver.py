@@ -148,9 +148,12 @@ def estimate_aoa(cov: np.ndarray, source_count: int) -> np.ndarray:
     decorrelates one coherent replica, which is exactly the DRFM situation.
     """
     m = cov.shape[0]
-    if m <= source_count:
-        raise ReceiverError(f"need more antennas ({m}) than sources ({source_count})")
     msub = m - 1
+    # the smoothed subarray needs a noise subspace beside the sources
+    if msub <= source_count:
+        raise ReceiverError(
+            f"need more subarray elements ({msub}) than sources ({source_count})"
+        )
     vals, vecs = np.linalg.eigh(_fb_smoothed(cov))
     noise_space = vecs[:, : msub - source_count]
     proj = noise_space.conj().T @ _grid_steering(msub)

@@ -1,15 +1,20 @@
 """Adaptation tests: SNR combining, analytic error curves against a Monte
 Carlo oracle, modulation remapping, code selection, and the scalar metrics."""
 
+import itertools
+
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.special import erfc
 
 from helpers import measure_ber
+from risjam import adaptation as ad
 from risjam.adaptation import (
     AdaptationError,
     _q,
     ber_awgn,
+    code_table,
     dbm_to_watt,
     effective_ber,
     jsr_db,
@@ -24,12 +29,69 @@ from risjam.adaptation import (
 from risjam.receiver import JammerClass
 from risjam.waveform import (
     DEFAULT_RS_TABLE,
+    ORDERS,
     Family,
     ModScheme,
     RsCode,
     demodulate,
     modulate,
 )
+
+CLASSES = (None, JammerClass.UNKNOWN, JammerClass.DRFM, JammerClass.PS, JammerClass.AS)
+
+
+def _ser_per_order(family, m, snr):
+    """Reference SER: one scalar order, each family's special cases spelled
+    out (BPSK's single tail, QAM's missing quadrature rail at order 2)."""
+    snr = np.asarray(snr, dtype=float)
+    if family == Family.PSK:
+        if m == 2:
+            ser = _q(np.sqrt(2.0 * snr))
+        else:
+            ser = 2.0 * _q(np.sqrt(2.0 * snr) * np.sin(np.pi / m))
+    elif family == Family.ASK:
+        c = np.sqrt(6.0 / ((m + 1) * (2 * m + 1)))
+        ser = 2.0 * (m - 1) / m * _q(c * np.sqrt(snr / 2.0))
+    else:
+        mi = 1 << ((int(np.log2(m)) + 1) // 2)
+        mq = m // mi
+        scale = np.sqrt(3.0 / (mi * mi + mq * mq - 2.0))
+        pi = 2.0 * (1 - 1.0 / mi) * _q(scale * np.sqrt(2.0 * snr))
+        pq = 2.0 * (1 - 1.0 / mq) * _q(scale * np.sqrt(2.0 * snr)) if mq > 1 else 0.0
+        ser = 1.0 - (1.0 - pi) * (1.0 - pq)
+    return np.minimum(ser, 1.0)
+
+
+def _effective_ber_per_order(jammer_class, family, m, snr_l, snr_j):
+    """Reference post-combining BER for one order, by class."""
+    def ber(snr):
+        ser = _ser_per_order(family, m, snr)
+        return ser if family == Family.PSK and m == 2 else ser / np.log2(m)
+
+    if jammer_class in (None, JammerClass.UNKNOWN):
+        return float(ber(snr_l))
+    if jammer_class == JammerClass.AS:
+        nodes, weights = leggauss(48)
+        v = np.minimum(nodes + 1.0, 1.0)
+        return float(np.sum(weights / 2.0 * ber(snr_l + v**2 * snr_j)))
+    return float(ber(snr_l + snr_j))
+
+
+def _select_link_per_order(jammer_class, snr_l, snr_j, base_family, delta, fixed_rate, max_order):
+    """Reference link choice: one BER and one code choice per order."""
+    family = remap_modulation(jammer_class, ModScheme(base_family, 2)).family
+    decisions = [
+        select_code(
+            ModScheme(family, m), delta, code_table(fixed_rate),
+            _effective_ber_per_order(jammer_class, family, m, snr_l, snr_j),
+        )
+        for m in ORDERS
+        if m <= max_order
+    ]
+    compliant = [d for d in decisions if d.compliant]
+    if not compliant:
+        return decisions[0]
+    return max(compliant, key=lambda d: (d.code.rate * d.scheme.bits_per_symbol, d.scheme.order))
 
 
 class TestSnrJamming:
@@ -99,6 +161,48 @@ class TestEffectiveBer:
         none = effective_ber(JammerClass.UNKNOWN, Family.PSK, 4, 5.0, 20.0)
         mid = effective_ber(JammerClass.AS, Family.PSK, 4, 5.0, 20.0)
         assert full < mid < none
+
+
+class TestAllOrdersAtOnce:
+    """The error curves broadcast over the order axis and reproduce the
+    per-order formulas bit for bit; select_link evaluates them once."""
+
+    # log-spaced (snr_l, snr_j) pairs from deep in the noise to error-free
+    SNRS = list(zip(np.logspace(-2.0, 4.0, 9), np.logspace(3.0, -2.0, 9)))
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    @pytest.mark.parametrize("jammer_class", CLASSES, ids=str)
+    def test_effective_ber_over_orders_matches_per_order(self, jammer_class, family):
+        orders = np.array(ORDERS)
+        for snr_l, snr_j in self.SNRS:
+            got = effective_ber(jammer_class, family, orders, snr_l, snr_j)
+            scalar = [effective_ber(jammer_class, family, m, snr_l, snr_j) for m in ORDERS]
+            ref = [_effective_ber_per_order(jammer_class, family, m, snr_l, snr_j) for m in ORDERS]
+            assert all(type(b) is float for b in scalar)
+            assert np.array_equal(got, scalar)
+            assert np.array_equal(got, ref)
+
+    def test_scalar_order_gives_float(self):
+        for family in Family:
+            assert type(ser_awgn(family, 16, 10.0)) is float
+            assert ser_awgn(family, np.array([2, 16]), 10.0).shape == (2,)
+
+    def test_select_link_matches_per_order_loop(self):
+        grid = itertools.product(CLASSES, Family, (None, 0.94, 0.70), ORDERS, self.SNRS)
+        for jammer_class, family, fixed_rate, max_order, (snr_l, snr_j) in grid:
+            args = (jammer_class, snr_l, snr_j, family, -0.005, fixed_rate, max_order)
+            assert select_link(*args) == _select_link_per_order(*args)
+
+    @pytest.mark.parametrize("jammer_class", CLASSES, ids=str)
+    def test_one_error_curve_call_per_decision(self, monkeypatch, jammer_class):
+        calls = {"_q": 0, "effective_ber": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(ad, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(ad, name, counted)
+        select_link(jammer_class, 10.0, 10.0, Family.QAM, -0.005, None, 64)
+        assert calls == {"_q": 1, "effective_ber": 1}
 
 
 class TestRemap:

@@ -62,6 +62,7 @@ class TestCli:
             ("[receiver]\nframe_len = 64\npilot_len = 64\n", []),
             ("[sweep]\northogonality = spatial\n[receiver]\nantennas = 1\n", []),
             ("[sweep]\northogonality = spatial\n[receiver]\nantennas = 2\n", []),
+            (ONE_CELL + "orthogonality = spatial\n[receiver]\nantennas = 3\n", []),
             ("[jammer]\ndelay = 5000\n", []),
             ("[jammer]\ndelay = 4096\n", []),
             ("[adaptation]\nmax_order = 3\n", []),
@@ -107,11 +108,16 @@ class TestCli:
             (ONE_CELL + "orthogonality = spatial\n[receiver]\nantennas = 1000000000000\n", []),
             (ONE_CELL + "[receiver]\nframe_len = 10000000000000\n", []),
             (ONE_CELL + "[link]\npath_count = 10000000000000\n", []),
+            (ONE_CELL.replace("ris_sizes = 16", "ris_sizes = 16.7"), []),
+            (ONE_CELL.replace("ris_sizes = 16", "ris_sizes = 1:4:0.5"), []),
+            (ONE_CELL.replace("jammers = drfm", "jammers = drfm, drfm")
+             .replace("jsr_db = 10", "jsr_db = 10, 10"), []),
+            (ONE_CELL.replace("jammers = drfm", "jammers = 1:2:1"), []),
         ],
         ids=[
             "frame_below_pilot", "frame_equals_pilot", "spatial_one_antenna",
-            "spatial_two_antennas", "delay_past_frame", "delay_at_frame_end",
-            "max_order_3", "max_order_128", "carrier_hz", "power_floor_dbm",
+            "spatial_two_antennas", "spatial_three_antennas", "delay_past_frame",
+            "delay_at_frame_end", "max_order_3", "max_order_128", "carrier_hz", "power_floor_dbm",
             "fixed_rate_off_table", "sim_threshold_above_1", "inversion_threshold_0",
             "pilot_len_0", "frame_below_onset_guard", "drfm_gain_0",
             "eaves_corr_above_1", "eaves_corr_negative", "d_e1_0", "d_e1_loss_overflows",
@@ -123,7 +129,8 @@ class TestCli:
             "bandwidth_inf", "jsr_ratio_overflows", "jsr_ratio_underflows",
             "ris_sizes_inf", "ris_sizes_range_too_long", "jsr_db_range_too_long",
             "ris_size_too_large", "spatial_snapshot_too_large", "frame_len_too_large",
-            "path_count_too_large",
+            "path_count_too_large", "ris_size_not_integral", "ris_sizes_range_not_integral",
+            "repeated_cells", "jammers_range",
         ],
     )
     def test_unrunnable_config_is_exit_1(self, tmp_path, capsys, text, flags):
