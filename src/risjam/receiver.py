@@ -34,9 +34,8 @@ class CorrelationResult:
 
 @lru_cache(maxsize=None)
 def _fast_len(n: int) -> int:
-    """Smallest length >= n with no prime factor above 11, the complex FFT
-    length scipy.signal.fftconvolve pads to (so the results match it bit for
-    bit)."""
+    """Smallest length >= n with no prime factor above 11; numpy's FFT runs
+    fast at such lengths."""
     while True:
         m = n
         for p in (2, 3, 5, 7, 11):
@@ -53,21 +52,28 @@ def cross_correlate(y, y_ref, f_max: int, gamma_max: int) -> CorrelationResult:
     Out-of-range reference indices contribute zero. Lags span
     [-gamma_max, gamma_max]. A 2-D `y` correlates each row against the one
     reference, sharing its FFT; `values` then has one row per row of `y`.
+
+    The correlation is taken circularly, at the shortest fast FFT length
+    whose wrap-around misses every lag in [-gamma_max, gamma_max]. With
+    rs = y_ref[:f_max + gamma_max], lag -gamma_max wraps onto
+    rs[nfft - gamma_max + n], which must lie past the end of rs, so
+    nfft >= rs.size + gamma_max. The positive lags then cannot wrap either,
+    since rs.size >= f_max.
     """
     y = np.asarray(y, dtype=complex)
     y_ref = np.asarray(y_ref, dtype=complex)
     if y.shape[-1] < f_max or y_ref.size < f_max:
         raise ReceiverError("sequences shorter than f_max")
-    if gamma_max >= f_max:
-        raise ReceiverError(f"gamma_max {gamma_max} must be < f_max {f_max}")
-    # full linear correlation of ys = y[:f_max] against rs = y_ref[:f_max +
-    # gamma_max]: full[k] = sum_n ys[n] * conj(rs[n - (k - (len(rs)-1))]), so
-    # R(tau) sits at index (len(rs)-1) - tau
+    if not 0 <= gamma_max < f_max:
+        raise ReceiverError(f"gamma_max {gamma_max} must lie in [0, f_max {f_max})")
     rs = y_ref[: f_max + gamma_max]
-    nfft = _fast_len(f_max + rs.size - 1)
-    spectrum = np.fft.fft(y[..., :f_max], nfft) * np.fft.fft(rs[::-1].conj(), nfft)
-    lags = np.arange(-gamma_max, gamma_max + 1)
-    return CorrelationResult(lags=lags, values=np.fft.ifft(spectrum)[..., rs.size - 1 - lags])
+    nfft = _fast_len(rs.size + gamma_max)
+    # c[m] = sum_n ys[n] * conj(rs[n - m]) with the index taken mod nfft, so
+    # R(tau) sits at index -tau mod nfft: lags -gamma_max..0 are c[gamma_max]
+    # down to c[0], lags 1..gamma_max are c[nfft - 1] down to c[nfft - gamma_max]
+    c = np.fft.ifft(np.fft.fft(y[..., :f_max], nfft) * np.fft.fft(rs, nfft).conj())
+    values = np.concatenate([c[..., gamma_max::-1], c[..., : nfft - gamma_max - 1 : -1]], axis=-1)
+    return CorrelationResult(lags=np.arange(-gamma_max, gamma_max + 1), values=values)
 
 
 def estimate_delay(corr: CorrelationResult) -> int:
@@ -79,6 +85,17 @@ def estimate_delay(corr: CorrelationResult) -> int:
     cand = corr.lags[mags >= peak * (1 - 1e-12)]
     cand = sorted(cand.tolist(), key=lambda t: (abs(t), t))
     return int(cand[0])
+
+
+@lru_cache(maxsize=8)
+def _onset_grid(n: int, guard: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only candidate split indices guard..n-guard-1 of an n-sample
+    sequence and their generalized-likelihood weights sqrt(i (n - i)) / n."""
+    idx = np.arange(guard, n - guard)
+    weight = np.sqrt(idx * (n - idx)) / n
+    idx.flags.writeable = False
+    weight.flags.writeable = False
+    return idx, weight
 
 
 def estimate_onset(y, guard: int) -> tuple[int, float]:
@@ -95,16 +112,15 @@ def estimate_onset(y, guard: int) -> tuple[int, float]:
     if n < 2 * guard + 2:
         raise ReceiverError("sequence too short for onset estimation")
     c = np.concatenate([[0.0], np.cumsum(p)])
-    idx = np.arange(guard, n - guard)
-    before = c[idx] / idx
-    after = (c[-1] - c[idx]) / (n - idx)
     # generalized-likelihood weighting keeps short edge segments, whose means
     # are dominated by noise, from winning the argmax
-    weight = np.sqrt(idx * (n - idx)) / n
+    idx, weight = _onset_grid(n, guard)
+    head = c[guard : n - guard]
+    before = head / idx
+    after = (c[-1] - head) / (n - idx)
     k = int(np.argmax((after - before) * weight))
-    tau = int(idx[k])
     base = max(before[k], 1e-30)
-    return tau, float((after[k] - before[k]) / base)
+    return guard + k, float((after[k] - before[k]) / base)
 
 
 # ---------------------------------------------------------------------------

@@ -35,16 +35,14 @@ from risjam.waveform import Family, ModScheme
 
 
 def brute_force_correlation(y, y_ref, f_max, gamma_max):
-    """Independent oracle: explicit double loop over the sliding product."""
-    out = np.zeros(2 * gamma_max + 1, dtype=complex)
+    """Independent oracle: the sliding product summed directly at each lag,
+    over the n < f_max whose reference index n + tau is in range."""
     lags = np.arange(-gamma_max, gamma_max + 1)
+    out = np.zeros(lags.size, dtype=complex)
     for i, tau in enumerate(lags):
-        acc = 0.0 + 0.0j
-        for n in range(f_max):
-            j = n + tau
-            if 0 <= j < len(y_ref):
-                acc += y[n] * np.conj(y_ref[j])
-        out[i] = acc
+        lo, hi = max(0, -tau), min(f_max, len(y_ref) - tau)
+        if lo < hi:
+            out[i] = np.vdot(y_ref[lo + tau : hi + tau], y[lo:hi])
     return lags, out
 
 
@@ -126,6 +124,8 @@ class TestCrossCorrelation:
             cross_correlate(np.ones(10), np.ones(10), f_max=8, gamma_max=8)
         with pytest.raises(ReceiverError):
             cross_correlate(np.ones(4), np.ones(10), f_max=8, gamma_max=2)
+        with pytest.raises(ReceiverError):
+            cross_correlate(np.ones(10), np.ones(10), f_max=8, gamma_max=-1)
 
     @settings(deadline=None, max_examples=150)
     @given(
@@ -137,25 +137,45 @@ class TestCrossCorrelation:
     @example(f_max=4095, gamma_frac=1.0, ref_extra=0, seed=0)
     @example(f_max=4095, gamma_frac=0.5, ref_extra=1, seed=1)
     @example(f_max=2, gamma_frac=0.0, ref_extra=0, seed=2)
-    def test_matches_scipy_fft_correlate(self, f_max, gamma_frac, ref_extra, seed):
-        """Bit for bit the scipy.signal.correlate FFT result, alone and as a
-        row of a stacked 2-D input."""
+    def test_matches_direct_sum_and_scipy(self, f_max, gamma_frac, ref_extra, seed):
+        """The direct sum and scipy.signal.correlate's full FFT correlation, to
+        1e-12 of the Cauchy-Schwarz bound on |R|; a row of a stacked 2-D input
+        is bit for bit the row correlated alone."""
         gamma = 1 + round(gamma_frac * (f_max - 2))
         ref_len = max(f_max, f_max + gamma + ref_extra)
         rng = np.random.default_rng(seed)
         y = rng.normal(size=f_max + 3) + 1j * rng.normal(size=f_max + 3)
         ref = rng.normal(size=ref_len) + 1j * rng.normal(size=ref_len)
         rs = ref[: f_max + gamma]
+        tol = 1e-12 * np.linalg.norm(y[:f_max]) * np.linalg.norm(rs)
+        lags, direct = brute_force_correlation(y, ref, f_max, gamma)
         full = sps.correlate(y[:f_max], rs, mode="full", method="fft")
-        expected = full[rs.size - 1 - np.arange(-gamma, gamma + 1)]
         alone = cross_correlate(y, ref, f_max, gamma)
-        assert np.array_equal(alone.lags, np.arange(-gamma, gamma + 1))
-        assert np.array_equal(alone.values, expected)
+        assert np.array_equal(alone.lags, lags)
+        assert np.abs(alone.values - direct).max() <= tol
+        assert np.abs(alone.values - full[rs.size - 1 - lags]).max() <= tol
         # rows of a stacked input: y against ref, and ref against itself
         stacked = cross_correlate(np.stack([ref[:f_max], y[:f_max]]), ref, f_max, gamma)
         assert np.array_equal(stacked.lags, alone.lags)
-        assert np.array_equal(stacked.values[1], expected)
+        assert np.array_equal(stacked.values[1], alone.values)
         assert np.array_equal(stacked.values[0], cross_correlate(ref, ref, f_max, gamma).values)
+
+    @pytest.mark.parametrize(
+        "f_max, gamma, ref_len",
+        [(33, 16, 49), (33, 16, 80), (100, 40, 115), (2048, 1024, 2049)],
+    )
+    def test_no_alias_at_the_lag_edges(self, f_max, gamma, ref_len):
+        """y[0] against the last reference sample rs[-1] is a lag of rs.size - 1,
+        beyond gamma, so every lag in range reads zero. A circular correlation
+        one sample shorter than rs.size + gamma wraps it onto lag -gamma; the
+        sizes make that shorter length a fast FFT length itself."""
+        rs_size = min(ref_len, f_max + gamma)
+        assert receiver._fast_len(rs_size + gamma - 1) == rs_size + gamma - 1
+        y = np.zeros(f_max, dtype=complex)
+        y[0] = 1.0
+        ref = np.zeros(ref_len, dtype=complex)
+        ref[rs_size - 1] = 1.0
+        assert np.abs(cross_correlate(y, ref, f_max, gamma).values).max() < 1e-12
 
     def test_zero_correlation_raises(self):
         res = cross_correlate(np.zeros(16), np.zeros(16), 8, 2)
@@ -182,6 +202,30 @@ class TestOnset:
     def test_too_short_raises(self):
         with pytest.raises(ReceiverError):
             estimate_onset(np.ones(4), 2)
+
+    @staticmethod
+    def _onset_reference(y, guard):
+        """The change-point formula with its grid built per call."""
+        p = np.abs(y) ** 2
+        n = p.size
+        c = np.concatenate([[0.0], np.cumsum(p)])
+        idx = np.arange(guard, n - guard)
+        before = c[idx] / idx
+        after = (c[-1] - c[idx]) / (n - idx)
+        weight = np.sqrt(idx * (n - idx)) / n
+        k = int(np.argmax((after - before) * weight))
+        return int(idx[k]), float((after[k] - before[k]) / max(before[k], 1e-30))
+
+    def test_matches_reference_formula(self):
+        """Equal (onset, jump) to the per-call formula on random lengths,
+        guards and steps, including repeated lengths served by the cached
+        grid."""
+        rng = np.random.default_rng(14)
+        for n in list(rng.integers(6, 5000, size=120)) + [4096] * 5 + [6, 7]:
+            guard = int(rng.integers(1, min(64, (n - 2) // 2) + 1))
+            y = rng.normal(size=n) + 1j * rng.normal(size=n)
+            y[rng.integers(0, n) :] *= rng.uniform(0.5, 4.0)
+            assert estimate_onset(y, guard) == self._onset_reference(y, guard)
 
 
 class TestLocalMaxima:
