@@ -18,7 +18,6 @@ import io
 import itertools
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import get_args, get_origin, get_type_hints
@@ -225,15 +224,19 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def calibrate_noise(cfg: ExperimentConfig) -> tuple[float, float]:
+def calibrate_noise(cfg: ExperimentConfig) -> tuple[float | None, float]:
     """Noise floors (destination, jammer receiver) in watts.
 
-    The destination floor is set so the mean legitimate SNR at the first
-    (reference) RIS size equals the configured baseline; larger arrays then
-    see a proportionally stronger link. The jammer floor pins its mean
-    source->jammer eavesdropping SNR at the configured value.
+    Under `snr_mode = faded` the destination floor is set so the mean
+    legitimate SNR at the first (reference) RIS size equals the configured
+    baseline; larger arrays then see a proportionally stronger link. Under
+    `pinned` every link draw sets its own floor from its baseline SNR, so the
+    destination floor is None and no channel is drawn. The jammer floor pins
+    its mean source->jammer eavesdropping SNR at the configured value.
     """
     s = cfg.settings
+    if s.snr_mode == "pinned":
+        return None, s.eaves_noise_watt
     link, p_t = s.link, s.tx_watt
     corr = pl._corr_cached(link.element_count, link.corr_rate)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(_CAL_KEY,)))
@@ -343,6 +346,10 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
         for t in range(cfg.trials)
     ]
     if cfg.jobs > 1 and len(units) > 1:
+        # imported here: loading multiprocessing costs a one-process sweep
+        # about 20 ms and 1.4 MB
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             return _rows(cfg, pool.map(_run_unit, units, chunksize=1))
     return _rows(cfg, map(_run_unit, units))

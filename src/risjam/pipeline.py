@@ -197,8 +197,14 @@ def _pilot(scheme: wf.ModScheme, length: int) -> np.ndarray:
 
 def _noise(n: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-variance circular complex Gaussian noise."""
-    s = np.sqrt(0.5)
-    return rng.normal(0, s, n) + 1j * rng.normal(0, s, n)
+    # the real parts, then the imaginary parts: the draws, and the bits, of
+    # two rng.normal(0, sqrt(0.5), n) calls, written into one buffer
+    z = rng.standard_normal((2, n))
+    out = np.empty(n, dtype=complex)
+    out.real = z[0]
+    out.imag = z[1]
+    out *= np.sqrt(0.5)
+    return out
 
 
 def _block_bytes(payload, a_l, off: int, code: wf.RsCode, scheme: wf.ModScheme) -> np.ndarray:
@@ -405,12 +411,13 @@ class LinkDraw:
 
 
 def draw_link(
-    settings: TrialSettings, rng: np.random.Generator, noise_var_watt: float
+    settings: TrialSettings, rng: np.random.Generator, noise_var_watt: float | None
 ) -> LinkDraw:
     """Channel, baseline decision, frame and jam-free snapshot of one trial.
 
-    `noise_var_watt` is the calibrated destination floor; in pinned mode the
-    floor is reset so this draw's legit SNR is the configured baseline.
+    `noise_var_watt` is the calibrated destination floor, read only in faded
+    mode; in pinned mode the floor is set so this draw's legit SNR is the
+    configured baseline, and `noise_var_watt` may be None.
     """
     link = settings.link
     corr = _corr_cached(link.element_count, link.corr_rate)
@@ -463,18 +470,19 @@ def run_trial(
     jsr_db_target: float,
     model: jm.JammerModel,
     rng: np.random.Generator,
-    noise_var_watt: float,
+    noise_var_watt: float | None,
     eaves_noise_var_watt: float,
     link: LinkDraw | None = None,
 ) -> TrialResult:
     """One Monte Carlo trial of the full detect/estimate/classify/adapt loop.
 
-    `noise_var_watt` is the destination noise floor in watts (calibrated by
-    the harness from the configured baseline SNR); `eaves_noise_var_watt` is
-    the jammer's own receiver floor. `link` is the trial's jam-free draw,
-    shared across the cells of a sweep; without it one is drawn from `rng`
-    (and `noise_var_watt`) first. Everything the jammer or the JSR touches
-    is drawn from `rng`.
+    `noise_var_watt` is the destination noise floor in watts, calibrated by
+    the harness from the configured baseline SNR and read only in faded
+    mode; pinned mode sets each draw's own floor, so it may be None there.
+    `eaves_noise_var_watt` is the jammer's own receiver floor. `link` is the
+    trial's jam-free draw, shared across the cells of a sweep; without it one
+    is drawn from `rng` (and `noise_var_watt`) first. Everything the jammer
+    or the JSR touches is drawn from `rng`.
     """
     if link is None:
         link = draw_link(settings, rng, noise_var_watt)

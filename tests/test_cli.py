@@ -276,3 +276,20 @@ def test_cli_import_loads_no_scipy():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    """A one-process sweep never starts a pool, so importing the CLI leaves
+    multiprocessing and concurrent.futures unloaded; `jobs > 1` imports them."""
+    src = os.path.dirname(os.path.dirname(risjam.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, risjam.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -254,17 +254,31 @@ class TestEveryKeyChangesTheRun:
 
 
 class TestCalibration:
+    """The destination floor is calibrated in faded mode, the only mode that
+    reads it; pinned mode sets each link draw's floor and draws nothing here."""
+
     def test_noise_floor_hits_baseline(self):
-        cfg = loads_config("[sweep]\ntrials = 1\n")
+        cfg = loads_config("[sweep]\ntrials = 1\n[link]\nsnr_mode = faded\n")
         noise_var, eaves_var = calibrate_noise(cfg)
         assert noise_var > 0 and eaves_var > 0
         # stronger baseline demands a lower noise floor
-        cfg_hi = loads_config("[sweep]\ntrials = 1\n[link]\nbaseline_snr_db = 17\n")
+        cfg_hi = loads_config(
+            "[sweep]\ntrials = 1\n[link]\nsnr_mode = faded\nbaseline_snr_db = 17\n"
+        )
         assert calibrate_noise(cfg_hi)[0] < noise_var
 
     def test_deterministic(self):
-        cfg = loads_config(SMALL_CONFIG)
+        cfg = loads_config(SMALL_CONFIG.replace("[link]\n", "[link]\nsnr_mode = faded\n"))
+        assert cfg.settings.snr_mode == "faded"
         assert calibrate_noise(cfg) == calibrate_noise(cfg)
+
+    def test_pinned_draws_nothing(self, monkeypatch):
+        def sample_realization(*args):
+            raise AssertionError("pinned calibration drew a channel")
+
+        monkeypatch.setattr(harness.ch, "sample_realization", sample_realization)
+        cfg = loads_config("[sweep]\ntrials = 1\n")
+        assert calibrate_noise(cfg) == (None, cfg.settings.eaves_noise_watt)
 
 
 @pytest.fixture(scope="module")

@@ -249,6 +249,21 @@ class TestDeterminism:
         assert a != b
 
 
+class TestNoise:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 4095, 4096, 32768])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bits_and_stream_of_two_normal_draws(self, n, seed):
+        """One complex buffer from one (2, n) draw holds the bits of the two
+        rng.normal(0, sqrt(0.5), n) draws, and leaves the generator where they do."""
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        s = np.sqrt(0.5)
+        ref = ref_rng.normal(0, s, n) + 1j * ref_rng.normal(0, s, n)
+        out = pl._noise(n, rng)
+        assert out.dtype == ref.dtype and out.shape == (n,)
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+        assert rng.random() == ref_rng.random()
+
+
 def _two_ris_sweep(**kw):
     return ExperimentConfig(
         jammers=(JammerModel.DRFM, JammerModel.PS), ris_sizes=(16, 32),
@@ -267,11 +282,14 @@ class TestSharedLinkDraw:
         run_sweep(cfg)
         assert len(calls) == len(cfg.ris_sizes) * cfg.trials
 
-    def test_one_channel_draw_per_ris_and_trial(self, monkeypatch):
+    @pytest.mark.parametrize("snr_mode", ["pinned", "faded"])
+    def test_one_channel_draw_per_ris_and_trial(self, monkeypatch, snr_mode):
         calls = _count_calls(monkeypatch, pl.ch, "sample_realization")
-        cfg = _two_ris_sweep()
+        cfg = _two_ris_sweep(snr_mode=snr_mode)
         run_sweep(cfg)
-        assert len(calls) == len(cfg.ris_sizes) * cfg.trials + CALIBRATION_DRAWS
+        # only a faded sweep calibrates its noise floor on channel draws
+        calibration = CALIBRATION_DRAWS if snr_mode == "faded" else 0
+        assert len(calls) == len(cfg.ris_sizes) * cfg.trials + calibration
 
     def test_cells_share_the_link_and_not_the_jammer(self, monkeypatch):
         links, first_draws, results = [], [], []
