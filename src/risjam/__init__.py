@@ -29,6 +29,7 @@ from .pipeline import (
     TrialResult,
     TrialSettings,
     draw_link,
+    run_cells,
     run_trial,
 )
 from .receiver import JammerClass, classify_jammer, estimate_delay
@@ -69,6 +70,7 @@ __all__ = [
     "path_loss",
     "rs_decode",
     "rs_encode",
+    "run_cells",
     "run_sweep",
     "run_trial",
     "sample_realization",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import ctypes
 import sys
 from dataclasses import replace
 
@@ -27,28 +26,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _keep_heap() -> None:
-    """Stop glibc from handing freed heap back to the OS after every trial.
-
-    glibc's default thresholds move: blocks above the largest mmap block freed
-    so far (128 KB at start) are mmapped, and the heap top goes back to the OS
-    once more than twice that lies free. The megabytes of temporaries a
-    spatial trial allocates and frees are then page-faulted in afresh every
-    trial. Fixed thresholds above a trial's working set keep them in the
-    heap. Does nothing without glibc's mallopt.
-    """
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _keep_heap()
     try:
         cfg = load_config(args.config)
         if args.seed is not None:

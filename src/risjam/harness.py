@@ -14,6 +14,7 @@ count.
 from __future__ import annotations
 
 import configparser
+import ctypes
 import io
 import itertools
 import math
@@ -289,20 +290,23 @@ def _numbers(r: pl.TrialResult) -> tuple:
 
 def _run_unit(args) -> np.ndarray:
     """Every (jammer, JSR) cell's trial t at RIS size index ri, on one shared
-    jam-free link draw: a (cell, number) array, cells in (jammer, JSR) order."""
+    jam-free link draw, one `run_cells` call per jammer: a (cell, number)
+    array, cells in (jammer, JSR) order."""
     cfg, ri, t, noise_var, eaves_var = args
     link_cfg = replace(cfg.settings.link, element_count=cfg.ris_sizes[ri])
     settings = replace(cfg.settings, link=link_cfg)
     seed = np.random.SeedSequence(cfg.seed, spawn_key=(_LINK_KEY, ri, t))
     link = pl.draw_link(settings, np.random.default_rng(seed), noise_var)
-    cells = []
+    results = []
     for ji, model in enumerate(cfg.jammers):
-        for ki, jsr in enumerate(cfg.jsr_grid_db):
-            seed = np.random.SeedSequence(cfg.seed, spawn_key=(ji, ri, ki, t))
-            cells.append(_numbers(pl.run_trial(
-                settings, jsr, model, np.random.default_rng(seed), noise_var, eaves_var, link
-            )))
-    return np.array(cells, dtype=float)
+        cells = [
+            (jsr, model, np.random.default_rng(
+                np.random.SeedSequence(cfg.seed, spawn_key=(ji, ri, ki, t))
+            ))
+            for ki, jsr in enumerate(cfg.jsr_grid_db)
+        ]
+        results += pl.run_cells(settings, cells, eaves_var, link)
+    return np.array([_numbers(r) for r in results], dtype=float)
 
 
 def _modal(values):
@@ -338,7 +342,27 @@ def _aggregate(jsr, model, topology, ris, cell) -> SweepRow:
     )
 
 
+def _keep_heap() -> None:
+    """Stop glibc from handing freed heap back to the OS after every trial.
+
+    glibc's default thresholds move: blocks above the largest mmap block freed
+    so far (128 KB at start) are mmapped, and the heap top goes back to the OS
+    once more than twice that lies free. The megabytes of temporaries a
+    spatial trial allocates and frees are then page-faulted in afresh every
+    trial. Fixed thresholds above a trial's working set keep them in the
+    heap. Does nothing without glibc's mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
+    _keep_heap()
     noise_var, eaves_var = calibrate_noise(cfg)
     units = [
         (cfg, ri, t, noise_var, eaves_var)

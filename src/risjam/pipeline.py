@@ -1,8 +1,8 @@
-"""End-to-end single-trial execution in two phases. `draw_link` makes the
-jam-free part (channel draw, baseline link choice, framing, the received
-legit signal plus noise); `run_trial` adds the jammer and runs jammed
+"""End-to-end trial execution in two phases. `draw_link` makes the jam-free
+part (channel draw, baseline link choice, framing, the received legit signal
+plus noise); `run_cells` adds each cell's jammer to it and runs jammed
 reception, detection, delay estimation, orthogonalization, classification
-and adaptation.
+and adaptation, and `run_trial` is `run_cells` with one cell.
 
 Waveform-level processing happens in receiver-normalized units (unit noise
 variance), while the power bookkeeping (path loss, jammer power budget, the
@@ -32,8 +32,8 @@ class OrthogonalityMode(str, Enum):
 
 # samples the power change-point keeps clear of each frame edge
 _ONSET_GUARD = 2
-# samples in a trial's m x frame_len snapshot (m antennas under spatial
-# orthogonality, else 1; the shipped configs hold 8 x 4096 at most)
+# samples in a link draw's m x frame_len jam-free snapshot (m antennas under
+# spatial orthogonality, else 1; the shipped configs hold 8 x 4096 at most)
 MAX_SNAPSHOT_SAMPLES = 1 << 22
 
 
@@ -295,15 +295,23 @@ def _stage_two(settings, model, scheme, a_j, rng) -> rx.JammerClass:
     return rx.JammerClass.PS if balance >= settings.flip_threshold else rx.JammerClass.AS
 
 
-def _spatial_pair(settings, scheme, streams, tau_hat):
-    """MUSIC AoAs and LCMV separation of the received array snapshot into
-    (legit, jam aligned by tau_hat, legit noise variance, jam noise variance).
-    Both read the one m x m array covariance of the snapshot.
+def _lcmv_outputs(clean, tau, w, steer, jam) -> np.ndarray:
+    """The 2 x f outputs w^H (clean + steer j^T) of the LCMV weights w, for
+    a jam j that is zero before sample tau and `jam` from there on, formed
+    without the m x f snapshot: w^H clean plus the jam times its gain
+    w^H steer."""
+    wh = w.conj().T
+    out = wh @ clean
+    out[:, tau:] += np.outer(wh @ steer, jam)
+    return out
+
+
+def _spatial_pair(settings, scheme, out, w, tau_hat):
+    """The LCMV outputs `out` of weights w as (legit, jam aligned by tau_hat,
+    legit noise variance, jam noise variance), or None when the aligned jam
+    stream is too short to classify.
     """
     pilot = _pilot(scheme, settings.pilot_len)
-    cov = streams @ streams.conj().T / streams.shape[1]
-    aoas = rx.estimate_aoa(cov, 2)
-    out, w = rx.separate_spatial(streams, cov, aoas)
     # per-output noise variance ||w_k||^2 of the LCMV weights
     nv = [float(np.sum(np.abs(w[:, k]) ** 2)) for k in range(2)]
     # the legit stream is the one whose head matches the pilot
@@ -311,7 +319,7 @@ def _spatial_pair(settings, scheme, streams, tau_hat):
     k = 0 if c[0] >= c[1] else 1
     legit_s, jam_aligned = out[k], out[1 - k][tau_hat:]
     if _too_short(settings, min(legit_s.size, jam_aligned.size)):
-        raise rx.SeparationFailure("aligned jam stream too short")
+        return None
     return legit_s, jam_aligned, nv[k], nv[1 - k]
 
 
@@ -333,14 +341,10 @@ def _temporal_pair(settings, model, scheme, a_l, a_j, tau, tau_hat, burst, rng):
     return y[:burst], jam_s, 1.0, 1.0
 
 
-def _orthogonalize_and_classify(settings, model, scheme, streams, a_l, a_j, tau, tau_hat, rng):
-    """Returns (jammer class, payload fraction), or None when nothing usable."""
-    pair, fraction = None, 1.0
-    if settings.orthogonality == OrthogonalityMode.SPATIAL:
-        try:
-            pair = _spatial_pair(settings, scheme, streams, tau_hat)
-        except rx.SeparationFailure:
-            pass  # fall back to temporal partitioning
+def _classify_pair(settings, model, scheme, a_l, a_j, tau, tau_hat, pair, rng):
+    """(jammer class, payload fraction) from a spatially separated pair, or
+    from the temporal probe when `pair` is None; None when nothing usable."""
+    fraction = 1.0
     if pair is None:
         try:
             burst, fraction = rx.partition_temporal(settings.frame_len, tau_hat)
@@ -392,8 +396,10 @@ class LinkDraw:
     phase alignment are consumed in `draw_link`), the baseline operating
     point, the transmitted frame and the received snapshot without the
     jammer: `clean` is the m x f legit signal plus receiver noise, in
-    receiver-normalized units. `rs_blocks` holds each RS block's payload bit
-    offset and transmitted codeword bytes, all that detection compares.
+    receiver-normalized units, and under spatial orthogonality `clean_cov` is
+    its m x m covariance, which each cell's array covariance starts from.
+    `rs_blocks` holds each RS block's payload bit offset and transmitted
+    codeword bytes, all that detection compares.
     """
 
     p_l: float
@@ -408,6 +414,7 @@ class LinkDraw:
     rs_blocks: tuple
     aoa_l: float | None
     clean: np.ndarray
+    clean_cov: np.ndarray | None
 
 
 def draw_link(
@@ -457,12 +464,163 @@ def draw_link(
     else:
         m, steer_l = 1, np.ones((1, 1))
     clean = steer_l * (a_l * x) + _noise(m * f, rng).reshape(m, f)
+    clean_cov = None
+    if aoa_l is not None:
+        clean_cov = clean @ clean.conj().T / f
+        clean_cov.flags.writeable = False
     x.flags.writeable = clean.flags.writeable = False
     return LinkDraw(
         p_l=p_l, noise_var_watt=noise_var_watt, snr_l=snr_l, h_in=complex(h_in),
         h_out=complex(h_out), a_l=a_l, base=base, t_baseline=t_l, x=x,
-        rs_blocks=tuple(rs_blocks), aoa_l=aoa_l, clean=clean,
+        rs_blocks=tuple(rs_blocks), aoa_l=aoa_l, clean=clean, clean_cov=clean_cov,
     )
+
+
+@dataclass(slots=True)
+class _JamFront:
+    """A cell after detection and delay estimate on antenna 0. A detected
+    cell under spatial orthogonality also keeps its steering vector, its
+    replica's active span, the two terms its array covariance adds (see
+    `_array_covariances`) and, once resolved, its LCMV weights."""
+
+    model: jm.JammerModel
+    rng: np.random.Generator
+    a_j: complex
+    snr_j: float
+    clamped: bool
+    detected: bool
+    tau_hat: int | None
+    steer: np.ndarray | None = None
+    jam: np.ndarray | None = None
+    x: np.ndarray | None = None
+    p: float = 0.0
+    w: np.ndarray | None = None
+
+
+def _jam_front(settings, link, tau, jsr_db_target, model, rng, eaves_noise_var_watt):
+    """One cell's link budget, jammer draws (replica, then angle of arrival),
+    detection and delay estimate."""
+    # jamming-path power bookkeeping, in Python floats
+    gamma_e = settings.tx_watt * abs(link.h_in) ** 2 / eaves_noise_var_watt
+    p_rx_target = 10.0 ** (jsr_db_target / 10.0) * link.p_l
+    p_jam = p_rx_target / max(abs(link.h_out) ** 2, 1e-300)
+    cap = settings.jam_cap_watt
+    clamped = p_jam > cap
+    p_jam = min(p_jam, cap)
+    gamma_j = p_jam * abs(link.h_out) ** 2 / link.noise_var_watt
+    snr_j = ad.snr_jamming(gamma_e, gamma_j)
+
+    # normalized-unit waveform pass (unit receiver noise variance): the
+    # replica's active span [tau, f), added on each antenna by its steering
+    f = settings.frame_len
+    a_j = np.exp(1j * np.angle(link.h_in * link.h_out)) * np.sqrt(gamma_j)
+    jam = _replica(model, link.x, tau, a_j, rng)[tau:f]
+    steer = None
+    if link.aoa_l is not None:
+        while True:
+            aoa_j = rng.uniform(-np.pi / 3, np.pi / 3)
+            if abs(aoa_j - link.aoa_l) >= np.deg2rad(15.0):
+                break
+        steer = rx._steering(settings.antennas, aoa_j)[:, 0]
+    # antenna 0, whose steering entry is exactly 1
+    y = link.clean[0].copy()
+    y[tau:] += jam
+
+    # detection on antenna 0: a received-power jump, or an RS block with more
+    # byte errors than the code corrects (a replica in phase quadrature can
+    # leave the hard decisions untouched, and a weak one the power)
+    base = link.base
+    onset, jump = rx.estimate_onset(y, _ONSET_GUARD)
+    payload = y[settings.pilot_len :]
+    detected = jump >= settings.peak_significance or any(
+        _block_lost(_block_bytes(payload, link.a_l, off, base.code, base.scheme), cw, base.code)
+        for off, cw in link.rs_blocks
+    )
+    tau_hat = _estimate_delay(settings, link.x, y, onset, jump) if detected else None
+    cell = _JamFront(model, rng, a_j, snr_j, clamped, detected, tau_hat)
+    if steer is not None and tau_hat is not None:
+        # a copy of the span, which frees the rest of the replica's buffer
+        cell.steer, cell.jam = steer, jam.copy()
+        cell.x = link.clean[:, tau:] @ jam.conj() / f
+        cell.p = np.vdot(jam, jam).real / f
+    return cell
+
+
+def _array_covariances(clean_cov, steer, x, p) -> np.ndarray:
+    """The m x m covariances of array snapshots clean + s j^T, stacked, from
+    shared parts: clean's covariance C, and per snapshot its steering s
+    (row of `steer`), x = clean conj(j) / f (row of `x`) and p = ||j||^2 / f.
+
+    The covariance is C + s x^H + x s^H + p s s^H, so no m x f snapshot is
+    formed. Every step is elementwise over the stack, so a row gets the same
+    bits in any batch.
+    """
+    sx = steer[:, :, None] * x.conj()[:, None, :]
+    cov = clean_cov + (sx + sx.conj().swapaxes(1, 2))
+    cov += p[:, None, None] * (steer[:, :, None] * steer.conj()[:, None, :])
+    return cov
+
+
+def run_cells(
+    settings: TrialSettings,
+    cells: list[tuple[float, jm.JammerModel, np.random.Generator]],
+    eaves_noise_var_watt: float,
+    link: LinkDraw,
+) -> list[TrialResult]:
+    """The cells `(jsr_db, model, rng)` on one link draw, each a trial of the
+    full detect/estimate/classify/adapt loop; one result per cell, in order.
+
+    Each cell draws from its own generator, in the order one trial does:
+    its replica and angle of arrival, then its probes. The detected spatial
+    cells' MUSIC and LCMV run as one batch between detection and
+    classification. `eaves_noise_var_watt` is the jammer's own receiver floor.
+    """
+    f = settings.frame_len
+    tau = settings.jam_delay if settings.jam_delay is not None else f // 2
+    fronts = [
+        _jam_front(settings, link, tau, jsr, model, rng, eaves_noise_var_watt)
+        for jsr, model, rng in cells
+    ]
+    spatial = [c for c in fronts if c.steer is not None]
+    if spatial:
+        cov = _array_covariances(
+            link.clean_cov, np.array([c.steer for c in spatial]),
+            np.array([c.x for c in spatial]), np.array([c.p for c in spatial]),
+        )
+        w, resolved = rx.separate_spatial(cov, rx.estimate_aoa(cov, 2))
+        for c, wk, ok in zip(spatial, w, resolved):
+            if ok:
+                c.w = wk
+
+    base, results = link.base, []
+    for c in fronts:
+        outcome = None
+        if c.tau_hat is not None:
+            pair = None
+            if c.w is not None:
+                out = _lcmv_outputs(link.clean, tau, c.w, c.steer, c.jam)
+                pair = _spatial_pair(settings, base.scheme, out, c.w, c.tau_hat)
+            outcome = _classify_pair(
+                settings, c.model, base.scheme, link.a_l, c.a_j, tau, c.tau_hat, pair, c.rng
+            )
+
+        # no usable outcome keeps the baseline operating point
+        cls, fraction, decision = None, 1.0, base
+        if outcome is not None:
+            cls, fraction = outcome
+            decision = ad.select_link(
+                cls, link.snr_l, c.snr_j, settings.base_family, settings.delta,
+                settings.fixed_rate, settings.max_order,
+            )
+        t_j = ad.throughput(settings.bandwidth_hz, decision.code, decision.scheme, fraction)
+        results.append(TrialResult(
+            t_baseline=link.t_baseline, t_jammed=t_j, detected=c.detected, jammer_class=cls,
+            classified_correct=(cls == rx.JammerClass(c.model.value)),
+            tau_err=np.nan if c.tau_hat is None else float(abs(c.tau_hat - tau)),
+            scheme=decision.scheme, code_rate=decision.code.rate, payload_fraction=fraction,
+            clamped=c.clamped,
+        ))
+    return results
 
 
 def run_trial(
@@ -474,7 +632,8 @@ def run_trial(
     eaves_noise_var_watt: float,
     link: LinkDraw | None = None,
 ) -> TrialResult:
-    """One Monte Carlo trial of the full detect/estimate/classify/adapt loop.
+    """One Monte Carlo trial of the full detect/estimate/classify/adapt loop:
+    `run_cells` with one cell.
 
     `noise_var_watt` is the destination noise floor in watts, calibrated by
     the harness from the configured baseline SNR and read only in faded
@@ -486,66 +645,4 @@ def run_trial(
     """
     if link is None:
         link = draw_link(settings, rng, noise_var_watt)
-    base, snr_l, a_l, x = link.base, link.snr_l, link.a_l, link.x
-
-    # jamming-path power bookkeeping
-    gamma_e = settings.tx_watt * abs(link.h_in) ** 2 / eaves_noise_var_watt
-    p_rx_target = 10.0 ** (jsr_db_target / 10.0) * link.p_l
-    p_jam = p_rx_target / max(abs(link.h_out) ** 2, 1e-300)
-    cap = settings.jam_cap_watt
-    clamped = p_jam > cap
-    p_jam = min(p_jam, cap)
-    gamma_j = p_jam * abs(link.h_out) ** 2 / link.noise_var_watt
-    snr_j = ad.snr_jamming(gamma_e, gamma_j)
-
-    # normalized-unit waveform pass (unit receiver noise variance): the
-    # replica added to the jam-free snapshot
-    f = settings.frame_len
-    scheme = base.scheme
-    tau = settings.jam_delay if settings.jam_delay is not None else f // 2
-    a_j = np.exp(1j * np.angle(link.h_in * link.h_out)) * np.sqrt(gamma_j)
-    jam = _replica(model, x, tau, a_j, rng)[:f]
-    if link.aoa_l is not None:
-        while True:
-            aoa_j = rng.uniform(-np.pi / 3, np.pi / 3)
-            if abs(aoa_j - link.aoa_l) >= np.deg2rad(15.0):
-                break
-        steer_j = rx._steering(settings.antennas, aoa_j)
-    else:
-        steer_j = np.ones((1, 1))
-    streams = steer_j * jam
-    streams += link.clean  # in place: one m x f buffer per cell
-    y = streams[0]
-
-    # detection on antenna 0: a received-power jump, or an RS block with more
-    # byte errors than the code corrects (a replica in phase quadrature can
-    # leave the hard decisions untouched, and a weak one the power)
-    onset, jump = rx.estimate_onset(y, _ONSET_GUARD)
-    payload = y[settings.pilot_len :]
-    detected = jump >= settings.peak_significance or any(
-        _block_lost(_block_bytes(payload, a_l, off, base.code, scheme), cw, base.code)
-        for off, cw in link.rs_blocks
-    )
-    tau_hat = _estimate_delay(settings, x, y, onset, jump) if detected else None
-    outcome = None
-    if tau_hat is not None:
-        outcome = _orthogonalize_and_classify(
-            settings, model, scheme, streams, a_l, a_j, tau, tau_hat, rng
-        )
-
-    # no usable outcome keeps the baseline operating point
-    cls, fraction, decision = None, 1.0, base
-    if outcome is not None:
-        cls, fraction = outcome
-        decision = ad.select_link(
-            cls, snr_l, snr_j, settings.base_family, settings.delta, settings.fixed_rate,
-            settings.max_order,
-        )
-    t_j = ad.throughput(settings.bandwidth_hz, decision.code, decision.scheme, fraction)
-    return TrialResult(
-        t_baseline=link.t_baseline, t_jammed=t_j, detected=detected, jammer_class=cls,
-        classified_correct=(cls == rx.JammerClass(model.value)),
-        tau_err=np.nan if tau_hat is None else float(abs(tau_hat - tau)),
-        scheme=decision.scheme, code_rate=decision.code.rate, payload_fraction=fraction,
-        clamped=clamped,
-    )
+    return run_cells(settings, [(jsr_db_target, model, rng)], eaves_noise_var_watt, link)[0]

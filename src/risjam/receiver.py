@@ -22,10 +22,6 @@ class NoPeakError(ReceiverError):
     """Correlation has no usable maximum."""
 
 
-class SeparationFailure(ReceiverError):
-    """Angular separation below the array's resolution limit."""
-
-
 @dataclass(frozen=True)
 class CorrelationResult:
     lags: np.ndarray
@@ -133,8 +129,10 @@ _DIAGONAL_LOADING = 1e-3  # LCMV covariance loading, relative to mean power
 
 
 def _steering(m: int, aoa) -> np.ndarray:
-    i = np.arange(m)
-    return np.exp(-1j * np.pi * np.outer(i, np.sin(np.atleast_1d(aoa))))
+    """Steering vectors of an m-element half-wavelength array: (..., m, n)
+    for (..., n) angles, (m, 1) for one angle; element 0 is exactly 1."""
+    i = np.arange(m)[:, None]
+    return np.exp(-1j * np.pi * (i * np.sin(np.atleast_1d(aoa))[..., None, :]))
 
 
 _AOA_GRID = np.deg2rad(np.arange(-90.0, 90.0 + _AOA_GRID_DEG, _AOA_GRID_DEG))
@@ -152,9 +150,10 @@ def _grid_steering(m: int) -> np.ndarray:
 def _fb_smoothed(cov: np.ndarray) -> np.ndarray:
     """Forward-backward smoothing over the two (m-1)-element subarrays, whose
     covariances are cov's leading and trailing blocks; the backward term
-    J r* J (J the exchange matrix) is r* with both indices reversed."""
-    r = 0.5 * (cov[:-1, :-1] + cov[1:, 1:])
-    return 0.5 * (r + r[::-1, ::-1].conj())
+    J r* J (J the exchange matrix) is r* with both indices reversed. Works on
+    each matrix of a (..., m, m) stack."""
+    r = 0.5 * (cov[..., :-1, :-1] + cov[..., 1:, 1:])
+    return 0.5 * (r + r[..., ::-1, ::-1].conj())
 
 
 def estimate_aoa(cov: np.ndarray, source_count: int) -> np.ndarray:
@@ -162,19 +161,26 @@ def estimate_aoa(cov: np.ndarray, source_count: int) -> np.ndarray:
 
     Smoothing with two forward subarrays plus the conjugate-flipped covariance
     decorrelates one coherent replica, which is exactly the DRFM situation.
+    A (..., m, m) stack of covariances gives (..., source_count) angles, each
+    row sorted and equal to the call on that one matrix.
     """
-    m = cov.shape[0]
-    msub = m - 1
+    msub = cov.shape[-1] - 1
     # the smoothed subarray needs a noise subspace beside the sources
     if msub <= source_count:
         raise ReceiverError(
             f"need more subarray elements ({msub}) than sources ({source_count})"
         )
-    vals, vecs = np.linalg.eigh(_fb_smoothed(cov))
-    noise_space = vecs[:, : msub - source_count]
-    proj = noise_space.conj().T @ _grid_steering(msub)
-    spectrum = 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=0), 1e-15)
+    _, vecs = np.linalg.eigh(_fb_smoothed(cov))
+    noise_space = vecs[..., : msub - source_count]
+    proj = noise_space.conj().swapaxes(-1, -2) @ _grid_steering(msub)
+    spectra = 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=-2), 1e-15)
+    aoas = [_music_peaks(s, source_count) for s in spectra.reshape(-1, _AOA_GRID.size)]
+    return np.reshape(aoas, spectra.shape[:-1] + (source_count,))
 
+
+def _music_peaks(spectrum: np.ndarray, source_count: int) -> np.ndarray:
+    """The sorted grid angles of a MUSIC spectrum's source_count highest
+    peaks, or of its highest values when it has fewer peaks."""
     peaks = _local_maxima(spectrum)
     if peaks.size < source_count:
         # fall back to the largest grid values
@@ -199,26 +205,27 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return (starts[1:-1][top] + ends[1:-1][top]) // 2
 
 
-def separate_spatial(array_streams, cov, aoas) -> tuple[np.ndarray, np.ndarray]:
-    """LCMV beamformer: unit gain toward each AoA, a null toward the other.
+def separate_spatial(cov, aoas) -> tuple[np.ndarray, np.ndarray]:
+    """LCMV beamformers: unit gain toward each AoA, a null toward the other.
 
-    `cov` is the m x m covariance of the m x n `array_streams`. Returns
-    (streams, weights): row k of the 2 x n streams is the output steered at
-    aoas[k], and column k of the m x 2 weights is its beamformer.
+    `cov` is an m x m array covariance, or a (..., m, m) stack, and `aoas`
+    its (..., 2) angles. Returns (weights, resolved): column k of each m x 2
+    weight matrix is the beamformer steered at aoas[..., k], and `resolved`
+    is False where the two angles lie closer than the resolution limit,
+    whose weights are NaN. Weights w give the outputs w^H x of a snapshot x.
     """
-    m = cov.shape[0]
+    m = cov.shape[-1]
     aoas = np.asarray(aoas, dtype=float)
-    if aoas.size != 2:
+    if aoas.shape[-1] != 2:
         raise ReceiverError("exactly two angles expected")
-    if abs(aoas[0] - aoas[1]) < _MIN_SEPARATION_RAD:
-        raise SeparationFailure(
-            f"angles {np.rad2deg(aoas)} deg closer than the resolution limit"
-        )
-    c = _steering(m, aoas)
-    r = cov + _DIAGONAL_LOADING * np.trace(cov).real / m * np.eye(m)
-    rinv_c = np.linalg.solve(r, c)
-    w = rinv_c @ np.linalg.inv(c.conj().T @ rinv_c)  # column k: unit gain to aoas[k]
-    return w.conj().T @ array_streams, w
+    resolved = np.abs(aoas[..., 0] - aoas[..., 1]) >= _MIN_SEPARATION_RAD
+    w = np.full(aoas.shape[:-1] + (m, 2), np.nan, dtype=complex)
+    cov, c = cov[resolved], _steering(m, aoas[resolved])
+    load = _DIAGONAL_LOADING * np.trace(cov, axis1=-2, axis2=-1).real / m
+    rinv_c = np.linalg.solve(cov + load[:, None, None] * np.eye(m), c)
+    # column k: unit gain to aoas[k]
+    w[resolved] = rinv_c @ np.linalg.inv(c.conj().swapaxes(-1, -2) @ rinv_c)
+    return w, resolved
 
 
 def partition_temporal(frame_len: int, tau_hat: int) -> tuple[int, float]:

@@ -39,7 +39,7 @@ class ModScheme:
 
     @property
     def bits_per_symbol(self) -> int:
-        return int(np.log2(self.order))
+        return self.order.bit_length() - 1  # log2 of a power of two
 
     def __str__(self) -> str:
         return f"{self.family.value}{self.order}"

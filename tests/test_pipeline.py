@@ -292,21 +292,104 @@ class TestSharedLinkDraw:
         assert len(calls) == len(cfg.ris_sizes) * cfg.trials + calibration
 
     def test_cells_share_the_link_and_not_the_jammer(self, monkeypatch):
-        links, first_draws, results = [], [], []
-        inner = pl.run_trial
+        links, models, first_draws, results = [], [], [], []
+        inner = pl.run_cells
 
-        def trial(settings, jsr, model, rng, noise_var, eaves_var, link):
+        def cells_call(settings, cells, eaves_var, link):
             links.append(link)
-            first_draws.append(copy.deepcopy(rng).random())
-            results.append(inner(settings, jsr, model, rng, noise_var, eaves_var, link))
-            return results[-1]
+            models.append({model for _, model, _ in cells})
+            first_draws.extend(copy.deepcopy(rng).random() for _, _, rng in cells)
+            results.extend(inner(settings, cells, eaves_var, link))
+            return results[-len(cells) :]
 
-        monkeypatch.setattr(pl, "run_trial", trial)
+        monkeypatch.setattr(pl, "run_cells", cells_call)
         run_sweep(ExperimentConfig(
             jammers=tuple(JammerModel), ris_sizes=(16,), jsr_grid_db=(0.0, 10.0), trials=1,
             settings=_settings(snr_mode="faded"),
         ))
+        # one call per jammer, each on that jammer's cells alone
+        assert models == [{model} for model in JammerModel]
         assert len(results) == 6 and all(link is links[0] for link in links)
         assert len({r.t_baseline for r in results}) == 1
         # each cell draws its jammer from a generator of its own
         assert len(set(first_draws)) == 6
+
+
+def _spatial_oracle_settings():
+    """A 4-element array and a 256-sample frame: at these JSRs some replicas
+    go undetected, MUSIC puts some angle pairs inside the 5 degree limit, and
+    some late delay estimates leave a spatial pair too short to classify."""
+    return _settings(
+        link=RisLinkConfig(element_count=16), orthogonality=OrthogonalityMode.SPATIAL,
+        baseline_snr_db=11.0, antennas=4, frame_len=256, pilot_len=8,
+    )
+
+
+class TestRunCells:
+    """`run_cells` batches the MUSIC/LCMV of one jammer's spatial cells; each
+    cell still gets exactly the result of its own one-cell call."""
+
+    def test_spatial_cells_equal_one_cell_calls(self, monkeypatch):
+        s = _spatial_oracle_settings()
+        unresolved, short, undetected = [], [], []
+        separate, pair = rx.separate_spatial, pl._spatial_pair
+
+        def separate_spatial(cov, aoas):
+            w, resolved = separate(cov, aoas)
+            unresolved.extend(~resolved)
+            return w, resolved
+
+        def spatial_pair(*args):
+            result = pair(*args)
+            short.append(result is None)
+            return result
+
+        monkeypatch.setattr(rx, "separate_spatial", separate_spatial)
+        monkeypatch.setattr(pl, "_spatial_pair", spatial_pair)
+        jsrs = (-20.0, -10.0, 0.0, 10.0)
+        for t in range(3):
+            link = pl.draw_link(s, np.random.default_rng([31, t]), None)
+            for ji, model in enumerate(JammerModel):
+                def rngs():
+                    return [np.random.default_rng([31, t, ji, k]) for k in range(len(jsrs))]
+
+                cells = [(jsr, model, rng) for jsr, rng in zip(jsrs, rngs())]
+                batch = pl.run_cells(s, cells, s.eaves_noise_watt, link)
+                one = [
+                    pl.run_trial(s, jsr, model, rng, None, s.eaves_noise_watt, link)
+                    for jsr, rng in zip(jsrs, rngs())
+                ]
+                # every field, NaN delay errors included, to the last bit
+                assert [repr(r) for r in batch] == [repr(r) for r in one]
+                undetected += [not r.detected for r in batch]
+        assert any(undetected) and any(unresolved) and any(short)
+
+    def test_shared_parts_match_the_snapshot(self):
+        """The covariance from the clean covariance plus a rank-two correction,
+        and the outputs from w^H clean plus the jam's gain, against the same
+        quantities formed on the m x f snapshot."""
+        s = _settings(orthogonality=OrthogonalityMode.SPATIAL, baseline_snr_db=11.0)
+        f = s.frame_len
+        tau = f // 2
+        for t in range(4):
+            link = pl.draw_link(s, np.random.default_rng([5, t]), None)
+            for ji, model in enumerate(JammerModel):
+                for jsr in (0.0, 10.0):
+                    rng = np.random.default_rng([5, t, ji, int(jsr)])
+                    c = pl._jam_front(s, link, tau, jsr, model, rng, s.eaves_noise_watt)
+                    assert c.steer is not None
+                    jam = np.zeros(f, dtype=complex)
+                    jam[tau:] = c.jam
+                    streams = link.clean + np.outer(c.steer, jam)
+                    ref = streams @ streams.conj().T / f
+                    cov = pl._array_covariances(
+                        link.clean_cov, c.steer[None], c.x[None], np.array([c.p])
+                    )[0]
+                    assert np.max(np.abs(cov - ref)) <= 1e-13 * np.max(np.abs(ref))
+                    aoas = rx.estimate_aoa(ref, 2)
+                    assert np.array_equal(rx.estimate_aoa(cov, 2), aoas)
+                    w, resolved = rx.separate_spatial(ref, aoas)
+                    assert resolved
+                    out_ref = w.conj().T @ streams
+                    out = pl._lcmv_outputs(link.clean, tau, w, c.steer, c.jam)
+                    assert np.max(np.abs(out - out_ref)) <= 1e-13 * np.max(np.abs(out_ref))

@@ -15,7 +15,7 @@ from risjam.receiver import (
     JammerClass,
     NoPeakError,
     ReceiverError,
-    SeparationFailure,
+    _AOA_GRID,
     _fb_smoothed,
     _grid_steering,
     _local_maxima,
@@ -72,15 +72,32 @@ def _smoothed_by_subarrays(x):
     return 0.5 * (r + j @ r.conj() @ j)
 
 
+def _lcmv_reference(cov, aoas):
+    """Reference LCMV weights, written for one m x m covariance."""
+    m = cov.shape[0]
+    c = _steering(m, aoas)
+    r = cov + _DIAGONAL_LOADING * np.trace(cov).real / m * np.eye(m)
+    rinv_c = np.linalg.solve(r, c)
+    return rinv_c @ np.linalg.inv(c.conj().T @ rinv_c)
+
+
 def _lcmv_forming_gram(x, aoas):
     """Reference LCMV that forms the snapshot's Gram itself."""
-    m = x.shape[0]
-    c = _steering(m, aoas)
-    r = x @ x.conj().T / x.shape[1]
-    r += _DIAGONAL_LOADING * np.trace(r).real / m * np.eye(m)
-    rinv_c = np.linalg.solve(r, c)
-    w = rinv_c @ np.linalg.inv(c.conj().T @ rinv_c)
+    w = _lcmv_reference(x @ x.conj().T / x.shape[1], aoas)
     return w.conj().T @ x, w
+
+
+def _music_reference(cov, source_count):
+    """Reference MUSIC, written for one m x m covariance."""
+    msub = cov.shape[0] - 1
+    r = 0.5 * (cov[:-1, :-1] + cov[1:, 1:])
+    _, vecs = np.linalg.eigh(0.5 * (r + r[::-1, ::-1].conj()))
+    proj = vecs[:, : msub - source_count].conj().T @ _grid_steering(msub)
+    spectrum = 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=0), 1e-15)
+    peaks = _local_maxima(spectrum)
+    if peaks.size < source_count:
+        return np.sort(_AOA_GRID[np.argsort(spectrum)[::-1][:source_count]])
+    return np.sort(_AOA_GRID[peaks[np.argsort(spectrum[peaks])[::-1][:source_count]]])
 
 
 def _two_source_snapshot(m, kind, rng, n=4096):
@@ -300,7 +317,9 @@ class TestSpatial:
             + np.outer(_sv(m, a2), s2)
             + 0.1 * (rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
         )
-        (out1, out2), w = separate_spatial(x, _cov(x), [a1, a2])
+        w, resolved = separate_spatial(_cov(x), [a1, a2])
+        assert resolved
+        out1, out2 = w.conj().T @ x
         leak1 = np.mean(np.abs(out1 - s1) ** 2)
         leak2 = np.mean(np.abs(out2 - s2) ** 2)
         assert leak1 < 0.05 and leak2 < 0.05
@@ -321,8 +340,8 @@ class TestSpatial:
 
     def test_lcmv_rejects_close_angles(self):
         x = np.zeros((8, 64), dtype=complex)
-        with pytest.raises(SeparationFailure):
-            separate_spatial(x, _cov(x), [0.0, np.deg2rad(2.0)])
+        w, resolved = separate_spatial(_cov(x), [0.0, np.deg2rad(2.0)])
+        assert not resolved and w.shape == (8, 2) and np.isnan(w).all()
 
 
 class TestCovariancePath:
@@ -357,9 +376,50 @@ class TestCovariancePath:
         rng = np.random.default_rng([m, len(kind), 1])
         for _ in range(5):
             x, aoas = _two_source_snapshot(m, kind, rng)
-            out, w = separate_spatial(x, _cov(x), aoas)
+            w, resolved = separate_spatial(_cov(x), aoas)
             ref_out, ref_w = _lcmv_forming_gram(x, aoas)
-            assert np.array_equal(out, ref_out) and np.array_equal(w, ref_w)
+            assert resolved and np.array_equal(w, ref_w)
+            assert np.array_equal(w.conj().T @ x, ref_out)
+
+
+class TestStackedSpatial:
+    """MUSIC and LCMV on a (k, m, m) stack of covariances give each matrix
+    the bits of the call on that matrix alone, and of the one-matrix
+    reference; an unresolved pair in the stack leaves the others as they are."""
+
+    @staticmethod
+    def _covs(m, rng, k=7):
+        kinds = ["coherent", "sign_flipped", "independent"]
+        return np.array([_cov(_two_source_snapshot(m, kinds[i % 3], rng, n=512)[0])
+                         for i in range(k)])
+
+    @pytest.mark.parametrize("m", [4, 5, 8])
+    def test_music_stack_matches_each_matrix(self, m):
+        rng = np.random.default_rng([m, 2])
+        covs = self._covs(m, rng)
+        got = estimate_aoa(covs, 2)
+        assert got.shape == (covs.shape[0], 2)
+        for cov, angles in zip(covs, got):
+            assert np.array_equal(angles, estimate_aoa(cov, 2))
+            assert np.array_equal(angles, _music_reference(cov, 2))
+        # any leading shape, one angle row per matrix
+        grid = estimate_aoa(covs[:6].reshape(2, 3, m, m), 2)
+        assert np.array_equal(grid, got[:6].reshape(2, 3, 2))
+
+    @pytest.mark.parametrize("m", [4, 5, 8])
+    def test_lcmv_stack_matches_each_matrix(self, m):
+        rng = np.random.default_rng([m, 3])
+        covs = self._covs(m, rng)
+        aoas = estimate_aoa(covs, 2)
+        aoas[3] = [0.1, 0.1 + np.deg2rad(4.5)]  # under the resolution limit
+        w, resolved = separate_spatial(covs, aoas)
+        assert w.shape == (covs.shape[0], m, 2)
+        assert resolved.tolist() == [i != 3 for i in range(covs.shape[0])]
+        assert np.isnan(w[3]).all()
+        for i in np.flatnonzero(resolved):
+            one, ok = separate_spatial(covs[i], aoas[i])
+            assert ok and np.array_equal(w[i], one)
+            assert np.array_equal(w[i], _lcmv_reference(covs[i], aoas[i]))
 
 
 class TestTemporalPartition:

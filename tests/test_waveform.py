@@ -15,6 +15,7 @@ from risjam.waveform import (
     _GF_EXP,
     _GF_LOG,
     DEFAULT_RS_TABLE,
+    ORDERS,
     Family,
     ModScheme,
     RsCode,
@@ -59,6 +60,13 @@ def _constellation_by_search(family, m):
             di, dq = data >> (int(np.log2(m)) - bi), data & (mq - 1)
             pts[data] = li[ungray(di, mi)] + 1j * lq[ungray(dq, mq)]
     return pts / np.sqrt(np.mean(np.abs(pts) ** 2))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_bits_per_symbol_is_log2_of_the_order(family, order):
+    bits = ModScheme(family, order).bits_per_symbol
+    assert type(bits) is int and bits == int(np.log2(order)) and 2**bits == order
 
 
 class TestConstellations:
