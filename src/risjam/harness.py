@@ -319,10 +319,11 @@ def _aggregate(jsr, model, topology, ris, cell) -> SweepRow:
     """One cell's row from its (number, trial) array. Each column is a
     contiguous 1-D array, so its mean adds the trials as a list of them would."""
     t_l, t_j, detected, attempted, correct, tau_err, scheme, code_rate, fraction, clamped = cell
-    gains = t_j / t_l
+    n, gain = t_l.size, np.mean(t_j) / np.mean(t_l)
     correct = correct[attempted == 1.0]
     tau_err = tau_err[~np.isnan(tau_err)]
-    stderr = float(np.std(gains, ddof=1) / np.sqrt(gains.size)) if gains.size > 1 else 0.0
+    # the ratio of means' delta-method standard error (Cochran 1977, ch. 6)
+    stderr = np.std(t_j - gain * t_l, ddof=1) / (np.sqrt(n) * np.mean(t_l)) if n > 1 else 0.0
     return SweepRow(
         jsr_db=float(jsr),
         jammer=model,
@@ -330,14 +331,14 @@ def _aggregate(jsr, model, topology, ris, cell) -> SweepRow:
         ris_size=int(ris),
         t_baseline=float(np.mean(t_l)),
         t_jammed=float(np.mean(t_j)),
-        gain=float(np.mean(t_j) / np.mean(t_l)),
+        gain=float(gain),
         detect_rate=float(np.mean(detected)),
         classify_rate=float(np.mean(correct)) if correct.size else 0.0,
         tau_err=float(np.mean(tau_err)) if tau_err.size else float("nan"),
         modulation=str(_SCHEMES[int(_modal(scheme))]),
         code_rate=float(_modal(code_rate)),
         payload_fraction=float(np.mean(fraction)),
-        stderr_gain=stderr,
+        stderr_gain=float(stderr),
         clamped_fraction=float(np.mean(clamped)),
     )
 

@@ -23,27 +23,18 @@ class PathTopology(str, Enum):
     RIS_AWARE = "ris_aware"
 
 
-def jammer_transform(
-    model: JammerModel,
-    x: np.ndarray,
-    delay_samples: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Apply the per-class waveform manipulation and the path delay.
+def jammer_transform(model: JammerModel, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Apply the per-class waveform manipulation to the symbols x.
 
-    Output length is len(x) + delay_samples, zero-padded at the head. DRFM
-    replays x unchanged (the transmit power scales it afterwards); the PS/AS
-    random factors are drawn once per modulation symbol.
+    DRFM returns x itself (the transmit power scales it afterwards); the
+    PS/AS random factors are drawn once per modulation symbol. Where the
+    replica lands in a frame is the caller's to decide.
     """
-    if delay_samples < 0:
-        raise JammerError("delay_samples must be non-negative")
     x = np.asarray(x, dtype=complex)
     if x.size == 0:
         raise JammerError("empty input sequence")
     if model == JammerModel.DRFM:
-        shaped = x
-    elif model == JammerModel.PS:
-        shaped = x * rng.choice([1.0, -1.0], size=x.size)
-    else:
-        shaped = x * rng.uniform(0.0, 2.0, size=x.size)
-    return np.concatenate([np.zeros(delay_samples, dtype=complex), shaped])
+        return x
+    if model == JammerModel.PS:
+        return x * rng.choice([1.0, -1.0], size=x.size)
+    return x * rng.uniform(0.0, 2.0, size=x.size)

@@ -223,12 +223,11 @@ def _block_lost(rx_bytes: np.ndarray, codeword: np.ndarray, code: wf.RsCode) -> 
     return int(np.count_nonzero(rx_bytes != codeword)) > code.t
 
 
-def _replica(model, x, tau, amp, rng) -> np.ndarray:
-    """Jammer replica of x delayed by tau, scaled so its active span [tau, end)
-    has average power |amp|^2. Length len(x) + tau, zero-padded at the head.
-    """
-    shaped = jm.jammer_transform(model, x, tau, rng)
-    rms = np.sqrt(np.mean(np.abs(shaped[tau:]) ** 2))
+def _replica(model, x, amp, rng) -> np.ndarray:
+    """Jammer replica of x, scaled to average power |amp|^2; the caller adds
+    it at its onset."""
+    shaped = jm.jammer_transform(model, x, rng)
+    rms = np.sqrt(np.mean(np.abs(shaped) ** 2))
     if rms == 0.0:
         return np.zeros(shaped.size, dtype=complex)
     return (amp / rms) * shaped
@@ -277,17 +276,17 @@ def _classify(settings, scheme, legit_s, jam_s, nv_l, nv_j) -> rx.JammerClass:
     return rx.classify_jammer(sim, inversions, thr, scheme)
 
 
-def _stage_two(settings, model, scheme, a_j, rng) -> rx.JammerClass:
-    """Split PS from AS on a jam-only probe against the known replica.
+def _stage_two(settings, scheme, c) -> rx.JammerClass:
+    """Split PS from AS on a jam-only probe of cell c against the known replica.
 
     Per-symbol ratios r_k = y_k / x_k cluster at +-1 for PS (balanced signs)
     and at V_k > 0 for AS. The global phase comes from the squared ratios,
     which removes the sign ambiguity; a near-balanced sign split means PS.
     """
     n = 1024
-    bits = rng.integers(0, 2, n * scheme.bits_per_symbol).astype(np.uint8)
+    bits = c.rng.integers(0, 2, n * scheme.bits_per_symbol).astype(np.uint8)
     x = wf.modulate(bits, scheme)
-    stream = _replica(model, x, 0, a_j, rng) + _noise(n, rng)
+    stream = _replica(c.model, x, c.a_j, c.rng) + _noise(n, c.rng)
     r = stream * np.conj(x) / np.abs(x) ** 2
     phase = 0.5 * np.angle(np.sum(r**2))
     signs = np.real(r * np.exp(-1j * phase)) < 0.0
@@ -323,38 +322,59 @@ def _spatial_pair(settings, scheme, out, w, tau_hat):
     return legit_s, jam_aligned, nv[k], nv[1 - k]
 
 
-def _temporal_pair(settings, model, scheme, a_l, a_j, tau, tau_hat, burst, rng):
-    """Probe with a shortened burst; the replica lands in a disjoint slot.
+def _temporal_pair(settings, link, tau, c, burst):
+    """Probe cell c with a shortened burst; its replica lands at tau, in a
+    disjoint slot, and is read from c.tau_hat.
 
     Returns (legit, jam, 1.0, 1.0) in unit-noise samples, or None when the
     burst or the replica's slot is too short to classify.
     """
     if _too_short(settings, burst):
         return None
-    xb, _ = _frame(settings, scheme, burst, rng)
-    y = _noise(tau + burst, rng)
-    y[:burst] += a_l * xb
-    y += _replica(model, xb, tau, a_j, rng)
-    jam_s = y[tau_hat : tau_hat + burst]
+    xb, _ = _frame(settings, link.base.scheme, burst, c.rng)
+    y = _noise(tau + burst, c.rng)
+    y[:burst] += link.a_l * xb
+    y[tau:] += _replica(c.model, xb, c.a_j, c.rng)
+    jam_s = y[c.tau_hat : c.tau_hat + burst]
     if _too_short(settings, jam_s.size):
         return None
     return y[:burst], jam_s, 1.0, 1.0
 
 
-def _classify_pair(settings, model, scheme, a_l, a_j, tau, tau_hat, pair, rng):
-    """(jammer class, payload fraction) from a spatially separated pair, or
-    from the temporal probe when `pair` is None; None when nothing usable."""
-    fraction = 1.0
-    if pair is None:
-        try:
-            burst, fraction = rx.partition_temporal(settings.frame_len, tau_hat)
-        except rx.ReceiverError:
-            return None
-        pair = _temporal_pair(settings, model, scheme, a_l, a_j, tau, tau_hat, burst, rng)
-    cls = rx.JammerClass.UNKNOWN if pair is None else _classify(settings, scheme, *pair)
+def _classify_cell(settings, link, tau, c) -> TrialResult:
+    """Cell c's trial result. Its jammer class comes from the LCMV-separated
+    pair when the cell has resolved weights and the pair is long enough, else
+    from the temporal probe; a PS verdict goes to stage two. With no class
+    (nothing detected or estimated, or a delay that leaves no slot for the
+    probe) the baseline operating point stands."""
+    base = link.base
+    cls, fraction, pair = None, 1.0, None
+    if c.w is not None:
+        out = _lcmv_outputs(link.clean, tau, c.w, c.steer, c.jam)
+        pair = _spatial_pair(settings, base.scheme, out, c.w, c.tau_hat)
+    if pair is None and c.tau_hat is not None and c.tau_hat > 0:
+        burst, fraction = rx.partition_temporal(settings.frame_len, c.tau_hat)
+        pair = _temporal_pair(settings, link, tau, c, burst)
+        cls = rx.JammerClass.UNKNOWN  # unless the probe is long enough
+    if pair is not None:
+        cls = _classify(settings, base.scheme, *pair)
     if cls == rx.JammerClass.PS:
-        cls = _stage_two(settings, model, scheme, a_j, rng)
-    return cls, fraction
+        cls = _stage_two(settings, base.scheme, c)
+
+    decision = base
+    if cls is not None:
+        decision = ad.select_link(
+            cls, link.snr_l, c.snr_j, settings.base_family, settings.delta,
+            settings.fixed_rate, settings.max_order,
+        )
+    t_j = ad.throughput(settings.bandwidth_hz, decision.code, decision.scheme, fraction)
+    return TrialResult(
+        t_baseline=link.t_baseline, t_jammed=t_j, detected=c.detected, jammer_class=cls,
+        classified_correct=(cls == rx.JammerClass(c.model.value)),
+        tau_err=np.nan if c.tau_hat is None else float(abs(c.tau_hat - tau)),
+        scheme=decision.scheme, code_rate=decision.code.rate, payload_fraction=fraction,
+        clamped=c.clamped,
+    )
 
 
 def _estimate_delay(settings, x, y, onset, jump) -> int | None:
@@ -480,8 +500,8 @@ def draw_link(
 class _JamFront:
     """A cell after detection and delay estimate on antenna 0. A detected
     cell under spatial orthogonality also keeps its steering vector, its
-    replica's active span, the two terms its array covariance adds (see
-    `_array_covariances`) and, once resolved, its LCMV weights."""
+    replica's active span, its m x m array covariance and, once resolved,
+    its LCMV weights."""
 
     model: jm.JammerModel
     rng: np.random.Generator
@@ -492,8 +512,7 @@ class _JamFront:
     tau_hat: int | None
     steer: np.ndarray | None = None
     jam: np.ndarray | None = None
-    x: np.ndarray | None = None
-    p: float = 0.0
+    cov: np.ndarray | None = None
     w: np.ndarray | None = None
 
 
@@ -511,10 +530,11 @@ def _jam_front(settings, link, tau, jsr_db_target, model, rng, eaves_noise_var_w
     snr_j = ad.snr_jamming(gamma_e, gamma_j)
 
     # normalized-unit waveform pass (unit receiver noise variance): the
-    # replica's active span [tau, f), added on each antenna by its steering
+    # replica's span that falls in the frame, [tau, f), added on each antenna
+    # by its steering
     f = settings.frame_len
     a_j = np.exp(1j * np.angle(link.h_in * link.h_out)) * np.sqrt(gamma_j)
-    jam = _replica(model, link.x, tau, a_j, rng)[tau:f]
+    jam = _replica(model, link.x, a_j, rng)[: f - tau]
     steer = None
     if link.aoa_l is not None:
         while True:
@@ -541,24 +561,14 @@ def _jam_front(settings, link, tau, jsr_db_target, model, rng, eaves_noise_var_w
     if steer is not None and tau_hat is not None:
         # a copy of the span, which frees the rest of the replica's buffer
         cell.steer, cell.jam = steer, jam.copy()
-        cell.x = link.clean[:, tau:] @ jam.conj() / f
-        cell.p = np.vdot(jam, jam).real / f
+        # the covariance of the snapshot clean + s j^T from shared parts: the
+        # link draw's C plus s x^H + x s^H + p s s^H, with x = clean conj(j) / f
+        # and p = ||j||^2 / f, so no m x f snapshot is formed
+        x = link.clean[:, tau:] @ jam.conj() / f
+        sx = np.outer(steer, x.conj())
+        cell.cov = link.clean_cov + (sx + sx.conj().T)
+        cell.cov += np.vdot(jam, jam).real / f * np.outer(steer, steer.conj())
     return cell
-
-
-def _array_covariances(clean_cov, steer, x, p) -> np.ndarray:
-    """The m x m covariances of array snapshots clean + s j^T, stacked, from
-    shared parts: clean's covariance C, and per snapshot its steering s
-    (row of `steer`), x = clean conj(j) / f (row of `x`) and p = ||j||^2 / f.
-
-    The covariance is C + s x^H + x s^H + p s s^H, so no m x f snapshot is
-    formed. Every step is elementwise over the stack, so a row gets the same
-    bits in any batch.
-    """
-    sx = steer[:, :, None] * x.conj()[:, None, :]
-    cov = clean_cov + (sx + sx.conj().swapaxes(1, 2))
-    cov += p[:, None, None] * (steer[:, :, None] * steer.conj()[:, None, :])
-    return cov
 
 
 def run_cells(
@@ -581,46 +591,15 @@ def run_cells(
         _jam_front(settings, link, tau, jsr, model, rng, eaves_noise_var_watt)
         for jsr, model, rng in cells
     ]
-    spatial = [c for c in fronts if c.steer is not None]
+    spatial = [c for c in fronts if c.cov is not None]
     if spatial:
-        cov = _array_covariances(
-            link.clean_cov, np.array([c.steer for c in spatial]),
-            np.array([c.x for c in spatial]), np.array([c.p for c in spatial]),
-        )
+        cov = np.array([c.cov for c in spatial])
         w, resolved = rx.separate_spatial(cov, rx.estimate_aoa(cov, 2))
         for c, wk, ok in zip(spatial, w, resolved):
             if ok:
                 c.w = wk
 
-    base, results = link.base, []
-    for c in fronts:
-        outcome = None
-        if c.tau_hat is not None:
-            pair = None
-            if c.w is not None:
-                out = _lcmv_outputs(link.clean, tau, c.w, c.steer, c.jam)
-                pair = _spatial_pair(settings, base.scheme, out, c.w, c.tau_hat)
-            outcome = _classify_pair(
-                settings, c.model, base.scheme, link.a_l, c.a_j, tau, c.tau_hat, pair, c.rng
-            )
-
-        # no usable outcome keeps the baseline operating point
-        cls, fraction, decision = None, 1.0, base
-        if outcome is not None:
-            cls, fraction = outcome
-            decision = ad.select_link(
-                cls, link.snr_l, c.snr_j, settings.base_family, settings.delta,
-                settings.fixed_rate, settings.max_order,
-            )
-        t_j = ad.throughput(settings.bandwidth_hz, decision.code, decision.scheme, fraction)
-        results.append(TrialResult(
-            t_baseline=link.t_baseline, t_jammed=t_j, detected=c.detected, jammer_class=cls,
-            classified_correct=(cls == rx.JammerClass(c.model.value)),
-            tau_err=np.nan if c.tau_hat is None else float(abs(c.tau_hat - tau)),
-            scheme=decision.scheme, code_rate=decision.code.rate, payload_fraction=fraction,
-            clamped=c.clamped,
-        ))
-    return results
+    return [_classify_cell(settings, link, tau, c) for c in fronts]
 
 
 def run_trial(

@@ -22,12 +22,6 @@ class NoPeakError(ReceiverError):
     """Correlation has no usable maximum."""
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
-    lags: np.ndarray
-    values: np.ndarray
-
-
 @lru_cache(maxsize=None)
 def _fast_len(n: int) -> int:
     """Smallest length >= n with no prime factor above 11; numpy's FFT runs
@@ -42,12 +36,13 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
-def cross_correlate(y, y_ref, f_max: int, gamma_max: int) -> CorrelationResult:
+def cross_correlate(y, y_ref, f_max: int, gamma_max: int) -> np.ndarray:
     """Sliding inner product R(tau) = sum_{n<f_max} y[n] * conj(y_ref[n+tau]).
 
-    Out-of-range reference indices contribute zero. Lags span
-    [-gamma_max, gamma_max]. A 2-D `y` correlates each row against the one
-    reference, sharing its FFT; `values` then has one row per row of `y`.
+    Out-of-range reference indices contribute zero. Returns R at the lags
+    -gamma_max..gamma_max, in order, on the last axis. A 2-D `y` correlates
+    each row against the one reference, sharing its FFT, and gets one row of
+    values per row.
 
     The correlation is taken circularly, at the shortest fast FFT length
     whose wrap-around misses every lag in [-gamma_max, gamma_max]. With
@@ -68,19 +63,18 @@ def cross_correlate(y, y_ref, f_max: int, gamma_max: int) -> CorrelationResult:
     # R(tau) sits at index -tau mod nfft: lags -gamma_max..0 are c[gamma_max]
     # down to c[0], lags 1..gamma_max are c[nfft - 1] down to c[nfft - gamma_max]
     c = np.fft.ifft(np.fft.fft(y[..., :f_max], nfft) * np.fft.fft(rs, nfft).conj())
-    values = np.concatenate([c[..., gamma_max::-1], c[..., : nfft - gamma_max - 1 : -1]], axis=-1)
-    return CorrelationResult(lags=np.arange(-gamma_max, gamma_max + 1), values=values)
+    return np.concatenate([c[..., gamma_max::-1], c[..., : nfft - gamma_max - 1 : -1]], axis=-1)
 
 
-def estimate_delay(corr: CorrelationResult) -> int:
-    """Lag of the maximum correlation magnitude; ties go to the smallest |tau|."""
-    mags = np.abs(corr.values)
+def estimate_delay(values: np.ndarray) -> int:
+    """Lag of the maximum magnitude of a `cross_correlate` result, whose 2g + 1
+    values run over the lags -g..g; ties go to the smallest |tau|."""
+    mags = np.abs(values)
     peak = mags.max()
     if peak == 0.0:
         raise NoPeakError("correlation is identically zero")
-    cand = corr.lags[mags >= peak * (1 - 1e-12)]
-    cand = sorted(cand.tolist(), key=lambda t: (abs(t), t))
-    return int(cand[0])
+    cand = np.flatnonzero(mags >= peak * (1 - 1e-12)) - (mags.size - 1) // 2
+    return min(cand.tolist(), key=lambda t: (abs(t), t))
 
 
 @lru_cache(maxsize=8)
@@ -269,7 +263,7 @@ def similarity_ratio(jam_est, legit_est, f_max: int, legit_noise_var: float) -> 
         raise ReceiverError("sequences shorter than f_max")
     gamma = max(1, f_max // 2)
     both = np.stack([legit_est[:f_max], jam_est[:f_max]])
-    sc_mags, cc_mags = np.abs(cross_correlate(both, legit_est, f_max, gamma).values)
+    sc_mags, cc_mags = np.abs(cross_correlate(both, legit_est, f_max, gamma))
     # lags run from -gamma, so lag 0 sits at index gamma
     sc_mags[gamma] = max(sc_mags[gamma] - legit_noise_var * f_max, 0.0)
     sc_max = float(sc_mags.max()) / f_max

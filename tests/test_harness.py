@@ -370,7 +370,10 @@ class TestAggregation:
                     assert row.t_jammed == np.mean(t_j)
                     assert row.gain == np.mean(t_j) / np.mean(t_l)
                     assert row.payload_fraction == np.mean([r.payload_fraction for r in res])
-                    assert row.stderr_gain == np.std(t_j / t_l, ddof=1) / np.sqrt(n)
+                    gain = np.mean(t_j) / np.mean(t_l)
+                    assert row.stderr_gain == (
+                        np.std(t_j - gain * t_l, ddof=1) / (np.sqrt(n) * np.mean(t_l))
+                    )
                     errs = [r.tau_err for r in res if not np.isnan(r.tau_err)]
                     if errs:
                         assert row.tau_err == np.mean(errs)
@@ -387,6 +390,32 @@ class TestAggregation:
                     # the oracle sees summation order only where the trials differ
                     assert len(set(t_l)) > 1 and len(set(t_j)) > 1
         assert estimated > 0
+
+    @staticmethod
+    def _synthetic_row(t_l, t_j):
+        cell = np.zeros((10, t_l.size))
+        cell[0], cell[1], cell[5], cell[7] = t_l, t_j, np.nan, 0.94
+        return harness._aggregate(0.0, JammerModel.DRFM, PathTopology.SOURCE_AWARE, 64, cell)
+
+    def test_stderr_is_the_ratio_of_means_standard_error(self):
+        """`gain` is mean(t_j) / mean(t_l); its standard error tracks a
+        bootstrap of that ratio where t_l varies across trials, which the
+        standard error of the per-trial ratios t_j / t_l does not. With one
+        t_l for every trial, as under pinned SNR, the two agree."""
+        rng = np.random.default_rng(17)
+        n = 200
+        t_l = rng.uniform(0.25, 1.75, n)
+        t_j = 0.6 * rng.uniform(0.25, 1.75, n)
+        row = self._synthetic_row(t_l, t_j)
+        assert row.gain == np.mean(t_j) / np.mean(t_l)
+        idx = rng.integers(0, n, (4000, n))
+        boot = np.std(t_j[idx].mean(axis=1) / t_l[idx].mean(axis=1), ddof=1)
+        assert row.stderr_gain == pytest.approx(boot, rel=0.06)
+        per_trial = np.std(t_j / t_l, ddof=1) / np.sqrt(n)
+        assert per_trial > 1.3 * boot
+        pinned = self._synthetic_row(np.full(n, 0.8), t_j)
+        assert pinned.stderr_gain == pytest.approx(np.std(t_j / 0.8, ddof=1) / np.sqrt(n), rel=1e-12)
+        assert self._synthetic_row(t_l[:1], t_j[:1]).stderr_gain == 0.0
 
     def test_modal_ties_go_to_the_smallest_name_and_lowest_rate(self):
         def result(order, code_rate):

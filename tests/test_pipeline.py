@@ -177,12 +177,12 @@ def _estimate_delay_full(settings, x, y, onset, jump):
     sig = settings.peak_significance
     if jump < sig:
         return None
-    corr_res = rx.cross_correlate(x, y, f, f - 1)
-    mask = np.abs(corr_res.lags - onset) <= 8
+    values, lags = rx.cross_correlate(x, y, f, f - 1), np.arange(1 - f, f)
+    mask = np.abs(lags - onset) <= 8
     if mask.any():
-        local = corr_res.lags[mask][np.argmax(np.abs(corr_res.values[mask]))]
-        local_mag = np.max(np.abs(corr_res.values[mask]))
-        primary = np.abs(corr_res.values[corr_res.lags == 0])
+        local = lags[mask][np.argmax(np.abs(values[mask]))]
+        local_mag = np.max(np.abs(values[mask]))
+        primary = np.abs(values[lags == 0])
         if primary.size and primary[0] > 0 and local_mag >= sig * float(primary[0]):
             return int(local)
     return onset
@@ -203,7 +203,9 @@ class TestDelayEstimate:
             for jsr_db in (-5.0, 5.0, 15.0):
                 x, _ = pl._frame(s, scheme, f, rng)
                 a_j = np.exp(2j * np.pi * rng.random()) * 10.0 ** (jsr_db / 20.0)
-                y = 3.0 * x + pl._replica(model, x, tau, a_j, rng)[:f] + pl._noise(f, rng)
+                y = 3.0 * x
+                y[tau:] += pl._replica(model, x, a_j, rng)[: f - tau]
+                y += pl._noise(f, rng)
                 onset, jump = rx.estimate_onset(y, guard=guard)
                 for o, j in [(onset, jump), (onset, 0.0), (tau, 1.0)] + [
                     (e, 1.0) for e in edge_onsets
@@ -213,6 +215,55 @@ class TestDelayEstimate:
                     local_wins += want is not None and want != o
         # the correlation peak overrides the change-point on some frames
         assert local_wins > 0
+
+
+class TestTemporalProbe:
+    """`_temporal_pair` draws from the cell's generator in the order frame
+    bits, noise, replica; the legit burst starts the probe, the replica lands
+    at tau, and the jam stream is read from the delay estimate."""
+
+    @staticmethod
+    def _cell(model, tau_hat, seed):
+        return pl._JamFront(
+            model=model, rng=np.random.default_rng(seed), a_j=2.0 * np.exp(0.3j), snr_j=1.0,
+            clamped=False, detected=True, tau_hat=tau_hat,
+        )
+
+    @pytest.mark.parametrize("model", list(JammerModel), ids=lambda m: m.value)
+    def test_streams_bit_for_bit(self, model):
+        s = _settings(frame_len=256, pilot_len=8)
+        link = pl.draw_link(s, np.random.default_rng([7, 0]), None)
+        tau = 100
+        # an early, exact and late estimate; the late one's burst overlaps the replica
+        for tau_hat in (tau - 3, tau, tau + 2):
+            burst, _ = rx.partition_temporal(s.frame_len, tau_hat)
+            c = self._cell(model, tau_hat, [7, tau_hat])
+            ref = copy.deepcopy(c.rng)
+            legit, jam, nv_l, nv_j = pl._temporal_pair(s, link, tau, c, burst)
+            xb, _ = pl._frame(s, link.base.scheme, burst, ref)
+            noise = pl._noise(tau + burst, ref)
+            replica = pl._replica(model, xb, c.a_j, ref)
+            want_legit = noise[:burst] + link.a_l * xb
+            want_legit[tau:] += replica[: max(burst - tau, 0)]
+            padded = np.concatenate([np.zeros(tau, dtype=complex), replica])
+            want_jam = noise[tau_hat : tau_hat + burst] + padded[tau_hat : tau_hat + burst]
+            assert np.array_equal(legit, want_legit) and np.array_equal(jam, want_jam)
+            assert (nv_l, nv_j) == (1.0, 1.0)
+            assert c.rng.bit_generator.state == ref.bit_generator.state
+
+    def test_too_short_returns_none(self):
+        s = _settings(frame_len=256, pilot_len=8)
+        link = pl.draw_link(s, np.random.default_rng([7, 1]), None)
+        # a burst under two pilots is refused before any draw
+        c = self._cell(JammerModel.PS, 15, 3)
+        state = c.rng.bit_generator.state
+        assert pl._temporal_pair(s, link, 100, c, 15) is None
+        assert c.rng.bit_generator.state == state
+        # a replica at tau 10 read from 40 leaves a 10-sample jam stream
+        c = self._cell(JammerModel.PS, 40, 4)
+        assert pl._temporal_pair(s, link, 10, c, 40) is None
+        # at tau 16 it holds two pilots' worth
+        assert pl._temporal_pair(s, link, 16, self._cell(JammerModel.PS, 40, 4), 40) is not None
 
 
 class TestPowerBookkeeping:
@@ -382,12 +433,9 @@ class TestRunCells:
                     jam[tau:] = c.jam
                     streams = link.clean + np.outer(c.steer, jam)
                     ref = streams @ streams.conj().T / f
-                    cov = pl._array_covariances(
-                        link.clean_cov, c.steer[None], c.x[None], np.array([c.p])
-                    )[0]
-                    assert np.max(np.abs(cov - ref)) <= 1e-13 * np.max(np.abs(ref))
+                    assert np.max(np.abs(c.cov - ref)) <= 1e-13 * np.max(np.abs(ref))
                     aoas = rx.estimate_aoa(ref, 2)
-                    assert np.array_equal(rx.estimate_aoa(cov, 2), aoas)
+                    assert np.array_equal(rx.estimate_aoa(c.cov, 2), aoas)
                     w, resolved = rx.separate_spatial(ref, aoas)
                     assert resolved
                     out_ref = w.conj().T @ streams
