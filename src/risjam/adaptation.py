@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -18,10 +19,14 @@ class AdaptationError(ValueError):
     pass
 
 
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+
+
 def _q(x):
     """Gaussian tail Q(x) = erfc(x / sqrt(2)) / 2, elementwise."""
     z = np.asarray(x, dtype=float) / np.sqrt(2.0)
-    return 0.5 * np.array([math.erfc(v) for v in z.ravel().tolist()]).reshape(z.shape)
+    # a 0-d input gives a Python float, an array input an object array
+    return 0.5 * np.asarray(_ERFC(z), dtype=float)
 
 
 def snr_jamming(gamma_e: float, gamma_j: float) -> float:
@@ -120,6 +125,27 @@ def residual_symbol_error(ser: float, code: RsCode) -> float:
     return (code.n * ser - code.t) / code.n
 
 
+def _rank(table: tuple[RsCode, ...]) -> tuple[RsCode, ...]:
+    """`table` by falling rate; equal rates keep their table order."""
+    return tuple(sorted(table, key=lambda c: c.rate, reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _ranked_table(fixed_rate: float | None) -> tuple[RsCode, ...]:
+    return _rank(code_table(fixed_rate))
+
+
+def _first_code(ser: float, delta: float, ranked: tuple[RsCode, ...]) -> RsCode | None:
+    """The code rule: the first code of the rate-ranked table whose residual
+    stays below delta at this symbol error rate, or None."""
+    if delta >= 0:
+        raise AdaptationError("delta must be negative")
+    for code in ranked:
+        if residual_symbol_error(ser, code) <= delta:
+            return code
+    return None
+
+
 def select_code(
     scheme: ModScheme, delta: float, table: tuple[RsCode, ...], ber: float
 ) -> AdaptationDecision:
@@ -129,14 +155,11 @@ def select_code(
     Falls back to the lowest-rate entry, flagged non-compliant, when nothing
     qualifies.
     """
-    if delta >= 0:
-        raise AdaptationError("delta must be negative")
-    ser = 1.0 - (1.0 - ber) ** scheme.bits_per_symbol
-    codes = sorted(table, key=lambda c: c.rate, reverse=True)
-    for code in codes:
-        if residual_symbol_error(ser, code) <= delta:
-            return AdaptationDecision(scheme, code, True)
-    return AdaptationDecision(scheme, codes[-1], False)
+    ranked = _rank(table)
+    code = _first_code(1.0 - (1.0 - ber) ** scheme.bits_per_symbol, delta, ranked)
+    if code is None:
+        return AdaptationDecision(scheme, ranked[-1], False)
+    return AdaptationDecision(scheme, code, True)
 
 
 def code_table(fixed_rate: float | None) -> tuple[RsCode, ...]:
@@ -150,6 +173,10 @@ def code_table(fixed_rate: float | None) -> tuple[RsCode, ...]:
     return matches
 
 
+# Calls repeat: under pinned SNR the jam-free baseline sees a handful of
+# snr_l values, and on one link draw the jammers at one JSR share snr_j, as
+# do clamped cells
+@lru_cache(maxsize=256)
 def select_link(
     jammer_class: JammerClass | None,
     snr_l: float,
@@ -164,20 +191,23 @@ def select_link(
     higher order. With none compliant, the order-2 decision stands.
 
     With `fixed_rate` set, only that single code is on the table (fixed-rate
-    operating mode); the modulation order still adapts.
+    operating mode); the modulation order still adapts. A pure function of
+    its arguments, memoised: a repeated call returns the same decision.
     """
     family = remap_modulation(jammer_class, ModScheme(base_family, 2)).family
-    table = code_table(fixed_rate)
+    ranked = _ranked_table(fixed_rate)
     orders = [order for order in ORDERS if order <= max_order]
     bers = effective_ber(jammer_class, family, np.array(orders), snr_l, snr_j)
-    decisions = [
-        select_code(ModScheme(family, order), delta, table, ber)
-        for order, ber in zip(orders, bers.tolist())
-    ]
-    compliant = [d for d in decisions if d.compliant]
-    if not compliant:
-        return decisions[0]
-    return max(compliant, key=lambda d: (d.code.rate * d.scheme.bits_per_symbol, d.scheme.order))
+    picks = []  # (spectral efficiency, order, code) of each order with a code
+    for order, ber in zip(orders, bers.tolist()):
+        bits = order.bit_length() - 1
+        code = _first_code(1.0 - (1.0 - ber) ** bits, delta, ranked)
+        if code is not None:
+            picks.append((code.rate * bits, order, code))
+    if not picks:
+        return AdaptationDecision(ModScheme(family, orders[0]), ranked[-1], False)
+    _, order, code = max(picks, key=lambda p: p[:2])
+    return AdaptationDecision(ModScheme(family, order), code, True)
 
 
 def throughput(

@@ -23,6 +23,10 @@ class PathTopology(str, Enum):
     RIS_AWARE = "ris_aware"
 
 
+_SIGNS = np.array([1.0, -1.0])
+_SIGNS.flags.writeable = False
+
+
 def jammer_transform(model: JammerModel, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Apply the per-class waveform manipulation to the symbols x.
 
@@ -36,5 +40,6 @@ def jammer_transform(model: JammerModel, x: np.ndarray, rng: np.random.Generator
     if model == JammerModel.DRFM:
         return x
     if model == JammerModel.PS:
-        return x * rng.choice([1.0, -1.0], size=x.size)
+        # the draws of rng.choice([1.0, -1.0], x.size), without its dispatch
+        return x * _SIGNS[rng.integers(0, 2, x.size)]
     return x * rng.uniform(0.0, 2.0, size=x.size)

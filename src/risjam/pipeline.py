@@ -227,7 +227,7 @@ def _replica(model, x, amp, rng) -> np.ndarray:
     """Jammer replica of x, scaled to average power |amp|^2; the caller adds
     it at its onset."""
     shaped = jm.jammer_transform(model, x, rng)
-    rms = np.sqrt(np.mean(np.abs(shaped) ** 2))
+    rms = np.sqrt(rx.mean_power(shaped))
     if rms == 0.0:
         return np.zeros(shaped.size, dtype=complex)
     return (amp / rms) * shaped
@@ -314,7 +314,7 @@ def _spatial_pair(settings, scheme, out, w, tau_hat):
     # per-output noise variance ||w_k||^2 of the LCMV weights
     nv = [float(np.sum(np.abs(w[:, k]) ** 2)) for k in range(2)]
     # the legit stream is the one whose head matches the pilot
-    c = [abs(np.vdot(pilot, s[: pilot.size])) / np.sqrt(np.mean(np.abs(s) ** 2)) for s in out]
+    c = [abs(np.vdot(pilot, s[: pilot.size])) / np.sqrt(rx.mean_power(s)) for s in out]
     k = 0 if c[0] >= c[1] else 1
     legit_s, jam_aligned = out[k], out[1 - k][tau_hat:]
     if _too_short(settings, min(legit_s.size, jam_aligned.size)):

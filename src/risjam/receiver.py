@@ -36,6 +36,26 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
+def _correlate_with_first(rows: np.ndarray, gamma_max: int) -> np.ndarray:
+    """R(tau) = sum_n rows[k, n] * conj(rs[n + tau]) of every row k of the
+    2-D `rows` against its first row rs, at the lags -gamma_max..gamma_max in
+    order on the last axis, out-of-range samples counting as zero.
+
+    The correlation is taken circularly, at the shortest fast FFT length
+    whose wrap-around misses every lag in range: lag -gamma_max wraps onto
+    rs[nfft - gamma_max + n], which must lie past the end of rs, so
+    nfft >= rs.size + gamma_max. The positive lags then cannot wrap either,
+    since the rows' signal lies within rs.size samples.
+    """
+    nfft = _fast_len(rows.shape[-1] + gamma_max)
+    spec = np.fft.fft(rows, nfft)
+    # c[m] = sum_n y[n] * conj(rs[n - m]) with the index taken mod nfft, so
+    # R(tau) sits at index -tau mod nfft: lags -gamma_max..0 are c[gamma_max]
+    # down to c[0], lags 1..gamma_max are c[nfft - 1] down to c[nfft - gamma_max]
+    c = np.fft.ifft(spec * spec[0].conj())
+    return np.concatenate([c[..., gamma_max::-1], c[..., : nfft - gamma_max - 1 : -1]], axis=-1)
+
+
 def cross_correlate(y, y_ref, f_max: int, gamma_max: int) -> np.ndarray:
     """Sliding inner product R(tau) = sum_{n<f_max} y[n] * conj(y_ref[n+tau]).
 
@@ -43,13 +63,6 @@ def cross_correlate(y, y_ref, f_max: int, gamma_max: int) -> np.ndarray:
     -gamma_max..gamma_max, in order, on the last axis. A 2-D `y` correlates
     each row against the one reference, sharing its FFT, and gets one row of
     values per row.
-
-    The correlation is taken circularly, at the shortest fast FFT length
-    whose wrap-around misses every lag in [-gamma_max, gamma_max]. With
-    rs = y_ref[:f_max + gamma_max], lag -gamma_max wraps onto
-    rs[nfft - gamma_max + n], which must lie past the end of rs, so
-    nfft >= rs.size + gamma_max. The positive lags then cannot wrap either,
-    since rs.size >= f_max.
     """
     y = np.asarray(y, dtype=complex)
     y_ref = np.asarray(y_ref, dtype=complex)
@@ -58,12 +71,12 @@ def cross_correlate(y, y_ref, f_max: int, gamma_max: int) -> np.ndarray:
     if not 0 <= gamma_max < f_max:
         raise ReceiverError(f"gamma_max {gamma_max} must lie in [0, f_max {f_max})")
     rs = y_ref[: f_max + gamma_max]
-    nfft = _fast_len(rs.size + gamma_max)
-    # c[m] = sum_n ys[n] * conj(rs[n - m]) with the index taken mod nfft, so
-    # R(tau) sits at index -tau mod nfft: lags -gamma_max..0 are c[gamma_max]
-    # down to c[0], lags 1..gamma_max are c[nfft - 1] down to c[nfft - gamma_max]
-    c = np.fft.ifft(np.fft.fft(y[..., :f_max], nfft) * np.fft.fft(rs, nfft).conj())
-    return np.concatenate([c[..., gamma_max::-1], c[..., : nfft - gamma_max - 1 : -1]], axis=-1)
+    ys = y[..., :f_max].reshape(-1, f_max)
+    rows = np.zeros((1 + ys.shape[0], rs.size), dtype=complex)
+    rows[0] = rs
+    rows[1:, :f_max] = ys
+    values = _correlate_with_first(rows, gamma_max)[1:]
+    return values.reshape(y.shape[:-1] + values.shape[-1:])
 
 
 def estimate_delay(values: np.ndarray) -> int:
@@ -249,6 +262,31 @@ class ClassifierThresholds:
             raise ReceiverError("thresholds must lie in (0, 1)")
 
 
+def _similarity_rows(jam_est, legit_est, f_max: int, gamma: int) -> np.ndarray:
+    """The two correlations the similarity ratio compares, as the rows of a
+    (2, 2 gamma + 1) array at the lags -gamma..gamma: row 0 correlates
+    legit_est[:f_max] and row 1 jam_est[:f_max] against the reference
+    rs = legit_est[:f_max + gamma], in the `cross_correlate` convention.
+
+    Four transforms, not five: with F = FFT(rs), the jam row is the inverse
+    of FFT(jam) F*, and the legit row that of F F* (the autocorrelation of all
+    of rs, Wiener-Khinchin) less the lag products of the rs samples past
+    f_max, which legit_est[:f_max] leaves out. A classification pair of n
+    samples has exactly one such sample (f_max = n - 1).
+    """
+    rs = legit_est[: f_max + gamma]
+    both = np.zeros((2, rs.size), dtype=complex)
+    both[0] = rs
+    both[1, :f_max] = jam_est[:f_max]
+    rows = _correlate_with_first(both, gamma)
+    # tail sample p contributes rs[p] conj(rs[p + tau]) for 0 <= p + tau <
+    # rs.size: every lag from -gamma (p >= f_max > gamma) to rs.size - 1 - p
+    for p in range(f_max, rs.size):
+        hi = min(gamma, rs.size - 1 - p)
+        rows[0, : gamma + hi + 1] -= rs[p] * rs[p - gamma : p + hi + 1].conj()
+    return rows
+
+
 def similarity_ratio(jam_est, legit_est, f_max: int, legit_noise_var: float) -> float:
     """Sim = max|R_jy| / max|R_yy| with both peaks normalized by f_max.
 
@@ -261,9 +299,10 @@ def similarity_ratio(jam_est, legit_est, f_max: int, legit_noise_var: float) -> 
     legit_est = np.asarray(legit_est, dtype=complex)
     if jam_est.size < f_max or legit_est.size < f_max:
         raise ReceiverError("sequences shorter than f_max")
+    if f_max < 2:
+        raise ReceiverError(f"f_max {f_max} leaves no lag window of +-1")
     gamma = max(1, f_max // 2)
-    both = np.stack([legit_est[:f_max], jam_est[:f_max]])
-    sc_mags, cc_mags = np.abs(cross_correlate(both, legit_est, f_max, gamma))
+    sc_mags, cc_mags = np.abs(_similarity_rows(jam_est, legit_est, f_max, gamma))
     # lags run from -gamma, so lag 0 sits at index gamma
     sc_mags[gamma] = max(sc_mags[gamma] - legit_noise_var * f_max, 0.0)
     sc_max = float(sc_mags.max()) / f_max
@@ -309,7 +348,14 @@ def pilot_anomaly_fraction(jam_pilot_syms, ref_pilot_syms) -> float:
     ref = np.asarray(ref_pilot_syms, dtype=complex)
     if jam.shape != ref.shape or jam.size == 0:
         raise ReceiverError("pilot sequences must match and be non-empty")
-    return float(np.mean(np.abs(jam - ref) > 0.5))
+    anomalous = np.abs(jam - ref) > 0.5
+    return np.count_nonzero(anomalous) / anomalous.size
+
+
+def mean_power(s: np.ndarray) -> float:
+    """Mean of |s|^2, bit for bit np.mean's, without its dispatch."""
+    p = np.abs(s) ** 2
+    return np.add.reduce(p) / p.size
 
 
 def equalize_stream(
@@ -329,6 +375,6 @@ def equalize_stream(
     ls = np.vdot(p, stream[: p.size]) / np.vdot(p, p)
     # the floor keeps a near-noise stream from being amplified into a fake signal
     floor = 0.1 * noise_var if noise_var > 0.0 else 1e-30
-    power = max(np.mean(np.abs(stream) ** 2) - noise_var, floor)
+    power = max(mean_power(stream) - noise_var, floor)
     gain = np.sqrt(power) * np.exp(1j * np.angle(ls))
     return stream / gain, noise_var / power

@@ -78,8 +78,12 @@ def modulate(bits: np.ndarray, scheme: ModScheme) -> np.ndarray:
     k = scheme.bits_per_symbol
     if bits.size % k:
         raise WaveformError(f"bit count {bits.size} not divisible by {k}")
-    weights = 1 << np.arange(k - 1, -1, -1)
-    idx = bits.reshape(-1, k) @ weights
+    # each symbol's index, its first bit the most significant, by shifts
+    cols = bits.reshape(-1, k)
+    idx = cols[:, 0].astype(np.intp)
+    for j in range(1, k):
+        idx <<= 1
+        idx |= cols[:, j]
     return constellation(scheme.family, scheme.order)[idx]
 
 

@@ -30,6 +30,13 @@ class TestTransforms:
         signs = np.sign(ratio.real)
         assert set(np.unique(signs)) == {-1.0, 1.0}
 
+    def test_ps_draws_the_signs_of_choice(self):
+        x = _qpsk(1001, np.random.default_rng(6))
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        out = jammer_transform(JammerModel.PS, x, rng)
+        assert np.array_equal(out, x * ref.choice([1.0, -1.0], size=x.size))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_as_amplitudes_in_range(self):
         rng = np.random.default_rng(3)
         x = _qpsk(2048, rng)

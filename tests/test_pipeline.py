@@ -166,9 +166,9 @@ class TestOneEmission:
         calls = _count_calls(monkeypatch, rx, "cross_correlate")
         r = _run(_settings(), 10.0, JammerModel.DRFM, 0, noise_floors)
         assert r.detected and np.isfinite(r.tau_err) and r.jammer_class is not None
-        # similarity_ratio's one call on the stacked legit and jam streams, none
-        # for the delay estimate
-        assert [np.shape(args[0])[0] for args in calls] == [2]
+        # the delay estimate reads its few lags directly, and similarity_ratio
+        # correlates through its own transforms
+        assert calls == []
 
 
 def _estimate_delay_full(settings, x, y, onset, jump):

@@ -211,6 +211,41 @@ class TestCrossCorrelation:
             estimate_delay(res)
 
 
+class TestSimilarityRows:
+    """The similarity ratio's two correlation rows, from four transforms and
+    the tail correction, against the direct sums."""
+
+    @pytest.mark.parametrize(
+        "n, f_max",
+        # a tail of one sample past f_max (every classification pair), of 48
+        # (f_max 2000 on 2048), and of none; odd and even n
+        [(3, 2), (4, 3), (2047, 2046), (2048, 2047), (2047, 1999), (2048, 2000), (64, 64)],
+    )
+    def test_rows_match_direct_sums(self, n, f_max):
+        rng = np.random.default_rng(n + f_max)
+        legit = rng.normal(size=n) + 1j * rng.normal(size=n)
+        jam = rng.normal(size=n) + 1j * rng.normal(size=n)
+        gamma = max(1, f_max // 2)
+        rs = legit[: f_max + gamma]
+        rows = receiver._similarity_rows(jam, legit, f_max, gamma)
+        assert rows.shape == (2, 2 * gamma + 1)
+        for row, y in zip(rows, (legit, jam)):
+            _, direct = brute_force_correlation(y, rs, f_max, gamma)
+            tol = 1e-12 * np.linalg.norm(y[:f_max]) * np.linalg.norm(rs)
+            assert np.abs(row - direct).max() <= tol
+
+        # the ratio read off the direct sums
+        nv = 0.3
+        sc, cc = (np.abs(brute_force_correlation(y, rs, f_max, gamma)[1]) for y in (legit, jam))
+        sc[gamma] = max(sc[gamma] - nv * f_max, 0.0)
+        expected = cc.max() / sc.max()
+        assert similarity_ratio(jam, legit, f_max, nv) == pytest.approx(expected, rel=1e-9)
+
+    def test_rejects_a_window_without_lags(self):
+        with pytest.raises(ReceiverError):
+            similarity_ratio(np.ones(4), np.ones(4), 1, 0.0)
+
+
 class TestOnset:
     def test_noiseless_step(self):
         y = np.concatenate([np.ones(100), 2.0 * np.ones(100)]).astype(complex)

@@ -121,6 +121,17 @@ class TestModemRoundTrip:
         bits = rng.integers(0, 2, n_syms * scheme.bits_per_symbol).astype(np.uint8)
         assert np.array_equal(demodulate(modulate(bits, scheme), scheme), bits)
 
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
+    def test_symbol_index_matches_weighted_sum(self, scheme):
+        """The index each symbol reads: its bits weighted by falling powers
+        of two."""
+        k = scheme.bits_per_symbol
+        rng = np.random.default_rng(k)
+        bits = rng.integers(0, 2, 999 * k).astype(np.uint8)
+        idx = bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
+        expected = constellation(scheme.family, scheme.order)[idx]
+        assert np.array_equal(modulate(bits, scheme), expected)
+
     def test_bit_count_must_divide(self):
         with pytest.raises(WaveformError):
             modulate(np.zeros(5, dtype=np.uint8), ModScheme(Family.PSK, 4))
