@@ -26,6 +26,7 @@ from .jammer import JammerModel, PathTopology, jammer_transform
 from .pipeline import (
     LinkDraw,
     OrthogonalityMode,
+    SnrMode,
     TrialResult,
     TrialSettings,
     draw_link,
@@ -52,6 +53,7 @@ __all__ = [
     "RicianParams",
     "RisLinkConfig",
     "RsCode",
+    "SnrMode",
     "SweepRow",
     "TrialResult",
     "TrialSettings",

@@ -125,46 +125,10 @@ def residual_symbol_error(ser: float, code: RsCode) -> float:
     return (code.n * ser - code.t) / code.n
 
 
-def _rank(table: tuple[RsCode, ...]) -> tuple[RsCode, ...]:
-    """`table` by falling rate; equal rates keep their table order."""
-    return tuple(sorted(table, key=lambda c: c.rate, reverse=True))
-
-
 @lru_cache(maxsize=None)
-def _ranked_table(fixed_rate: float | None) -> tuple[RsCode, ...]:
-    return _rank(code_table(fixed_rate))
-
-
-def _first_code(ser: float, delta: float, ranked: tuple[RsCode, ...]) -> RsCode | None:
-    """The code rule: the first code of the rate-ranked table whose residual
-    stays below delta at this symbol error rate, or None."""
-    if delta >= 0:
-        raise AdaptationError("delta must be negative")
-    for code in ranked:
-        if residual_symbol_error(ser, code) <= delta:
-            return code
-    return None
-
-
-def select_code(
-    scheme: ModScheme, delta: float, table: tuple[RsCode, ...], ber: float
-) -> AdaptationDecision:
-    """Highest-rate code of `table` whose residual stays below delta at this
-    bit error rate.
-
-    Falls back to the lowest-rate entry, flagged non-compliant, when nothing
-    qualifies.
-    """
-    ranked = _rank(table)
-    code = _first_code(1.0 - (1.0 - ber) ** scheme.bits_per_symbol, delta, ranked)
-    if code is None:
-        return AdaptationDecision(scheme, ranked[-1], False)
-    return AdaptationDecision(scheme, code, True)
-
-
 def code_table(fixed_rate: float | None) -> tuple[RsCode, ...]:
-    """The codes link adaptation may pick: the whole table, or with
-    `fixed_rate` set only the code of that rate."""
+    """The codes link adaptation may pick, by falling rate: the whole table,
+    or with `fixed_rate` set only the code of that rate."""
     if fixed_rate is None:
         return DEFAULT_RS_TABLE
     matches = tuple(c for c in DEFAULT_RS_TABLE if abs(c.rate - fixed_rate) < 5e-3)
@@ -194,18 +158,23 @@ def select_link(
     operating mode); the modulation order still adapts. A pure function of
     its arguments, memoised: a repeated call returns the same decision.
     """
+    if delta >= 0:
+        raise AdaptationError("delta must be negative")
     family = remap_modulation(jammer_class, ModScheme(base_family, 2)).family
-    ranked = _ranked_table(fixed_rate)
+    table = code_table(fixed_rate)
     orders = [order for order in ORDERS if order <= max_order]
     bers = effective_ber(jammer_class, family, np.array(orders), snr_l, snr_j)
     picks = []  # (spectral efficiency, order, code) of each order with a code
     for order, ber in zip(orders, bers.tolist()):
         bits = order.bit_length() - 1
-        code = _first_code(1.0 - (1.0 - ber) ** bits, delta, ranked)
-        if code is not None:
-            picks.append((code.rate * bits, order, code))
+        ser = 1.0 - (1.0 - ber) ** bits  # modulation-symbol error rate
+        # the code rule: the highest-rate code whose residual is at most delta
+        for code in table:
+            if residual_symbol_error(ser, code) <= delta:
+                picks.append((code.rate * bits, order, code))
+                break
     if not picks:
-        return AdaptationDecision(ModScheme(family, orders[0]), ranked[-1], False)
+        return AdaptationDecision(ModScheme(family, orders[0]), table[-1], False)
     _, order, code = max(picks, key=lambda p: p[:2])
     return AdaptationDecision(ModScheme(family, order), code, True)
 

@@ -236,7 +236,7 @@ def calibrate_noise(cfg: ExperimentConfig) -> tuple[float | None, float]:
     its mean source->jammer eavesdropping SNR at the configured value.
     """
     s = cfg.settings
-    if s.snr_mode == "pinned":
+    if s.snr_mode == pl.SnrMode.PINNED:
         return None, s.eaves_noise_watt
     link, p_t = s.link, s.tx_watt
     corr = pl._corr_cached(link.element_count, link.corr_rate)

@@ -30,6 +30,11 @@ class OrthogonalityMode(str, Enum):
     TEMPORAL = "temporal"
 
 
+class SnrMode(str, Enum):
+    PINNED = "pinned"
+    FADED = "faded"
+
+
 # samples the power change-point keeps clear of each frame edge
 _ONSET_GUARD = 2
 # samples in a link draw's m x frame_len jam-free snapshot (m antennas under
@@ -70,14 +75,16 @@ class TrialSettings:
     inversion_threshold: float = 0.25
     peak_significance: float = 0.15
     flip_threshold: float = 0.3  # stage-two PS/AS sign-balance split
-    # "pinned" holds the legit link at baseline_snr_db every trial (power
-    # control); "faded" uses the harness-calibrated fixed noise floor instead
-    snr_mode: str = "pinned"
+    # PINNED holds the legit link at baseline_snr_db every trial (power
+    # control); FADED uses the harness-calibrated fixed noise floor instead
+    snr_mode: SnrMode = SnrMode.PINNED
 
     def __post_init__(self):
         ch.require_finite(self, ConfigError)
-        if self.snr_mode not in ("pinned", "faded"):
+        if self.snr_mode not in tuple(SnrMode):
             raise ConfigError(f"snr_mode must be pinned or faded, got {self.snr_mode!r}")
+        if self.delta >= 0:
+            raise ConfigError("delta must be negative")
         if self.pilot_len < 1:
             raise ConfigError(f"pilot_len must be >= 1, got {self.pilot_len}")
         if self.frame_len <= self.pilot_len:
@@ -102,10 +109,7 @@ class TrialSettings:
             raise ConfigError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
         # the rules that would raise in the first trial, applied here
         try:
-            ad.select_code(
-                wf.ModScheme(self.base_family, 2), self.delta, ad.code_table(self.fixed_rate),
-                0.0,
-            )
+            ad.code_table(self.fixed_rate)
             rx.ClassifierThresholds(self.sim_threshold, self.inversion_threshold)
             for d in (self.d_e1, self.d_j1, self.d_j2):
                 ch.path_loss(d, self.link.path_loss_exp)
@@ -451,7 +455,7 @@ def draw_link(
     real = ch.sample_realization(link, settings.rician, rng, settings.eaves_corr)
     phi, h_l = ch.aligned_cascade(real.h_sr, real.h_rd, corr)
     p_l = settings.tx_watt * abs(h_l) ** 2
-    if settings.snr_mode == "pinned":
+    if settings.snr_mode == SnrMode.PINNED:
         noise_var_watt = p_l / settings.baseline_snr
     snr_l = p_l / noise_var_watt
 

@@ -60,23 +60,19 @@ def cross_correlate(y, y_ref, f_max: int, gamma_max: int) -> np.ndarray:
     """Sliding inner product R(tau) = sum_{n<f_max} y[n] * conj(y_ref[n+tau]).
 
     Out-of-range reference indices contribute zero. Returns R at the lags
-    -gamma_max..gamma_max, in order, on the last axis. A 2-D `y` correlates
-    each row against the one reference, sharing its FFT, and gets one row of
-    values per row.
+    -gamma_max..gamma_max, in order.
     """
     y = np.asarray(y, dtype=complex)
     y_ref = np.asarray(y_ref, dtype=complex)
-    if y.shape[-1] < f_max or y_ref.size < f_max:
+    if y.size < f_max or y_ref.size < f_max:
         raise ReceiverError("sequences shorter than f_max")
     if not 0 <= gamma_max < f_max:
         raise ReceiverError(f"gamma_max {gamma_max} must lie in [0, f_max {f_max})")
     rs = y_ref[: f_max + gamma_max]
-    ys = y[..., :f_max].reshape(-1, f_max)
-    rows = np.zeros((1 + ys.shape[0], rs.size), dtype=complex)
+    rows = np.zeros((2, rs.size), dtype=complex)
     rows[0] = rs
-    rows[1:, :f_max] = ys
-    values = _correlate_with_first(rows, gamma_max)[1:]
-    return values.reshape(y.shape[:-1] + values.shape[-1:])
+    rows[1, :f_max] = y[:f_max]
+    return _correlate_with_first(rows, gamma_max)[1]
 
 
 def estimate_delay(values: np.ndarray) -> int:

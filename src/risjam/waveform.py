@@ -160,7 +160,7 @@ class RsCode:
         return self.k / self.n
 
 
-# default adaptation table, highest rate first
+# default adaptation table, by falling rate: the order the code rule tries
 DEFAULT_RS_TABLE = (
     RsCode(255, 240),
     RsCode(255, 224),

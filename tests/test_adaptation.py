@@ -11,6 +11,7 @@ from scipy.special import erfc
 from helpers import measure_ber
 from risjam import adaptation as ad
 from risjam.adaptation import (
+    AdaptationDecision,
     AdaptationError,
     _q,
     ber_awgn,
@@ -20,7 +21,6 @@ from risjam.adaptation import (
     jsr_db,
     remap_modulation,
     residual_symbol_error,
-    select_code,
     select_link,
     ser_awgn,
     snr_jamming,
@@ -78,16 +78,21 @@ def _effective_ber_per_order(jammer_class, family, m, snr_l, snr_j):
 
 
 def _select_link_per_order(jammer_class, snr_l, snr_j, base_family, delta, fixed_rate, max_order):
-    """Reference link choice: one BER and one code choice per order."""
+    """Reference link choice: one BER and one code choice per order, by its
+    own code rule: rank the table by rate, take the first code whose residual
+    (n * SER - t) / n is at most delta, else the lowest-rate code, flagged
+    non-compliant."""
     family = remap_modulation(jammer_class, ModScheme(base_family, 2)).family
-    decisions = [
-        select_code(
-            ModScheme(family, m), delta, code_table(fixed_rate),
-            _effective_ber_per_order(jammer_class, family, m, snr_l, snr_j),
-        )
-        for m in ORDERS
-        if m <= max_order
-    ]
+    ranked = sorted(code_table(fixed_rate), key=lambda c: c.rate, reverse=True)
+    decisions = []
+    for m in ORDERS:
+        if m > max_order:
+            continue
+        ber = _effective_ber_per_order(jammer_class, family, m, snr_l, snr_j)
+        ser = 1.0 - (1.0 - ber) ** int(np.log2(m))
+        fits = [c for c in ranked if (c.n * ser - c.t) / c.n <= delta]
+        code = fits[0] if fits else ranked[-1]
+        decisions.append(AdaptationDecision(ModScheme(family, m), code, bool(fits)))
     compliant = [d for d in decisions if d.compliant]
     if not compliant:
         return decisions[0]
@@ -233,33 +238,30 @@ class TestCodeSelection:
             (255 * 0.05 - 8) / 255
         )
 
+    # max_order 2 leaves only the code to choose
     def test_high_snr_picks_highest_rate(self):
-        ber = ber_awgn(Family.PSK, 2, 1000.0)
-        d = select_code(ModScheme(Family.PSK, 2), -0.005, DEFAULT_RS_TABLE, ber)
+        d = select_link(None, 1000.0, 0.0, Family.PSK, -0.005, None, 2)
         assert d.compliant
         assert d.code == DEFAULT_RS_TABLE[0]
 
     def test_low_snr_falls_back(self):
-        ber = ber_awgn(Family.PSK, 2, 0.01)
-        d = select_code(ModScheme(Family.PSK, 2), -0.005, DEFAULT_RS_TABLE, ber)
+        d = select_link(None, 0.01, 0.0, Family.PSK, -0.005, None, 2)
         assert not d.compliant
         assert d.code == DEFAULT_RS_TABLE[-1]
 
     def test_rate_monotone_in_snr(self):
         snrs = np.linspace(0.5, 30.0, 40)
-        rates = [
-            select_code(
-                ModScheme(Family.PSK, 4), -0.005, DEFAULT_RS_TABLE, ber_awgn(Family.PSK, 4, s)
-            ).code.rate
-            for s in snrs
-        ]
+        rates = [select_link(None, s, 0.0, Family.PSK, -0.005, None, 2).code.rate for s in snrs]
         assert all(a <= b + 1e-12 for a, b in zip(rates, rates[1:]))
 
     def test_rejects_nonnegative_delta(self):
         with pytest.raises(AdaptationError):
-            select_code(
-                ModScheme(Family.PSK, 2), 0.0, DEFAULT_RS_TABLE, ber_awgn(Family.PSK, 2, 10.0)
-            )
+            select_link(None, 10.0, 0.0, Family.PSK, 0.0, None, 2)
+
+    @pytest.mark.parametrize("fixed_rate", [None] + [c.rate for c in DEFAULT_RS_TABLE])
+    def test_code_table_falls_in_rate(self, fixed_rate):
+        rates = [c.rate for c in code_table(fixed_rate)]
+        assert rates and all(a > b for a, b in zip(rates, rates[1:]))
 
 
 # base_family, delta, fixed_rate and max_order of the default TrialSettings

@@ -113,6 +113,7 @@ class TestCli:
             (ONE_CELL.replace("jammers = drfm", "jammers = drfm, drfm")
              .replace("jsr_db = 10", "jsr_db = 10, 10"), []),
             (ONE_CELL.replace("jammers = drfm", "jammers = 1:2:1"), []),
+            ("[link]\nsnr_mode = wobbly\n", []),
         ],
         ids=[
             "frame_below_pilot", "frame_equals_pilot", "spatial_one_antenna",
@@ -130,7 +131,7 @@ class TestCli:
             "ris_sizes_inf", "ris_sizes_range_too_long", "jsr_db_range_too_long",
             "ris_size_too_large", "spatial_snapshot_too_large", "frame_len_too_large",
             "path_count_too_large", "ris_size_not_integral", "ris_sizes_range_not_integral",
-            "repeated_cells", "jammers_range",
+            "repeated_cells", "jammers_range", "snr_mode_wobbly",
         ],
     )
     def test_unrunnable_config_is_exit_1(self, tmp_path, capsys, text, flags):

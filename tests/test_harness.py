@@ -25,7 +25,7 @@ from risjam.harness import (
 )
 from risjam.channel import ChannelError
 from risjam.jammer import JammerModel, PathTopology
-from risjam.pipeline import OrthogonalityMode
+from risjam.pipeline import OrthogonalityMode, SnrMode
 from risjam.waveform import Family, ModScheme
 
 SMALL_CONFIG = """
@@ -140,6 +140,12 @@ class TestConfigParsing:
     def test_bad_snr_mode_rejected(self):
         with pytest.raises(ConfigError):
             loads_config("[link]\nsnr_mode = wobbly\n")
+        with pytest.raises(ConfigError, match="snr_mode"):
+            replace(ExperimentConfig().settings, snr_mode="wobbly")
+
+    def test_snr_mode_is_case_insensitive(self):
+        for text, mode in (("Pinned", SnrMode.PINNED), ("FADED", SnrMode.FADED)):
+            assert loads_config(f"[link]\nsnr_mode = {text}\n").settings.snr_mode is mode
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):

@@ -7,14 +7,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from scipy.stats import binom
+
 from risjam import pipeline as pl
 from risjam import receiver as rx
+from risjam.adaptation import ber_awgn
 from risjam.channel import RicianParams, RisLinkConfig
 from risjam.harness import CALIBRATION_DRAWS, ExperimentConfig, calibrate_noise, run_sweep
 from risjam.jammer import JammerModel, PathTopology
 from risjam.pipeline import OrthogonalityMode, TrialSettings, run_trial
 from risjam.waveform import (
-    DEFAULT_RS_TABLE, ORDERS, Family, ModScheme, RsCode, demodulate, rs_decode, rs_encode,
+    DEFAULT_RS_TABLE, ORDERS, Family, ModScheme, RsCode, demodulate, modulate, rs_decode,
+    rs_encode,
 )
 
 
@@ -107,6 +111,28 @@ class TestDetection:
             assert np.array_equal(got, np.packbits(whole[off : off + code.n * 8]))
             # noiseless, the span gives back the codeword sent
             assert np.array_equal(pl._block_bytes(x[s.pilot_len :], 1.0, off, code, scheme), cw)
+
+    @pytest.mark.parametrize(
+        "order,snr_db", [(2, 4.5), (2, 5.0), (2, 5.5), (4, 7.5), (4, 8.0), (4, 8.5)]
+    )
+    def test_lost_blocks_follow_the_binomial_byte_tail(self, order, snr_db):
+        """RS(255,224) blocks sent through modulate, AWGN, _block_bytes and
+        _block_lost are lost at the rate P(Bin(n, 1 - (1 - BER)^8) > t), within
+        4 sigma: Gray BPSK and QPSK make independent bit errors at the analytic
+        BER, so a byte is wrong at the 8-bit rate, whatever the symbol size."""
+        scheme, code, blocks = ModScheme(Family.PSK, order), RsCode(255, 224), 2000
+        rng = np.random.default_rng([order, round(10 * snr_db)])
+        snr = 10.0 ** (snr_db / 10.0)
+        cws = [rs_encode(rng.integers(0, 256, code.k), code).astype(np.uint8)
+               for _ in range(blocks)]
+        x = modulate(np.unpackbits(np.concatenate(cws)), scheme)
+        y = x + np.sqrt(0.5 / snr) * (rng.normal(size=x.size) + 1j * rng.normal(size=x.size))
+        lost = sum(
+            pl._block_lost(pl._block_bytes(y, 1.0, i * code.n * 8, code, scheme), cw, code)
+            for i, cw in enumerate(cws)
+        )
+        p = binom.sf(code.t, code.n, 1.0 - (1.0 - ber_awgn(Family.PSK, order, snr)) ** 8)
+        assert abs(lost - blocks * p) <= 4.0 * np.sqrt(blocks * p * (1.0 - p))
 
 
 class TestDelay:
