@@ -103,14 +103,14 @@ def effective_ber(
     return float(ber) if ber.ndim == 0 else ber
 
 
-def remap_modulation(jammer_class: JammerClass | None, current: ModScheme) -> ModScheme:
+def remap_modulation(jammer_class: JammerClass | None, family: Family) -> Family:
     """AS pushes to PSK (amplitude-free), PS to ASK (fold-correctable),
     DRFM, Unknown and no class keep the current family."""
     if jammer_class == JammerClass.AS:
-        return ModScheme(Family.PSK, current.order)
+        return Family.PSK
     if jammer_class == JammerClass.PS:
-        return ModScheme(Family.ASK, current.order)
-    return current
+        return Family.ASK
+    return family
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def select_link(
     """
     if delta >= 0:
         raise AdaptationError("delta must be negative")
-    family = remap_modulation(jammer_class, ModScheme(base_family, 2)).family
+    family = remap_modulation(jammer_class, base_family)
     table = code_table(fixed_rate)
     orders = [order for order in ORDERS if order <= max_order]
     bers = effective_ber(jammer_class, family, np.array(orders), snr_l, snr_j)

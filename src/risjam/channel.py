@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from enum import Enum
+from functools import lru_cache
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -18,9 +21,30 @@ class ChannelError(ValueError):
     """Invalid channel parameter or dimension mismatch."""
 
 
-def require_finite(settings, error: type[ValueError]) -> None:
-    """Raise `error` when a float field of the dataclass `settings`, or a float
-    in one of its tuple fields, is nan or infinite."""
+@lru_cache(maxsize=None)
+def _enum_fields(cls) -> tuple:
+    """(name, is a tuple, {lower-case value: member}) of each field of the
+    dataclass cls annotated with an Enum or a tuple of one, resolved once."""
+    out = []
+    for name, hint in get_type_hints(cls).items():
+        item = get_args(hint)[0] if get_origin(hint) is tuple else hint
+        if isinstance(item, type) and issubclass(item, Enum):
+            out.append((name, item is not hint, {m.value.lower(): m for m in item}))
+    return tuple(out)
+
+
+def check_fields(settings, error: type[ValueError]) -> None:
+    """The field rule of every settings dataclass: store each Enum-annotated
+    field of `settings`, or each entry of a tuple of one, as the member its
+    text names in any case; raise `error` for text naming no member, and for
+    a float field, or a float in a tuple field, that is nan or infinite."""
+    for name, many, members in _enum_fields(type(settings)):
+        value = getattr(settings, name)
+        entries = value if many else (value,)
+        found = tuple(members.get(v.lower()) if isinstance(v, str) else None for v in entries)
+        if None in found:
+            raise error(f"{name} must be one of {', '.join(members)}, got {value!r}")
+        object.__setattr__(settings, name, found if many else found[0])
     for f in fields(settings):
         value = getattr(settings, f.name)
         for v in value if isinstance(value, tuple) else (value,):
@@ -39,7 +63,7 @@ class RisLinkConfig:
     corr_rate: float = 0.05
 
     def __post_init__(self):
-        require_finite(self, ChannelError)
+        check_fields(self, ChannelError)
         if self.element_count < 1:
             raise ChannelError(f"element_count must be >= 1, got {self.element_count}")
         path_loss(self.d_sr, self.path_loss_exp)
@@ -60,7 +84,7 @@ class RicianParams:
     path_count: int = 1
 
     def __post_init__(self):
-        require_finite(self, ChannelError)
+        check_fields(self, ChannelError)
         if self.rician_k < 0:
             raise ChannelError("rician_k must be >= 0")
         if not 1 <= self.path_count <= MAX_PATH_COUNT:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import configparser
 import ctypes
-import io
 import itertools
 import math
 import sys
@@ -65,7 +64,7 @@ class ExperimentConfig:
     )
 
     def __post_init__(self):
-        ch.require_finite(self, ConfigError)
+        ch.check_fields(self, ConfigError)
         if not self.jammers:
             raise ConfigError("jammers is empty")
         if self.trials < 1:
@@ -146,14 +145,6 @@ def _parse_list(raw: str, cast):
     return tuple(cast(p.strip()) for p in raw.split(",") if p.strip())
 
 
-def _enum(value: str, enum_cls):
-    try:
-        return enum_cls(value.strip().lower())
-    except ValueError:
-        opts = ", ".join(e.value for e in enum_cls)
-        raise ConfigError(f"must be one of {opts}, got {value!r}") from None
-
-
 def _caster(hint):
     """Parser from INI text to a value of the annotated field type."""
     if get_origin(hint) is tuple:
@@ -169,31 +160,25 @@ def _caster(hint):
     if optional:  # `T | None`: empty text means None
         cast = _caster(optional[0])
         return lambda raw: cast(raw) if raw.strip() else None
-    if issubclass(hint, Enum):
-        return lambda raw: _enum(raw, hint)
-    return hint
+    # Enum text goes through as it is: the field rule matches it to a member
+    return str if issubclass(hint, Enum) else hint
 
 
 def load_config(path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
-            parser.read_file(fh)
-    except (OSError, configparser.Error) as exc:
+            text = fh.read()
+    except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(parser)
+    return loads_config(text)
 
 
 def loads_config(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     try:
-        parser.read_file(io.StringIO(text))
+        parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"bad config: {exc}") from exc
-    return parse_config(parser)
-
-
-def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     values = {cls: {} for cls, _ in _SCHEMA.values()}
     hints = {cls: get_type_hints(cls) for cls in values}
     for section in parser.sections():

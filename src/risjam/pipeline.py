@@ -80,9 +80,7 @@ class TrialSettings:
     snr_mode: SnrMode = SnrMode.PINNED
 
     def __post_init__(self):
-        ch.require_finite(self, ConfigError)
-        if self.snr_mode not in tuple(SnrMode):
-            raise ConfigError(f"snr_mode must be pinned or faded, got {self.snr_mode!r}")
+        ch.check_fields(self, ConfigError)
         if self.delta >= 0:
             raise ConfigError("delta must be negative")
         if self.pilot_len < 1:
@@ -107,13 +105,15 @@ class TrialSettings:
             raise ConfigError(f"eaves_corr must lie in [0, 1], got {self.eaves_corr}")
         if not self.bandwidth_hz > 0.0:
             raise ConfigError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
+        for name in ("sim_threshold", "inversion_threshold"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
         # the rules that would raise in the first trial, applied here
         try:
             ad.code_table(self.fixed_rate)
-            rx.ClassifierThresholds(self.sim_threshold, self.inversion_threshold)
             for d in (self.d_e1, self.d_j1, self.d_j2):
                 ch.path_loss(d, self.link.path_loss_exp)
-        except (ad.AdaptationError, rx.ReceiverError, ch.ChannelError) as exc:
+        except (ad.AdaptationError, ch.ChannelError) as exc:
             raise ConfigError(str(exc)) from exc
         # the link budget in watts: each power a trial scales, and the noise
         # floors the two SNRs set from them, must be a normal float (+-4000
@@ -276,8 +276,9 @@ def _classify(settings, scheme, legit_s, jam_s, nv_l, nv_j) -> rx.JammerClass:
     jam_eq, _ = rx.equalize_stream(jam_s[:n], pilot, nv_j)
     sim = rx.similarity_ratio(jam_eq, legit_eq, n - 1, nv_legit_eq)
     inversions = rx.pilot_anomaly_fraction(jam_eq[: pilot.size], pilot)
-    thr = rx.ClassifierThresholds(settings.sim_threshold, settings.inversion_threshold)
-    return rx.classify_jammer(sim, inversions, thr, scheme)
+    return rx.classify_jammer(
+        sim, inversions, settings.sim_threshold, settings.inversion_threshold, scheme.family
+    )
 
 
 def _stage_two(settings, scheme, c) -> rx.JammerClass:
@@ -613,7 +614,6 @@ def run_trial(
     rng: np.random.Generator,
     noise_var_watt: float | None,
     eaves_noise_var_watt: float,
-    link: LinkDraw | None = None,
 ) -> TrialResult:
     """One Monte Carlo trial of the full detect/estimate/classify/adapt loop:
     `run_cells` with one cell.
@@ -621,11 +621,9 @@ def run_trial(
     `noise_var_watt` is the destination noise floor in watts, calibrated by
     the harness from the configured baseline SNR and read only in faded
     mode; pinned mode sets each draw's own floor, so it may be None there.
-    `eaves_noise_var_watt` is the jammer's own receiver floor. `link` is the
-    trial's jam-free draw, shared across the cells of a sweep; without it one
-    is drawn from `rng` (and `noise_var_watt`) first. Everything the jammer
-    or the JSR touches is drawn from `rng`.
+    `eaves_noise_var_watt` is the jammer's own receiver floor. The trial's
+    jam-free link is drawn from `rng` first, then everything the jammer or
+    the JSR touches; to run a cell on a given link draw, call `run_cells`.
     """
-    if link is None:
-        link = draw_link(settings, rng, noise_var_watt)
+    link = draw_link(settings, rng, noise_var_watt)
     return run_cells(settings, [(jsr_db_target, model, rng)], eaves_noise_var_watt, link)[0]

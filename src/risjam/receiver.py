@@ -5,13 +5,12 @@ separation, temporal partitioning, and jammer classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .waveform import Family, ModScheme
+from .waveform import Family
 
 
 class ReceiverError(ValueError):
@@ -248,16 +247,6 @@ def partition_temporal(frame_len: int, tau_hat: int) -> tuple[int, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassifierThresholds:
-    sim_threshold: float
-    inversion_threshold: float
-
-    def __post_init__(self):
-        if not (0 < self.sim_threshold < 1 and 0 < self.inversion_threshold < 1):
-            raise ReceiverError("thresholds must lie in (0, 1)")
-
-
 def _similarity_rows(jam_est, legit_est, f_max: int, gamma: int) -> np.ndarray:
     """The two correlations the similarity ratio compares, as the rows of a
     (2, 2 gamma + 1) array at the lags -gamma..gamma: row 0 correlates
@@ -317,18 +306,19 @@ class JammerClass(str, Enum):
 def classify_jammer(
     sim: float,
     pilot_inversions: float,
-    thresholds: ClassifierThresholds,
-    active_scheme: ModScheme,
+    sim_threshold: float,
+    inversion_threshold: float,
+    family: Family,
 ) -> JammerClass:
     """Threshold rule: a high similarity ratio means DRFM; otherwise a high
-    pilot anomaly fraction means PS under a phase-bearing scheme and AS under
+    pilot anomaly fraction means PS under a phase-bearing family and AS under
     an amplitude-bearing one (QAM carries both, so it stays Unknown)."""
-    if sim >= thresholds.sim_threshold:
+    if sim >= sim_threshold:
         return JammerClass.DRFM
-    if pilot_inversions >= thresholds.inversion_threshold:
-        if active_scheme.family == Family.PSK:
+    if pilot_inversions >= inversion_threshold:
+        if family == Family.PSK:
             return JammerClass.PS
-        if active_scheme.family == Family.ASK:
+        if family == Family.ASK:
             return JammerClass.AS
     return JammerClass.UNKNOWN
 

@@ -82,7 +82,7 @@ def _select_link_per_order(jammer_class, snr_l, snr_j, base_family, delta, fixed
     own code rule: rank the table by rate, take the first code whose residual
     (n * SER - t) / n is at most delta, else the lowest-rate code, flagged
     non-compliant."""
-    family = remap_modulation(jammer_class, ModScheme(base_family, 2)).family
+    family = remap_modulation(jammer_class, base_family)
     ranked = sorted(code_table(fixed_rate), key=lambda c: c.rate, reverse=True)
     decisions = []
     for m in ORDERS:
@@ -224,11 +224,11 @@ class TestAllOrdersAtOnce:
 
 class TestRemap:
     def test_rules(self):
-        cur = ModScheme(Family.PSK, 16)
-        assert remap_modulation(JammerClass.AS, cur).family == Family.PSK
-        assert remap_modulation(JammerClass.PS, cur).family == Family.ASK
-        assert remap_modulation(JammerClass.DRFM, cur) == cur
-        assert remap_modulation(JammerClass.UNKNOWN, cur) == cur
+        for family in Family:
+            assert remap_modulation(JammerClass.AS, family) is Family.PSK
+            assert remap_modulation(JammerClass.PS, family) is Family.ASK
+            for jammer_class in (JammerClass.DRFM, JammerClass.UNKNOWN, None):
+                assert remap_modulation(jammer_class, family) is family
 
 
 class TestCodeSelection:

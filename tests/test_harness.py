@@ -229,13 +229,58 @@ def _label_free_csv(text: str) -> str:
     )
 
 
+def _enum_of(hint):
+    """The Enum a field's annotation names, alone or as a tuple's entries, or None."""
+    item = get_args(hint)[0] if get_origin(hint) is tuple else hint
+    return item if isinstance(item, type) and issubclass(item, Enum) else None
+
+
 def _enum_keys():
     """Schema keys whose type is an Enum or a tuple of one, with that Enum."""
     for key, (cls, name) in _SCHEMA.items():
-        hint = get_type_hints(cls)[name]
-        hint = get_args(hint)[0] if get_origin(hint) is tuple else hint
-        if isinstance(hint, type) and issubclass(hint, Enum):
-            yield key, hint
+        if enum_cls := _enum_of(get_type_hints(cls)[name]):
+            yield key, enum_cls
+
+
+def _enum_fields():
+    """(dataclass, field, Enum, is a tuple) of each field of the sweep's
+    settings annotated with an Enum or a tuple of one, read from the
+    annotations."""
+    for cls in (pl.TrialSettings, ExperimentConfig):
+        for name, hint in get_type_hints(cls).items():
+            if enum_cls := _enum_of(hint):
+                yield pytest.param(cls, name, enum_cls, enum_cls is not hint, id=name)
+
+
+def _with(cls, name, value):
+    """The default sweep config with one field of `cls` set to value in code."""
+    if cls is ExperimentConfig:
+        return ExperimentConfig(**{name: value})
+    return ExperimentConfig(settings=replace(ExperimentConfig().settings, **{name: value}))
+
+
+class TestEnumFieldRule:
+    """Every Enum-typed setting passes one rule, built in code or read from
+    INI text: a member's value in any case is stored as the member itself,
+    and text naming no member raises a ConfigError naming the field."""
+
+    @pytest.mark.parametrize("cls,name,enum_cls,many", list(_enum_fields()))
+    def test_one_rule_in_code_and_ini(self, cls, name, enum_cls, many):
+        keys = [key for key, target in _SCHEMA.items() if target == (cls, name)]
+        builds = [lambda text: _with(cls, name, (text,) if many else text)]
+        builds += [lambda text, key=key: loads_config(_ini({key: text})) for key in keys]
+        for build in builds:
+            with pytest.raises(ConfigError, match=name):
+                build("laser")
+            for member in enum_cls:
+                cfg = build(member.value.upper())
+                value = getattr(cfg if cls is ExperimentConfig else cfg.settings, name)
+                assert (value[0] if many else value) is member
+                # the stored member runs a trial whose scheme prints
+                settings = replace(cfg.settings, frame_len=512)
+                rng = np.random.default_rng(5)
+                r = pl.run_trial(settings, 10.0, cfg.jammers[0], rng, *calibrate_noise(cfg))
+                assert str(r.scheme)
 
 
 class TestEveryKeyChangesTheRun:
@@ -349,9 +394,10 @@ def _trial_rng(seed, *spawn_key):
 
 class TestAggregation:
     def test_rows_are_the_means_of_direct_trials(self):
-        """Each cell recomputed from run_trial calls on the documented seed keys:
-        (link tag, ris, trial) for the shared link and (jammer, ris, jsr, trial)
-        for the cell; every mean is the 1-D numpy mean over the cell's trials."""
+        """Each cell recomputed from one-cell run_cells calls on the documented
+        seed keys: (link tag, ris, trial) for the shared link and (jammer, ris,
+        jsr, trial) for the cell; every mean is the 1-D numpy mean over the
+        cell's trials."""
         cfg = loads_config(ORACLE_CONFIG)
         noise_var, eaves_var = calibrate_noise(cfg)
         rows = {(r.jammer, r.ris_size, r.jsr_db): r for r in run_sweep(cfg)}
@@ -364,11 +410,8 @@ class TestAggregation:
             ]
             for ji, model in enumerate(cfg.jammers):
                 for ki, jsr in enumerate(cfg.jsr_grid_db):
-                    res = [
-                        pl.run_trial(settings, jsr, model, _trial_rng(cfg.seed, ji, ri, ki, t),
-                                     noise_var, eaves_var, links[t])
-                        for t in range(n)
-                    ]
+                    cells = [[(jsr, model, _trial_rng(cfg.seed, ji, ri, ki, t))] for t in range(n)]
+                    res = [pl.run_cells(settings, cells[t], eaves_var, links[t])[0] for t in range(n)]
                     row = rows[model, ris, jsr]
                     t_l = np.array([r.t_baseline for r in res])
                     t_j = np.array([r.t_jammed for r in res])

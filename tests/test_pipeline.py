@@ -433,7 +433,7 @@ class TestRunCells:
                 cells = [(jsr, model, rng) for jsr, rng in zip(jsrs, rngs())]
                 batch = pl.run_cells(s, cells, s.eaves_noise_watt, link)
                 one = [
-                    pl.run_trial(s, jsr, model, rng, None, s.eaves_noise_watt, link)
+                    pl.run_cells(s, [(jsr, model, rng)], s.eaves_noise_watt, link)[0]
                     for jsr, rng in zip(jsrs, rngs())
                 ]
                 # every field, NaN delay errors included, to the last bit

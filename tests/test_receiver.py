@@ -11,7 +11,6 @@ from risjam import receiver
 from risjam.jammer import JammerModel, jammer_transform
 from risjam.receiver import (
     _DIAGONAL_LOADING,
-    ClassifierThresholds,
     JammerClass,
     NoPeakError,
     ReceiverError,
@@ -31,7 +30,7 @@ from risjam.receiver import (
     separate_spatial,
     similarity_ratio,
 )
-from risjam.waveform import Family, ModScheme
+from risjam.waveform import Family
 
 
 def brute_force_correlation(y, y_ref, f_max, gamma_max):
@@ -501,14 +500,14 @@ class TestClassification:
         assert sim < 0.5
 
     def test_threshold_rules(self):
-        thr = ClassifierThresholds(0.93, 0.25)
-        psk = ModScheme(Family.PSK, 4)
-        ask = ModScheme(Family.ASK, 4)
+        thr = (0.93, 0.25)
+        psk, ask, qam = Family.PSK, Family.ASK, Family.QAM
         high, low = 0.95, 0.1
-        assert classify_jammer(high, 0.0, thr, psk) == JammerClass.DRFM
-        assert classify_jammer(low, 0.5, thr, psk) == JammerClass.PS
-        assert classify_jammer(low, 0.5, thr, ask) == JammerClass.AS
-        assert classify_jammer(low, 0.05, thr, psk) == JammerClass.UNKNOWN
+        assert classify_jammer(high, 0.0, *thr, psk) == JammerClass.DRFM
+        assert classify_jammer(low, 0.5, *thr, psk) == JammerClass.PS
+        assert classify_jammer(low, 0.5, *thr, ask) == JammerClass.AS
+        assert classify_jammer(low, 0.5, *thr, qam) == JammerClass.UNKNOWN
+        assert classify_jammer(low, 0.05, *thr, psk) == JammerClass.UNKNOWN
 
     def test_pilot_anomaly_fraction(self):
         ref = np.ones(8, dtype=complex)
