@@ -346,40 +346,35 @@ def _temporal_pair(settings, link, tau, c, burst):
     return y[:burst], jam_s, 1.0, 1.0
 
 
-def _classify_cell(settings, link, tau, c) -> TrialResult:
-    """Cell c's trial result. Its jammer class comes from the LCMV-separated
-    pair when the cell has resolved weights and the pair is long enough, else
-    from the temporal probe; a PS verdict goes to stage two. With no class
-    (nothing detected or estimated, or a delay that leaves no slot for the
-    probe) the baseline operating point stands."""
-    base = link.base
+def _defend(settings, link, tau, c) -> tuple[rx.JammerClass | None, float]:
+    """Cell c's defense outcome (jammer class, payload fraction). The class
+    comes from the LCMV-separated pair when the cell has resolved weights and
+    the pair is long enough, else from the temporal probe; a PS verdict goes
+    to stage two. With no class (nothing detected or estimated, or a delay
+    that leaves no slot for the probe) the fraction is 1."""
     cls, fraction, pair = None, 1.0, None
     if c.w is not None:
         out = _lcmv_outputs(link.clean, tau, c.w, c.steer, c.jam)
-        pair = _spatial_pair(settings, base.scheme, out, c.w, c.tau_hat)
+        pair = _spatial_pair(settings, link.base.scheme, out, c.w, c.tau_hat)
     if pair is None and c.tau_hat is not None and c.tau_hat > 0:
         burst, fraction = rx.partition_temporal(settings.frame_len, c.tau_hat)
         pair = _temporal_pair(settings, link, tau, c, burst)
         cls = rx.JammerClass.UNKNOWN  # unless the probe is long enough
     if pair is not None:
-        cls = _classify(settings, base.scheme, *pair)
+        cls = _classify(settings, link.base.scheme, *pair)
     if cls == rx.JammerClass.PS:
-        cls = _stage_two(settings, base.scheme, c)
+        cls = _stage_two(settings, link.base.scheme, c)
+    return cls, fraction
 
-    decision = base
-    if cls is not None:
-        decision = ad.select_link(
-            cls, link.snr_l, c.snr_j, settings.base_family, settings.delta,
-            settings.fixed_rate, settings.max_order,
-        )
-    t_j = ad.throughput(settings.bandwidth_hz, decision.code, decision.scheme, fraction)
-    return TrialResult(
-        t_baseline=link.t_baseline, t_jammed=t_j, detected=c.detected, jammer_class=cls,
-        classified_correct=(cls == rx.JammerClass(c.model.value)),
-        tau_err=np.nan if c.tau_hat is None else float(abs(c.tau_hat - tau)),
-        scheme=decision.scheme, code_rate=decision.code.rate, payload_fraction=fraction,
-        clamped=c.clamped,
+
+def _adapt(settings, snr_l, snr_j, cls, fraction) -> tuple[ad.AdaptationDecision, float]:
+    """The link choice for defense outcome (cls, fraction) and its throughput; with no
+    class, the jam-free baseline's, at snr_j 0.0 so the call hits its memo entry."""
+    decision = ad.select_link(
+        cls, snr_l, snr_j if cls is not None else 0.0, settings.base_family, settings.delta,
+        settings.fixed_rate, settings.max_order,
     )
+    return decision, ad.throughput(settings.bandwidth_hz, decision.code, decision.scheme, fraction)
 
 
 def _estimate_delay(settings, x, y, onset, jump) -> int | None:
@@ -461,11 +456,7 @@ def draw_link(
     snr_l = p_l / noise_var_watt
 
     # baseline operating point and throughput (jammer silent)
-    base = ad.select_link(
-        None, snr_l, 0.0, settings.base_family, settings.delta, settings.fixed_rate,
-        settings.max_order,
-    )
-    t_l = ad.throughput(settings.bandwidth_hz, base.code, base.scheme, 1.0)
+    base, t_l = _adapt(settings, snr_l, 0.0, None, 1.0)
 
     # the jammer's eavesdropping and transmit coefficients
     dexp = link.path_loss_exp
@@ -521,24 +512,27 @@ class _JamFront:
     w: np.ndarray | None = None
 
 
+def _jam_budget(settings, link, jsr_db, eaves_noise_var_watt):
+    """One cell's jamming-path power bookkeeping, in Python floats, with no draw:
+    (a_j, snr_j, clamped), the jammer's receiver-normalized amplitude, the
+    two-hop jamming SNR and whether the power cap cut the target JSR."""
+    gamma_e = settings.tx_watt * abs(link.h_in) ** 2 / eaves_noise_var_watt
+    p_jam = 10.0 ** (jsr_db / 10.0) * link.p_l / max(abs(link.h_out) ** 2, 1e-300)
+    clamped = p_jam > settings.jam_cap_watt
+    p_jam = min(p_jam, settings.jam_cap_watt)
+    gamma_j = p_jam * abs(link.h_out) ** 2 / link.noise_var_watt
+    a_j = np.exp(1j * np.angle(link.h_in * link.h_out)) * np.sqrt(gamma_j)
+    return a_j, ad.snr_jamming(gamma_e, gamma_j), clamped
+
+
 def _jam_front(settings, link, tau, jsr_db_target, model, rng, eaves_noise_var_watt):
     """One cell's link budget, jammer draws (replica, then angle of arrival),
     detection and delay estimate."""
-    # jamming-path power bookkeeping, in Python floats
-    gamma_e = settings.tx_watt * abs(link.h_in) ** 2 / eaves_noise_var_watt
-    p_rx_target = 10.0 ** (jsr_db_target / 10.0) * link.p_l
-    p_jam = p_rx_target / max(abs(link.h_out) ** 2, 1e-300)
-    cap = settings.jam_cap_watt
-    clamped = p_jam > cap
-    p_jam = min(p_jam, cap)
-    gamma_j = p_jam * abs(link.h_out) ** 2 / link.noise_var_watt
-    snr_j = ad.snr_jamming(gamma_e, gamma_j)
-
+    a_j, snr_j, clamped = _jam_budget(settings, link, jsr_db_target, eaves_noise_var_watt)
     # normalized-unit waveform pass (unit receiver noise variance): the
     # replica's span that falls in the frame, [tau, f), added on each antenna
     # by its steering
     f = settings.frame_len
-    a_j = np.exp(1j * np.angle(link.h_in * link.h_out)) * np.sqrt(gamma_j)
     jam = _replica(model, link.x, a_j, rng)[: f - tau]
     steer = None
     if link.aoa_l is not None:
@@ -604,7 +598,18 @@ def run_cells(
             if ok:
                 c.w = wk
 
-    return [_classify_cell(settings, link, tau, c) for c in fronts]
+    results = []
+    for c in fronts:
+        cls, fraction = _defend(settings, link, tau, c)
+        decision, t_j = _adapt(settings, link.snr_l, c.snr_j, cls, fraction)
+        results.append(TrialResult(
+            t_baseline=link.t_baseline, t_jammed=t_j, detected=c.detected, jammer_class=cls,
+            classified_correct=(cls == rx.JammerClass(c.model.value)),
+            tau_err=np.nan if c.tau_hat is None else float(abs(c.tau_hat - tau)),
+            scheme=decision.scheme, code_rate=decision.code.rate, payload_fraction=fraction,
+            clamped=c.clamped,
+        ))
+    return results
 
 
 def run_trial(

@@ -2,6 +2,7 @@
 and power bookkeeping on controlled scenarios."""
 
 import copy
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -9,17 +10,21 @@ import pytest
 
 from scipy.stats import binom
 
+from risjam import harness
 from risjam import pipeline as pl
 from risjam import receiver as rx
 from risjam.adaptation import ber_awgn
 from risjam.channel import RicianParams, RisLinkConfig
-from risjam.harness import CALIBRATION_DRAWS, ExperimentConfig, calibrate_noise, run_sweep
+from risjam.harness import (
+    CALIBRATION_DRAWS, ExperimentConfig, calibrate_noise, load_config, run_sweep,
+)
 from risjam.jammer import JammerModel, PathTopology
 from risjam.pipeline import OrthogonalityMode, TrialSettings, run_trial
 from risjam.waveform import (
     DEFAULT_RS_TABLE, ORDERS, Family, ModScheme, RsCode, demodulate, modulate, rs_decode,
     rs_encode,
 )
+from test_golden import CONFIGS
 
 
 def _settings(**kw):
@@ -467,3 +472,124 @@ class TestRunCells:
                     out_ref = w.conj().T @ streams
                     out = pl._lcmv_outputs(link.clean, tau, w, c.steer, c.jam)
                     assert np.max(np.abs(out - out_ref)) <= 1e-13 * np.max(np.abs(out_ref))
+
+
+class TestSeams:
+    """A cell's power budget draws nothing, and a trial with no class keeps
+    the jam-free baseline through the one adaptation step."""
+
+    @pytest.mark.parametrize("model", list(JammerModel), ids=lambda m: m.value)
+    def test_budget_is_what_the_front_stores(self, model):
+        s = _settings()
+        for t in range(3):
+            link = pl.draw_link(s, np.random.default_rng([11, t]), None)
+            # the cap cuts a 60 dB target and leaves a -10 dB one
+            for jsr, clamped in ((-10.0, False), (60.0, True)):
+                rng = np.random.default_rng([11, t, int(clamped)])
+                state = rng.bit_generator.state
+                budget = pl._jam_budget(s, link, jsr, s.eaves_noise_watt)
+                assert rng.bit_generator.state == state
+                c = pl._jam_front(s, link, s.frame_len // 2, jsr, model, rng, s.eaves_noise_watt)
+                assert budget == (c.a_j, c.snr_j, c.clamped) and c.clamped is clamped
+
+    def test_no_class_keeps_the_baseline(self):
+        # a fixed rate, so the RS rule flags no jam-free frame
+        s = _settings(fixed_rate=0.94)
+        undetected = 0
+        for t in range(4):
+            link = pl.draw_link(s, np.random.default_rng([12, t]), None)
+            for ji, model in enumerate(JammerModel):
+                cells = [
+                    (jsr, model, np.random.default_rng([12, t, ji, k]))
+                    for k, jsr in enumerate((-30.0, -10.0, 0.0))
+                ]
+                for r in pl.run_cells(s, cells, s.eaves_noise_watt, link):
+                    undetected += not r.detected
+                    if r.jammer_class is None:
+                        assert (r.t_jammed, r.scheme, r.code_rate, r.payload_fraction) == (
+                            link.t_baseline, link.base.scheme, link.base.code.rate, 1.0
+                        )
+        assert undetected > 0
+
+    def test_undetected_cells_adapt_from_the_baseline_memo(self):
+        # no RS-rule flags at a fixed rate, and a power-jump gate a -30 dB
+        # replica cannot open
+        s = _settings(fixed_rate=0.94, peak_significance=0.9)
+        link = pl.draw_link(s, np.random.default_rng([13, 0]), None)
+        cells = [(-30.0, model, np.random.default_rng([13, k])) for k, model in
+                 enumerate(list(JammerModel) * 3)]
+        misses = pl.ad.select_link.cache_info().misses
+        results = pl.run_cells(s, cells, s.eaves_noise_watt, link)
+        assert not any(r.detected for r in results)
+        assert pl.ad.select_link.cache_info().misses == misses
+
+
+class TestIdealOutcome:
+    """The waveform layers reach a trial's link choice and throughput only
+    through its defense outcome (class, payload fraction). Each trial's ideal
+    twin redraws its link and adapts to the true class at the true delay,
+    with no jammer draw and no waveform: a trial whose outcome is the ideal
+    one matches its twin exactly, and so does the row of a cell whose trials
+    all are."""
+
+    @staticmethod
+    def _twin(cfg, settings, ri, t, noise_var, eaves_var, fraction):
+        """The ideal numbers of unit (ri, t), one row per cell in `_run_unit`'s order."""
+        seed = np.random.SeedSequence(cfg.seed, spawn_key=(harness._LINK_KEY, ri, t))
+        link = pl.draw_link(settings, np.random.default_rng(seed), noise_var)
+        numbers = []
+        for model in cfg.jammers:
+            cls = rx.JammerClass(model.value)
+            for jsr in cfg.jsr_grid_db:
+                _, snr_j, clamped = pl._jam_budget(settings, link, jsr, eaves_var)
+                decision, t_j = pl._adapt(settings, link.snr_l, snr_j, cls, fraction)
+                numbers.append(harness._numbers(pl.TrialResult(
+                    t_baseline=link.t_baseline, t_jammed=t_j, detected=True, jammer_class=cls,
+                    classified_correct=True, tau_err=0.0, scheme=decision.scheme,
+                    code_rate=decision.code.rate, payload_fraction=fraction, clamped=clamped,
+                )))
+        return np.array(numbers, dtype=float)
+
+    # JSRs where every trial of some cell gets the ideal outcome at 10 trials
+    @pytest.mark.parametrize("name,jsrs", [
+        ("figure2a", (5.0, 7.5, 10.0)), ("figure2b", (7.5, 12.5, 17.5)),
+        ("headline", (15.0, 30.0)),
+    ])
+    def test_ideal_trials_and_cells_match_their_twins(self, monkeypatch, name, jsrs):
+        cfg = load_config(os.path.join(CONFIGS, f"{name}.ini"))
+        cfg = replace(cfg, trials=10, jsr_grid_db=jsrs)
+        s = cfg.settings
+        tau = s.jam_delay if s.jam_delay is not None else s.frame_len // 2
+        fraction = 1.0
+        if s.orthogonality == OrthogonalityMode.TEMPORAL:
+            fraction = rx.partition_temporal(s.frame_len, tau)[1]
+        units, inner = {}, harness._run_unit
+
+        def run_unit(args):
+            units[args[1:3]] = inner(args)
+            return units[args[1:3]]
+
+        monkeypatch.setattr(harness, "_run_unit", run_unit)
+        rows = {(r.jammer, r.ris_size, r.jsr_db): r for r in run_sweep(cfg)}
+        noise_var, eaves_var = calibrate_noise(cfg)
+        cells = [(model, jsr) for model in cfg.jammers for jsr in cfg.jsr_grid_db]
+        # t_baseline, t_jammed, scheme and code rate, in _numbers' order
+        cols = [0, 1, 6, 7]
+        ideal_trials = ideal_cells = 0
+        for ri, ris in enumerate(cfg.ris_sizes):
+            settings = replace(s, link=replace(s.link, element_count=ris))
+            sweep = np.stack([units[ri, t] for t in range(cfg.trials)], axis=-1)
+            twin = np.stack([
+                self._twin(cfg, settings, ri, t, noise_var, eaves_var, fraction)
+                for t in range(cfg.trials)
+            ], axis=-1)
+            for c, (model, jsr) in enumerate(cells):
+                # the true class and the ideal fraction
+                ideal = (sweep[c, 4] == 1.0) & (sweep[c, 8] == fraction)
+                assert np.array_equal(sweep[c][np.ix_(cols, ideal)], twin[c][np.ix_(cols, ideal)])
+                ideal_trials += int(ideal.sum())
+                if ideal.all():
+                    ideal_cells += 1
+                    want = harness._aggregate(jsr, model, s.topology, ris, twin[c])
+                    assert rows[model, ris, jsr].gain == want.gain
+        assert ideal_trials > 0 and ideal_cells > 0
