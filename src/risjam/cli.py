@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -29,18 +30,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.trials is not None:
-            cfg = replace(cfg, trials=args.trials)
-        if args.jobs is not None:
-            cfg = replace(cfg, jobs=args.jobs)
+        flags = {k: v for k in ("seed", "trials", "jobs") if (v := getattr(args, k)) is not None}
+        cfg = replace(load_config(args.config), **flags)
     except (ConfigError, ValueError) as exc:
         print(f"simulate: config error: {exc}", file=sys.stderr)
         return 1
 
     try:
+        # an unwritable --out fails before the sweep; a file's bytes change only after it
+        existed = os.path.lexists(args.out)
+        open(args.out, "a").close()
+        if not existed:
+            os.remove(args.out)
         rows = run_sweep(cfg)
         with open(args.out, "w") as fh:
             fh.write(rows_to_csv(rows))

@@ -94,9 +94,9 @@ class TrialSettings:
             raise ConfigError(
                 f"frame_len {self.frame_len} is too short for onset estimation"
             )
-        if self.jam_delay is not None and not 0 <= self.jam_delay < self.frame_len:
+        if not 0 <= self.tau < self.frame_len:
             raise ConfigError(
-                f"delay {self.jam_delay} puts the replica outside the "
+                f"delay {self.tau} puts the replica outside the "
                 f"{self.frame_len}-sample frame"
             )
         if self.max_order not in wf.ORDERS:
@@ -144,6 +144,10 @@ class TrialSettings:
         m = self.antennas if self.orthogonality == OrthogonalityMode.SPATIAL else 1
         if m * self.frame_len > MAX_SNAPSHOT_SAMPLES:
             raise ConfigError(f"{m} x {self.frame_len} snapshot exceeds {MAX_SNAPSHOT_SAMPLES}")
+
+    @property
+    def tau(self) -> int:  # the replica onset in samples
+        return self.jam_delay if self.jam_delay is not None else self.frame_len // 2
 
     # the link budget's powers in watts, one formula each
     @property
@@ -274,7 +278,7 @@ def _classify(settings, scheme, legit_s, jam_s, nv_l, nv_j) -> rx.JammerClass:
     n = min(legit_s.size, jam_s.size)
     legit_eq, nv_legit_eq = rx.equalize_stream(legit_s[:n], pilot, nv_l)
     jam_eq, _ = rx.equalize_stream(jam_s[:n], pilot, nv_j)
-    sim = rx.similarity_ratio(jam_eq, legit_eq, n - 1, nv_legit_eq)
+    sim = rx.similarity_ratio(jam_eq, legit_eq, nv_legit_eq)
     inversions = rx.pilot_anomaly_fraction(jam_eq[: pilot.size], pilot)
     return rx.classify_jammer(
         sim, inversions, settings.sim_threshold, settings.inversion_threshold, scheme.family
@@ -299,14 +303,14 @@ def _stage_two(settings, scheme, c) -> rx.JammerClass:
     return rx.JammerClass.PS if balance >= settings.flip_threshold else rx.JammerClass.AS
 
 
-def _lcmv_outputs(clean, tau, w, steer, jam) -> np.ndarray:
+def _lcmv_outputs(clean, w, steer, jam) -> np.ndarray:
     """The 2 x f outputs w^H (clean + steer j^T) of the LCMV weights w, for
-    a jam j that is zero before sample tau and `jam` from there on, formed
-    without the m x f snapshot: w^H clean plus the jam times its gain
-    w^H steer."""
+    a jam j that is zero before its last `jam.size` samples and `jam` over
+    them, formed without the m x f snapshot: w^H clean plus the jam times
+    its gain w^H steer."""
     wh = w.conj().T
     out = wh @ clean
-    out[:, tau:] += np.outer(wh @ steer, jam)
+    out[:, out.shape[1] - jam.size :] += np.outer(wh @ steer, jam)
     return out
 
 
@@ -327,9 +331,9 @@ def _spatial_pair(settings, scheme, out, w, tau_hat):
     return legit_s, jam_aligned, nv[k], nv[1 - k]
 
 
-def _temporal_pair(settings, link, tau, c, burst):
-    """Probe cell c with a shortened burst; its replica lands at tau, in a
-    disjoint slot, and is read from c.tau_hat.
+def _temporal_pair(settings, link, c, burst):
+    """Probe cell c with a shortened burst; its replica lands at the onset
+    settings.tau, in a disjoint slot, and is read from c.tau_hat.
 
     Returns (legit, jam, 1.0, 1.0) in unit-noise samples, or None when the
     burst or the replica's slot is too short to classify.
@@ -337,16 +341,16 @@ def _temporal_pair(settings, link, tau, c, burst):
     if _too_short(settings, burst):
         return None
     xb, _ = _frame(settings, link.base.scheme, burst, c.rng)
-    y = _noise(tau + burst, c.rng)
+    y = _noise(settings.tau + burst, c.rng)
     y[:burst] += link.a_l * xb
-    y[tau:] += _replica(c.model, xb, c.a_j, c.rng)
+    y[settings.tau :] += _replica(c.model, xb, c.a_j, c.rng)
     jam_s = y[c.tau_hat : c.tau_hat + burst]
     if _too_short(settings, jam_s.size):
         return None
     return y[:burst], jam_s, 1.0, 1.0
 
 
-def _defend(settings, link, tau, c) -> tuple[rx.JammerClass | None, float]:
+def _defend(settings, link, c) -> tuple[rx.JammerClass | None, float]:
     """Cell c's defense outcome (jammer class, payload fraction). The class
     comes from the LCMV-separated pair when the cell has resolved weights and
     the pair is long enough, else from the temporal probe; a PS verdict goes
@@ -354,11 +358,11 @@ def _defend(settings, link, tau, c) -> tuple[rx.JammerClass | None, float]:
     that leaves no slot for the probe) the fraction is 1."""
     cls, fraction, pair = None, 1.0, None
     if c.w is not None:
-        out = _lcmv_outputs(link.clean, tau, c.w, c.steer, c.jam)
+        out = _lcmv_outputs(link.clean, c.w, c.steer, c.jam)
         pair = _spatial_pair(settings, link.base.scheme, out, c.w, c.tau_hat)
     if pair is None and c.tau_hat is not None and c.tau_hat > 0:
         burst, fraction = rx.partition_temporal(settings.frame_len, c.tau_hat)
-        pair = _temporal_pair(settings, link, tau, c, burst)
+        pair = _temporal_pair(settings, link, c, burst)
         cls = rx.JammerClass.UNKNOWN  # unless the probe is long enough
     if pair is not None:
         cls = _classify(settings, link.base.scheme, *pair)
@@ -525,14 +529,14 @@ def _jam_budget(settings, link, jsr_db, eaves_noise_var_watt):
     return a_j, ad.snr_jamming(gamma_e, gamma_j), clamped
 
 
-def _jam_front(settings, link, tau, jsr_db_target, model, rng, eaves_noise_var_watt):
+def _jam_front(settings, link, jsr_db_target, model, rng, eaves_noise_var_watt):
     """One cell's link budget, jammer draws (replica, then angle of arrival),
     detection and delay estimate."""
     a_j, snr_j, clamped = _jam_budget(settings, link, jsr_db_target, eaves_noise_var_watt)
     # normalized-unit waveform pass (unit receiver noise variance): the
     # replica's span that falls in the frame, [tau, f), added on each antenna
     # by its steering
-    f = settings.frame_len
+    f, tau = settings.frame_len, settings.tau
     jam = _replica(model, link.x, a_j, rng)[: f - tau]
     steer = None
     if link.aoa_l is not None:
@@ -584,28 +588,26 @@ def run_cells(
     cells' MUSIC and LCMV run as one batch between detection and
     classification. `eaves_noise_var_watt` is the jammer's own receiver floor.
     """
-    f = settings.frame_len
-    tau = settings.jam_delay if settings.jam_delay is not None else f // 2
     fronts = [
-        _jam_front(settings, link, tau, jsr, model, rng, eaves_noise_var_watt)
+        _jam_front(settings, link, jsr, model, rng, eaves_noise_var_watt)
         for jsr, model, rng in cells
     ]
     spatial = [c for c in fronts if c.cov is not None]
     if spatial:
         cov = np.array([c.cov for c in spatial])
-        w, resolved = rx.separate_spatial(cov, rx.estimate_aoa(cov, 2))
+        w, resolved = rx.separate_spatial(cov, rx.estimate_aoa(cov))
         for c, wk, ok in zip(spatial, w, resolved):
             if ok:
                 c.w = wk
 
     results = []
     for c in fronts:
-        cls, fraction = _defend(settings, link, tau, c)
+        cls, fraction = _defend(settings, link, c)
         decision, t_j = _adapt(settings, link.snr_l, c.snr_j, cls, fraction)
         results.append(TrialResult(
             t_baseline=link.t_baseline, t_jammed=t_j, detected=c.detected, jammer_class=cls,
             classified_correct=(cls == rx.JammerClass(c.model.value)),
-            tau_err=np.nan if c.tau_hat is None else float(abs(c.tau_hat - tau)),
+            tau_err=np.nan if c.tau_hat is None else float(abs(c.tau_hat - settings.tau)),
             scheme=decision.scheme, code_rate=decision.code.rate, payload_fraction=fraction,
             clamped=c.clamped,
         ))

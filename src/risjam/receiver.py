@@ -127,6 +127,7 @@ def estimate_onset(y, guard: int) -> tuple[int, float]:
 
 _AOA_GRID_DEG = 0.5  # MUSIC spectrum grid step
 _MIN_SEPARATION_RAD = np.deg2rad(5.0)  # LCMV resolution limit
+_SOURCES = 2  # the legit signal plus the jammer's replica
 _DIAGONAL_LOADING = 1e-3  # LCMV covariance loading, relative to mean power
 
 
@@ -158,38 +159,34 @@ def _fb_smoothed(cov: np.ndarray) -> np.ndarray:
     return 0.5 * (r + r[..., ::-1, ::-1].conj())
 
 
-def estimate_aoa(cov: np.ndarray, source_count: int) -> np.ndarray:
+def estimate_aoa(cov: np.ndarray) -> np.ndarray:
     """MUSIC on the m x m array covariance `cov`, forward-backward smoothed.
 
     Smoothing with two forward subarrays plus the conjugate-flipped covariance
     decorrelates one coherent replica, which is exactly the DRFM situation.
-    A (..., m, m) stack of covariances gives (..., source_count) angles, each
+    A (..., m, m) stack of covariances gives (..., _SOURCES) angles, each
     row sorted and equal to the call on that one matrix.
     """
     msub = cov.shape[-1] - 1
     # the smoothed subarray needs a noise subspace beside the sources
-    if msub <= source_count:
-        raise ReceiverError(
-            f"need more subarray elements ({msub}) than sources ({source_count})"
-        )
+    if msub <= _SOURCES:
+        raise ReceiverError(f"need more subarray elements ({msub}) than sources ({_SOURCES})")
     _, vecs = np.linalg.eigh(_fb_smoothed(cov))
-    noise_space = vecs[..., : msub - source_count]
+    noise_space = vecs[..., : msub - _SOURCES]
     proj = noise_space.conj().swapaxes(-1, -2) @ _grid_steering(msub)
     spectra = 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=-2), 1e-15)
-    aoas = [_music_peaks(s, source_count) for s in spectra.reshape(-1, _AOA_GRID.size)]
-    return np.reshape(aoas, spectra.shape[:-1] + (source_count,))
+    aoas = [_music_peaks(s) for s in spectra.reshape(-1, _AOA_GRID.size)]
+    return np.reshape(aoas, spectra.shape[:-1] + (_SOURCES,))
 
 
-def _music_peaks(spectrum: np.ndarray, source_count: int) -> np.ndarray:
-    """The sorted grid angles of a MUSIC spectrum's source_count highest
+def _music_peaks(spectrum: np.ndarray) -> np.ndarray:
+    """The sorted grid angles of a MUSIC spectrum's _SOURCES highest
     peaks, or of its highest values when it has fewer peaks."""
     peaks = _local_maxima(spectrum)
-    if peaks.size < source_count:
+    if peaks.size < _SOURCES:
         # fall back to the largest grid values
-        order = np.argsort(spectrum)[::-1][:source_count]
-        return np.sort(_AOA_GRID[order])
-    top = peaks[np.argsort(spectrum[peaks])[::-1][:source_count]]
-    return np.sort(_AOA_GRID[top])
+        peaks = np.arange(spectrum.size)
+    return np.sort(_AOA_GRID[peaks[np.argsort(spectrum[peaks])[::-1][:_SOURCES]]])
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
@@ -218,8 +215,8 @@ def separate_spatial(cov, aoas) -> tuple[np.ndarray, np.ndarray]:
     """
     m = cov.shape[-1]
     aoas = np.asarray(aoas, dtype=float)
-    if aoas.shape[-1] != 2:
-        raise ReceiverError("exactly two angles expected")
+    if aoas.shape[-1] != _SOURCES:
+        raise ReceiverError(f"exactly {_SOURCES} angles expected")
     resolved = np.abs(aoas[..., 0] - aoas[..., 1]) >= _MIN_SEPARATION_RAD
     w = np.full(aoas.shape[:-1] + (m, 2), np.nan, dtype=complex)
     cov, c = cov[resolved], _steering(m, aoas[resolved])
@@ -247,47 +244,47 @@ def partition_temporal(frame_len: int, tau_hat: int) -> tuple[int, float]:
 # ---------------------------------------------------------------------------
 
 
-def _similarity_rows(jam_est, legit_est, f_max: int, gamma: int) -> np.ndarray:
+def _similarity_rows(jam, legit, gamma: int) -> np.ndarray:
     """The two correlations the similarity ratio compares, as the rows of a
     (2, 2 gamma + 1) array at the lags -gamma..gamma: row 0 correlates
-    legit_est[:f_max] and row 1 jam_est[:f_max] against the reference
-    rs = legit_est[:f_max + gamma], in the `cross_correlate` convention.
+    legit[:n - 1] and row 1 jam[:n - 1] of the two n-sample streams against
+    the reference rs = legit, in the `cross_correlate` convention.
 
     Four transforms, not five: with F = FFT(rs), the jam row is the inverse
     of FFT(jam) F*, and the legit row that of F F* (the autocorrelation of all
-    of rs, Wiener-Khinchin) less the lag products of the rs samples past
-    f_max, which legit_est[:f_max] leaves out. A classification pair of n
-    samples has exactly one such sample (f_max = n - 1).
+    of rs, Wiener-Khinchin) less the lag products of the one rs sample past
+    n - 1, which legit[:n - 1] leaves out.
     """
-    rs = legit_est[: f_max + gamma]
-    both = np.zeros((2, rs.size), dtype=complex)
-    both[0] = rs
-    both[1, :f_max] = jam_est[:f_max]
+    n = legit.size
+    both = np.zeros((2, n), dtype=complex)
+    both[0] = legit
+    both[1, : n - 1] = jam[: n - 1]
     rows = _correlate_with_first(both, gamma)
-    # tail sample p contributes rs[p] conj(rs[p + tau]) for 0 <= p + tau <
-    # rs.size: every lag from -gamma (p >= f_max > gamma) to rs.size - 1 - p
-    for p in range(f_max, rs.size):
-        hi = min(gamma, rs.size - 1 - p)
-        rows[0, : gamma + hi + 1] -= rs[p] * rs[p - gamma : p + hi + 1].conj()
+    # the tail sample contributes rs[n - 1] conj(rs[n - 1 + tau]) at the lags
+    # -gamma..0, where n - 1 + tau stays in range (n - 1 > gamma)
+    rows[0, : gamma + 1] -= legit[n - 1] * legit[n - 1 - gamma : n].conj()
     return rows
 
 
-def similarity_ratio(jam_est, legit_est, f_max: int, legit_noise_var: float) -> float:
+def similarity_ratio(jam_est, legit_est, legit_noise_var: float) -> float:
     """Sim = max|R_jy| / max|R_yy| with both peaks normalized by f_max.
 
-    The legitimate autocorrelation peak at lag 0 carries the stream's own
-    noise power on top of the signal energy; `legit_noise_var` (the noise
-    variance after equalization) is subtracted there so the ratio compares
-    signal against signal. Cross terms in R_jy average out on their own.
+    The two streams share one length n; each is correlated over its first
+    f_max = n - 1 samples against all of the legit one. The legitimate
+    autocorrelation peak at lag 0 carries the stream's own noise power on
+    top of the signal energy; `legit_noise_var` (the noise variance after
+    equalization) is subtracted there so the ratio compares signal against
+    signal. Cross terms in R_jy average out on their own.
     """
     jam_est = np.asarray(jam_est, dtype=complex)
     legit_est = np.asarray(legit_est, dtype=complex)
-    if jam_est.size < f_max or legit_est.size < f_max:
-        raise ReceiverError("sequences shorter than f_max")
-    if f_max < 2:
-        raise ReceiverError(f"f_max {f_max} leaves no lag window of +-1")
-    gamma = max(1, f_max // 2)
-    sc_mags, cc_mags = np.abs(_similarity_rows(jam_est, legit_est, f_max, gamma))
+    if jam_est.size != legit_est.size or legit_est.size < 3:
+        # f_max = n - 1 below 2 leaves no lag window of +-1
+        raise ReceiverError(f"need two streams of one length n >= 3, got "
+                            f"{jam_est.size} and {legit_est.size}")
+    f_max = legit_est.size - 1
+    gamma = f_max // 2
+    sc_mags, cc_mags = np.abs(_similarity_rows(jam_est, legit_est, gamma))
     # lags run from -gamma, so lag 0 sits at index gamma
     sc_mags[gamma] = max(sc_mags[gamma] - legit_noise_var * f_max, 0.0)
     sc_max = float(sc_mags.max()) / f_max

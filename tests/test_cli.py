@@ -155,9 +155,26 @@ class TestCli:
         ))
         assert main(["--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
 
-    def test_unwritable_output_is_exit_2(self, tmp_path):
+    def test_unwritable_output_is_exit_2(self, tmp_path, monkeypatch):
         cfg = _write_config(tmp_path)
-        assert main(["--config", cfg, "--out", str(tmp_path / "no" / "dir" / "o.csv")]) == 2
+        sweeps = []
+
+        def run_sweep(cfg):
+            sweeps.append(cfg)
+            raise RuntimeError("sweep failed")
+
+        monkeypatch.setattr(risjam.cli, "run_sweep", run_sweep)
+        # a directory, and a file in a missing directory, fail before the sweep
+        for out in (tmp_path, tmp_path / "no" / "dir" / "o.csv"):
+            assert main(["--config", cfg, "--out", str(out)]) == 2
+        assert sweeps == []
+        # a failed sweep leaves an existing file as it was, and creates none
+        old = tmp_path / "old.csv"
+        old.write_bytes(b"kept\n")
+        assert main(["--config", cfg, "--out", str(old)]) == 2
+        assert main(["--config", cfg, "--out", str(tmp_path / "new.csv")]) == 2
+        assert len(sweeps) == 2 and old.read_bytes() == b"kept\n"
+        assert not (tmp_path / "new.csv").exists()
 
     def test_summary_flag_prints(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)

@@ -1,6 +1,9 @@
 """Harness tests: INI parsing, calibration, sweep aggregation, CSV output,
 and seed-stable parallel execution."""
 
+import configparser
+import os
+import re
 from dataclasses import replace
 from enum import Enum
 from functools import lru_cache
@@ -281,6 +284,19 @@ class TestEnumFieldRule:
                 rng = np.random.default_rng(5)
                 r = pl.run_trial(settings, 10.0, cfg.jammers[0], rng, *calibrate_noise(cfg))
                 assert str(r.scheme)
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def test_readme_ini_reference_loads_and_names_every_key():
+    with open(README) as fh:
+        block = re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
+    loads_config(block)
+    parser = configparser.ConfigParser()
+    parser.read_string(block)
+    keys = {(section, key) for section in parser.sections() for key in parser[section]}
+    assert keys == set(_SCHEMA)
 
 
 class TestEveryKeyChangesTheRun:

@@ -140,6 +140,30 @@ class TestDetection:
         assert abs(lost - blocks * p) <= 4.0 * np.sqrt(blocks * p * (1.0 - p))
 
 
+class TestReplicaOnset:
+    """`TrialSettings.tau` is the replica onset's one home: `jam_delay`, or
+    the middle of the frame when that is unset."""
+
+    def test_tau_resolves_the_delay(self):
+        for f in (1000, 1001):
+            assert _settings(frame_len=f).tau == 500
+        for delay in (0, 300, 999):
+            assert _settings(frame_len=1000, jam_delay=delay).tau == delay
+
+    @pytest.mark.parametrize("orthogonality", ["temporal", "spatial"])
+    def test_written_mid_frame_delay_is_the_default(self, orthogonality):
+        def csv(delay):
+            return harness.rows_to_csv(run_sweep(harness.loads_config(
+                "[sweep]\njammers = drfm, ps, as\nris_sizes = 16\njsr_db = 0, 10\n"
+                f"trials = 2\northogonality = {orthogonality}\n[link]\nbaseline_snr_db = 11\n"
+                f"[receiver]\nframe_len = 1024\n[jammer]\ndelay = {delay}\n"
+            )))
+
+        assert csv("512") == csv("")
+        # the comparison sees the onset: another delay moves the CSV
+        assert csv("300") != csv("")
+
+
 class TestDelay:
     def test_default_delay_recovered(self, noise_floors):
         s = _settings()
@@ -265,12 +289,13 @@ class TestTemporalProbe:
         s = _settings(frame_len=256, pilot_len=8)
         link = pl.draw_link(s, np.random.default_rng([7, 0]), None)
         tau = 100
+        s = replace(s, jam_delay=tau)
         # an early, exact and late estimate; the late one's burst overlaps the replica
         for tau_hat in (tau - 3, tau, tau + 2):
             burst, _ = rx.partition_temporal(s.frame_len, tau_hat)
             c = self._cell(model, tau_hat, [7, tau_hat])
             ref = copy.deepcopy(c.rng)
-            legit, jam, nv_l, nv_j = pl._temporal_pair(s, link, tau, c, burst)
+            legit, jam, nv_l, nv_j = pl._temporal_pair(s, link, c, burst)
             xb, _ = pl._frame(s, link.base.scheme, burst, ref)
             noise = pl._noise(tau + burst, ref)
             replica = pl._replica(model, xb, c.a_j, ref)
@@ -288,13 +313,14 @@ class TestTemporalProbe:
         # a burst under two pilots is refused before any draw
         c = self._cell(JammerModel.PS, 15, 3)
         state = c.rng.bit_generator.state
-        assert pl._temporal_pair(s, link, 100, c, 15) is None
+        assert pl._temporal_pair(replace(s, jam_delay=100), link, c, 15) is None
         assert c.rng.bit_generator.state == state
         # a replica at tau 10 read from 40 leaves a 10-sample jam stream
         c = self._cell(JammerModel.PS, 40, 4)
-        assert pl._temporal_pair(s, link, 10, c, 40) is None
+        assert pl._temporal_pair(replace(s, jam_delay=10), link, c, 40) is None
         # at tau 16 it holds two pilots' worth
-        assert pl._temporal_pair(s, link, 16, self._cell(JammerModel.PS, 40, 4), 40) is not None
+        c = self._cell(JammerModel.PS, 40, 4)
+        assert pl._temporal_pair(replace(s, jam_delay=16), link, c, 40) is not None
 
 
 class TestPowerBookkeeping:
@@ -451,26 +477,25 @@ class TestRunCells:
         and the outputs from w^H clean plus the jam's gain, against the same
         quantities formed on the m x f snapshot."""
         s = _settings(orthogonality=OrthogonalityMode.SPATIAL, baseline_snr_db=11.0)
-        f = s.frame_len
-        tau = f // 2
+        f, tau = s.frame_len, s.tau
         for t in range(4):
             link = pl.draw_link(s, np.random.default_rng([5, t]), None)
             for ji, model in enumerate(JammerModel):
                 for jsr in (0.0, 10.0):
                     rng = np.random.default_rng([5, t, ji, int(jsr)])
-                    c = pl._jam_front(s, link, tau, jsr, model, rng, s.eaves_noise_watt)
+                    c = pl._jam_front(s, link, jsr, model, rng, s.eaves_noise_watt)
                     assert c.steer is not None
                     jam = np.zeros(f, dtype=complex)
                     jam[tau:] = c.jam
                     streams = link.clean + np.outer(c.steer, jam)
                     ref = streams @ streams.conj().T / f
                     assert np.max(np.abs(c.cov - ref)) <= 1e-13 * np.max(np.abs(ref))
-                    aoas = rx.estimate_aoa(ref, 2)
-                    assert np.array_equal(rx.estimate_aoa(c.cov, 2), aoas)
+                    aoas = rx.estimate_aoa(ref)
+                    assert np.array_equal(rx.estimate_aoa(c.cov), aoas)
                     w, resolved = rx.separate_spatial(ref, aoas)
                     assert resolved
                     out_ref = w.conj().T @ streams
-                    out = pl._lcmv_outputs(link.clean, tau, w, c.steer, c.jam)
+                    out = pl._lcmv_outputs(link.clean, w, c.steer, c.jam)
                     assert np.max(np.abs(out - out_ref)) <= 1e-13 * np.max(np.abs(out_ref))
 
 
@@ -489,7 +514,7 @@ class TestSeams:
                 state = rng.bit_generator.state
                 budget = pl._jam_budget(s, link, jsr, s.eaves_noise_watt)
                 assert rng.bit_generator.state == state
-                c = pl._jam_front(s, link, s.frame_len // 2, jsr, model, rng, s.eaves_noise_watt)
+                c = pl._jam_front(s, link, jsr, model, rng, s.eaves_noise_watt)
                 assert budget == (c.a_j, c.snr_j, c.clamped) and c.clamped is clamped
 
     def test_no_class_keeps_the_baseline(self):
@@ -559,10 +584,9 @@ class TestIdealOutcome:
         cfg = load_config(os.path.join(CONFIGS, f"{name}.ini"))
         cfg = replace(cfg, trials=10, jsr_grid_db=jsrs)
         s = cfg.settings
-        tau = s.jam_delay if s.jam_delay is not None else s.frame_len // 2
         fraction = 1.0
         if s.orthogonality == OrthogonalityMode.TEMPORAL:
-            fraction = rx.partition_temporal(s.frame_len, tau)[1]
+            fraction = rx.partition_temporal(s.frame_len, s.tau)[1]
         units, inner = {}, harness._run_unit
 
         def run_unit(args):

@@ -86,17 +86,18 @@ def _lcmv_forming_gram(x, aoas):
     return w.conj().T @ x, w
 
 
-def _music_reference(cov, source_count):
-    """Reference MUSIC, written for one m x m covariance."""
+def _music_reference(cov):
+    """Reference MUSIC, written for one m x m covariance of two sources (the
+    legit signal and the jammer's replica)."""
     msub = cov.shape[0] - 1
     r = 0.5 * (cov[:-1, :-1] + cov[1:, 1:])
     _, vecs = np.linalg.eigh(0.5 * (r + r[::-1, ::-1].conj()))
-    proj = vecs[:, : msub - source_count].conj().T @ _grid_steering(msub)
+    proj = vecs[:, : msub - 2].conj().T @ _grid_steering(msub)
     spectrum = 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=0), 1e-15)
     peaks = _local_maxima(spectrum)
-    if peaks.size < source_count:
-        return np.sort(_AOA_GRID[np.argsort(spectrum)[::-1][:source_count]])
-    return np.sort(_AOA_GRID[peaks[np.argsort(spectrum[peaks])[::-1][:source_count]]])
+    if peaks.size < 2:
+        return np.sort(_AOA_GRID[np.argsort(spectrum)[::-1][:2]])
+    return np.sort(_AOA_GRID[peaks[np.argsort(spectrum[peaks])[::-1][:2]]])
 
 
 def _two_source_snapshot(m, kind, rng, n=4096):
@@ -208,35 +209,40 @@ class TestSimilarityRows:
     """The similarity ratio's two correlation rows, from four transforms and
     the tail correction, against the direct sums."""
 
-    @pytest.mark.parametrize(
-        "n, f_max",
-        # a tail of one sample past f_max (every classification pair), of 48
-        # (f_max 2000 on 2048), and of none; odd and even n
-        [(3, 2), (4, 3), (2047, 2046), (2048, 2047), (2047, 1999), (2048, 2000), (64, 64)],
-    )
-    def test_rows_match_direct_sums(self, n, f_max):
+    # two streams of n samples, correlated over f_max = n - 1 (each case is
+    # named n-f_max); the shortest pair, and odd and even n
+    @pytest.mark.parametrize("n", [3, 4, 2047, 2048], ids=lambda n: f"{n}-{n - 1}")
+    def test_rows_match_direct_sums(self, n):
+        f_max = n - 1
         rng = np.random.default_rng(n + f_max)
         legit = rng.normal(size=n) + 1j * rng.normal(size=n)
         jam = rng.normal(size=n) + 1j * rng.normal(size=n)
-        gamma = max(1, f_max // 2)
-        rs = legit[: f_max + gamma]
-        rows = receiver._similarity_rows(jam, legit, f_max, gamma)
+        gamma = f_max // 2
+        rows = receiver._similarity_rows(jam, legit, gamma)
         assert rows.shape == (2, 2 * gamma + 1)
         for row, y in zip(rows, (legit, jam)):
-            _, direct = brute_force_correlation(y, rs, f_max, gamma)
-            tol = 1e-12 * np.linalg.norm(y[:f_max]) * np.linalg.norm(rs)
+            _, direct = brute_force_correlation(y, legit, f_max, gamma)
+            tol = 1e-12 * np.linalg.norm(y[:f_max]) * np.linalg.norm(legit)
             assert np.abs(row - direct).max() <= tol
 
         # the ratio read off the direct sums
         nv = 0.3
-        sc, cc = (np.abs(brute_force_correlation(y, rs, f_max, gamma)[1]) for y in (legit, jam))
+        sc, cc = (
+            np.abs(brute_force_correlation(y, legit, f_max, gamma)[1]) for y in (legit, jam)
+        )
         sc[gamma] = max(sc[gamma] - nv * f_max, 0.0)
         expected = cc.max() / sc.max()
-        assert similarity_ratio(jam, legit, f_max, nv) == pytest.approx(expected, rel=1e-9)
+        assert similarity_ratio(jam, legit, nv) == pytest.approx(expected, rel=1e-9)
 
     def test_rejects_a_window_without_lags(self):
+        # two samples correlate over f_max = 1, which has no lag window of +-1
         with pytest.raises(ReceiverError):
-            similarity_ratio(np.ones(4), np.ones(4), 1, 0.0)
+            similarity_ratio(np.ones(2), np.ones(2), 0.0)
+        assert np.isfinite(similarity_ratio(np.ones(3), np.ones(3), 0.0))
+
+    def test_rejects_streams_of_unequal_length(self):
+        with pytest.raises(ReceiverError):
+            similarity_ratio(np.ones(8), np.ones(9), 0.0)
 
 
 class TestOnset:
@@ -329,7 +335,7 @@ class TestSpatial:
             + np.outer(_sv(m, a2), s2)
             + 0.1 * (rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
         )
-        est = estimate_aoa(_cov(x), 2)
+        est = estimate_aoa(_cov(x))
         assert np.allclose(np.rad2deg(est), [-20.0, 25.0], atol=1.0)
 
     def test_music_coherent_replica(self):
@@ -343,7 +349,7 @@ class TestSpatial:
             + np.outer(_sv(m, a2), 0.9 * s)
             + 0.05 * (rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
         )
-        est = np.rad2deg(estimate_aoa(_cov(x), 2))
+        est = np.rad2deg(estimate_aoa(_cov(x)))
         assert np.allclose(est, [-10.0, 30.0], atol=3.0)
 
     def test_lcmv_nulls_interferer(self):
@@ -377,6 +383,11 @@ class TestSpatial:
         assert np.allclose(np.abs(sv), 1.0)
         assert sv[0] == pytest.approx(1.0)
 
+    def test_lcmv_takes_two_angles(self):
+        # one per source: the legit signal and the jammer's replica
+        with pytest.raises(ReceiverError):
+            separate_spatial(_cov(np.ones((8, 64), dtype=complex)), [0.1, 0.5, 0.9])
+
     def test_lcmv_rejects_close_angles(self):
         x = np.zeros((8, 64), dtype=complex)
         w, resolved = separate_spatial(_cov(x), [0.0, np.deg2rad(2.0)])
@@ -401,13 +412,13 @@ class TestCovariancePath:
             if m == 3:
                 # a 2-element subarray has no noise subspace beside two sources
                 with pytest.raises(ReceiverError):
-                    estimate_aoa(cov, 2)
+                    estimate_aoa(cov)
                 continue
-            angles = estimate_aoa(cov, 2)
+            angles = estimate_aoa(cov)
             # MUSIC on the reference: the same estimator fed the reference matrix
             with monkeypatch.context() as patch:
                 patch.setattr(receiver, "_fb_smoothed", lambda _cov: ref)
-                assert np.array_equal(angles, estimate_aoa(cov, 2))
+                assert np.array_equal(angles, estimate_aoa(cov))
 
     @pytest.mark.parametrize("kind", ["coherent", "sign_flipped", "independent"])
     @pytest.mark.parametrize("m", [3, 4, 8])
@@ -436,20 +447,20 @@ class TestStackedSpatial:
     def test_music_stack_matches_each_matrix(self, m):
         rng = np.random.default_rng([m, 2])
         covs = self._covs(m, rng)
-        got = estimate_aoa(covs, 2)
+        got = estimate_aoa(covs)
         assert got.shape == (covs.shape[0], 2)
         for cov, angles in zip(covs, got):
-            assert np.array_equal(angles, estimate_aoa(cov, 2))
-            assert np.array_equal(angles, _music_reference(cov, 2))
+            assert np.array_equal(angles, estimate_aoa(cov))
+            assert np.array_equal(angles, _music_reference(cov))
         # any leading shape, one angle row per matrix
-        grid = estimate_aoa(covs[:6].reshape(2, 3, m, m), 2)
+        grid = estimate_aoa(covs[:6].reshape(2, 3, m, m))
         assert np.array_equal(grid, got[:6].reshape(2, 3, 2))
 
     @pytest.mark.parametrize("m", [4, 5, 8])
     def test_lcmv_stack_matches_each_matrix(self, m):
         rng = np.random.default_rng([m, 3])
         covs = self._covs(m, rng)
-        aoas = estimate_aoa(covs, 2)
+        aoas = estimate_aoa(covs)
         aoas[3] = [0.1, 0.1 + np.deg2rad(4.5)]  # under the resolution limit
         w, resolved = separate_spatial(covs, aoas)
         assert w.shape == (covs.shape[0], m, 2)
@@ -487,7 +498,7 @@ class TestClassification:
         nv = 10 ** (-1.5)
         le, nv_le = equalize_stream(legit, pilot, nv)
         je, _ = equalize_stream(jam, pilot, nv)
-        sim = similarity_ratio(je, le, 2000, nv_le)
+        sim = similarity_ratio(je, le, nv_le)
         assert sim > 0.95
 
     def test_similarity_low_for_ps(self):
@@ -496,7 +507,7 @@ class TestClassification:
         nv = 10 ** (-1.5)
         le, nv_le = equalize_stream(legit, pilot, nv)
         je, _ = equalize_stream(jam, pilot, nv)
-        sim = similarity_ratio(je, le, 2000, nv_le)
+        sim = similarity_ratio(je, le, nv_le)
         assert sim < 0.5
 
     def test_threshold_rules(self):
