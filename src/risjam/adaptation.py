@@ -43,7 +43,7 @@ def snr_jamming(gamma_e: float, gamma_j: float) -> float:
 
 def ser_awgn(family: Family, order, snr) -> np.ndarray | float:
     """Approximate symbol error rate on AWGN at linear symbol SNR,
-    broadcast over `order` and `snr`."""
+    broadcast over `order` and `snr`; a float when both are scalars."""
     snr = np.asarray(snr, dtype=float)
     m = np.asarray(order)
     if family == Family.PSK:
@@ -83,7 +83,7 @@ def effective_ber(
     snr_j: float,
 ) -> np.ndarray | float:
     """Post-separation BER when the jam replica is combined with the legit
-    stream, broadcast over `order`.
+    stream, broadcast over `order`; a float for a scalar order.
 
     DRFM replays coherently, so powers add. The AS factor V ~ U[0, 2] scales
     the replica per symbol; the combiner input is limiter-capped at the
@@ -137,9 +137,11 @@ def code_table(fixed_rate: float | None) -> tuple[RsCode, ...]:
     return matches
 
 
-# Calls repeat: under pinned SNR the jam-free baseline sees a handful of
-# snr_l values, and on one link draw the jammers at one JSR share snr_j, as
-# do clamped cells
+# Calls repeat, a fifth to two fifths of a perfbench sweep's: under pinned
+# SNR the jam-free baseline sees a handful of snr_l values, a cell with no
+# class adapts through the baseline's own entry (its snr_j passed as 0.0,
+# which the no-class curve ignores), and on one link draw the jammers at one
+# JSR share snr_j, as do clamped cells
 @lru_cache(maxsize=256)
 def select_link(
     jammer_class: JammerClass | None,
@@ -152,7 +154,9 @@ def select_link(
 ) -> AdaptationDecision:
     """Pick the compliant (order, code) pair with the highest spectral
     efficiency rate*log2(order) within the remapped family; ties go to the
-    higher order. With none compliant, the order-2 decision stands.
+    higher order. With none compliant, the order-2 decision stands. One
+    `effective_ber` call gives the BER of every order up to `max_order`, and
+    only the winning decision is built.
 
     With `fixed_rate` set, only that single code is on the table (fixed-rate
     operating mode); the modulation order still adapts. A pure function of

@@ -202,15 +202,11 @@ def sample_realization(
     h_sr = _rayleigh_vector(m, a_sr, rng)
     h_rd = _rayleigh_vector(m, a_rd, rng)
     h_rj_ind = _rayleigh_vector(m, a_rd, rng)
-    if eaves_corr > 0.0:
-        h_rj = np.sqrt(eaves_corr) * h_rd + np.sqrt(1 - eaves_corr) * h_rj_ind
-    else:
-        h_rj = h_rj_ind
 
     return ChannelRealization(
         h_sr=h_sr,
         h_rd=h_rd,
-        h_rj=h_rj,
+        h_rj=np.sqrt(eaves_corr) * h_rd + np.sqrt(1 - eaves_corr) * h_rj_ind,
         h_e1=sample_rician(jp, rng),
         h_j1=sample_rician(jp, rng),
         h_j2=sample_rician(jp, rng),

@@ -242,13 +242,16 @@ def _replica(model, x, amp, rng) -> np.ndarray:
 
 
 def _frame(settings, scheme, n_syms, rng, code=None):
-    """Pilot-prefixed frame of n_syms symbols with a random payload, and the
-    RS codewords placed at both ends of the payload when `code` is given.
+    """Pilot-prefixed frame of n_syms symbols with a random payload, and, when
+    `code` is given, min(payload bits // (8 code.n), 2) RS codewords in it: the
+    tail block ends at the payload's end, and a second block starts it. With
+    a 64-symbol pilot, a 4096-symbol BPSK frame holds only the tail block, and
+    a 2048-symbol BPSK or 1024-symbol QPSK frame none.
 
-    The tail-aligned block is hit by a delayed replica no matter where it
-    lands, so its byte errors double as the jamming detector; the head block
-    covers the front. Returns (frame, [(payload bit offset, codeword bytes),
-    ...]).
+    The tail block is hit by a delayed replica no matter where it lands, so
+    its byte errors double as the jamming detector; the head block, where
+    there is one, covers the front. Returns (frame, [(payload bit offset,
+    codeword bytes), ...]) with the head block first.
     """
     n_bits = (n_syms - settings.pilot_len) * scheme.bits_per_symbol
     bits = rng.integers(0, 2, n_bits).astype(np.uint8)

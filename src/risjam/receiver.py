@@ -253,7 +253,9 @@ def _similarity_rows(jam, legit, gamma: int) -> np.ndarray:
     Four transforms, not five: with F = FFT(rs), the jam row is the inverse
     of FFT(jam) F*, and the legit row that of F F* (the autocorrelation of all
     of rs, Wiener-Khinchin) less the lag products of the one rs sample past
-    n - 1, which legit[:n - 1] leaves out.
+    n - 1, which legit[:n - 1] leaves out. With gamma = (n - 1) // 2 the
+    transforms are about 1.5 n long (3072 at n = 2048), not the 2 n of a full
+    linear correlation.
     """
     n = legit.size
     both = np.zeros((2, n), dtype=complex)
@@ -309,7 +311,9 @@ def classify_jammer(
 ) -> JammerClass:
     """Threshold rule: a high similarity ratio means DRFM; otherwise a high
     pilot anomaly fraction means PS under a phase-bearing family and AS under
-    an amplitude-bearing one (QAM carries both, so it stays Unknown)."""
+    an amplitude-bearing one (QAM carries both, so it stays Unknown). `sim`
+    is the `similarity_ratio` of the separated pair and `family` that of the
+    active scheme."""
     if sim >= sim_threshold:
         return JammerClass.DRFM
     if pilot_inversions >= inversion_threshold:

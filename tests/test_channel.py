@@ -15,6 +15,7 @@ from risjam.channel import (
     cascaded_coefficient,
     optimize_phases,
     path_loss,
+    _rayleigh_vector,
     sample_realization,
     sample_rician,
 )
@@ -215,3 +216,19 @@ class TestRealization:
             b = real.h_rj / np.sqrt(np.mean(np.abs(real.h_rj) ** 2))
             rho_est.append(abs(np.vdot(a, b)) / a.size)
         assert np.mean(rho_est) > 0.8
+
+    @pytest.mark.parametrize("m", [1, 3, 64, 512])
+    def test_rj_blend_ends_are_exact(self, m):
+        """h_rj = sqrt(c) h_rd + sqrt(1 - c) h_rj_ind bit for bit at both ends of
+        c: at c = 0 it is the third vector drawn, at c = 1 it is h_rd."""
+        cfg = RisLinkConfig(element_count=m)
+        a_rd = np.sqrt(path_loss(cfg.d_rd, cfg.path_loss_exp))
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            for _ in range(2):  # h_sr and h_rd; a vector's draws do not depend on its scale
+                _rayleigh_vector(m, 1.0, rng)
+            third = _rayleigh_vector(m, a_rd, rng)
+            h_rj = sample_realization(cfg, RicianParams(), np.random.default_rng(seed), 0.0).h_rj
+            assert np.array_equal(h_rj.view(np.uint64), third.view(np.uint64))
+            real = sample_realization(cfg, RicianParams(), np.random.default_rng(seed), 1.0)
+            assert np.array_equal(real.h_rj.view(np.uint64), real.h_rd.view(np.uint64))

@@ -35,3 +35,20 @@ def test_shipped_config_csv_is_unchanged(tmp_path, name):
     config = os.path.join(CONFIGS, f"{name}.ini")
     assert main(["--config", config, "--out", str(out), "--trials", "5", "--jobs", "1"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name]
+
+
+# figure3 with `snr_mode = faded`: every shipped config runs pinned, so this
+# pin is the one that covers noise calibration's 256 channel draws and the
+# faded floor; it is not a shipped config, so it stays out of GOLDEN
+FADED_FIGURE3 = "9e00be52daf92dd20aee0e6c2c1acf5f9edac76369e54b94d6f4e7c50a699209"
+
+
+def test_faded_figure3_csv_is_unchanged(tmp_path):
+    with open(os.path.join(CONFIGS, "figure3.ini")) as fh:
+        text = fh.read()
+    assert "\n[link]\n" in text
+    config = tmp_path / "figure3_faded.ini"
+    config.write_text(text.replace("\n[link]\n", "\n[link]\nsnr_mode = faded\n"))
+    out = tmp_path / "figure3_faded.csv"
+    assert main(["--config", str(config), "--out", str(out), "--trials", "5", "--jobs", "1"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FADED_FIGURE3

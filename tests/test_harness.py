@@ -12,6 +12,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 import pytest
 
+import risjam
 from risjam import harness
 from risjam import pipeline as pl
 from risjam.harness import (
@@ -297,6 +298,18 @@ def test_readme_ini_reference_loads_and_names_every_key():
     parser.read_string(block)
     keys = {(section, key) for section in parser.sections() for key in parser[section]}
     assert keys == set(_SCHEMA)
+
+
+def test_readme_root_export_list_is_the_package_root():
+    """The first list under "Library use" names exactly `risjam.__all__`,
+    each name with or without a dotted module path or an argument list."""
+    with open(README) as fh:
+        section = fh.read().split("\n## Library use\n", 1)[1]
+    listing = re.search(r"^- .*?(?=\n\n)", section, re.S | re.M).group(0)
+    names = set(re.findall(r"`(?:\w+\.)*(\w+)[`(]", listing))
+    assert names == set(risjam.__all__)
+    for name in names:
+        assert hasattr(risjam, name)
 
 
 class TestEveryKeyChangesTheRun:

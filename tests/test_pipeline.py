@@ -117,6 +117,27 @@ class TestDetection:
             # noiseless, the span gives back the codeword sent
             assert np.array_equal(pl._block_bytes(x[s.pilot_len :], 1.0, off, code, scheme), cw)
 
+    # (frame_len, order, payload bit offsets): min(payload bits // 2040, 2)
+    # RS(255,240) blocks, the tail one ending at the payload's end
+    @pytest.mark.parametrize("frame_len,order,offsets", [
+        (4096, 2, [4032 - 2040]),
+        (4096, 4, [0, 8064 - 2040]),
+        (4096, 64, [0, 24192 - 2040]),
+        (2048, 2, []),
+        (2048, 4, [3968 - 2040]),
+        (1024, 2, []),
+        (1024, 4, []),
+        (1024, 8, [2880 - 2040]),
+        (1024, 64, [0, 5760 - 2040]),
+    ])
+    def test_block_count_and_offsets(self, frame_len, order, offsets):
+        s = _settings(frame_len=frame_len)
+        scheme, code = ModScheme(Family.PSK, order), RsCode(255, 240)
+        x, blocks = pl._frame(s, scheme, frame_len, np.random.default_rng(order), code)
+        assert [off for off, _ in blocks] == offsets
+        for off, cw in blocks:
+            assert np.array_equal(pl._block_bytes(x[s.pilot_len :], 1.0, off, code, scheme), cw)
+
     @pytest.mark.parametrize(
         "order,snr_db", [(2, 4.5), (2, 5.0), (2, 5.5), (4, 7.5), (4, 8.0), (4, 8.5)]
     )
