@@ -218,6 +218,12 @@ def _project(h_in, h_out, corr: CorrelationMatrix) -> tuple[np.ndarray, np.ndarr
     return np.asarray(h_in) @ corr.sqrt_form, corr.sqrt_form @ np.asarray(h_out)
 
 
+def cascade(u: np.ndarray, v: np.ndarray, phi: PhaseMatrix) -> complex:
+    """The cascaded coefficient sum_a u_a v_a exp(j*phi_a) of the projections
+    u = h_in @ R^{1/2} and v = R^{1/2} @ h_out."""
+    return complex(u @ (phi.diagonal * v))
+
+
 def cascaded_coefficient(
     h_in: np.ndarray,
     h_out: np.ndarray,
@@ -233,25 +239,25 @@ def cascaded_coefficient(
             f"length mismatch: h_in {h_in.shape}, h_out {h_out.shape}, "
             f"phi {phi.phases.shape}, R {corr.sqrt_form.shape}"
         )
-    u, v = _project(h_in, h_out, corr)
-    return complex(u @ (phi.diagonal * v))
+    return cascade(*_project(h_in, h_out, corr), phi)
 
 
 def aligned_cascade(
     h_sr: np.ndarray,
     h_rd: np.ndarray,
     corr: CorrelationMatrix,
-) -> tuple[PhaseMatrix, complex]:
-    """The phase alignment maximizing |cascaded_coefficient| and the cascaded
-    coefficient it yields, from one projection of each vector.
+) -> tuple[PhaseMatrix, complex, np.ndarray]:
+    """The phase alignment maximizing |cascaded_coefficient|, the cascaded
+    coefficient it yields, and h_sr's projection u = h_sr @ R^{1/2}, which
+    the cascade of any other outgoing vector under these phases reuses.
 
-    With c = sum_a u_a v_a exp(j*phi_a), u = h_sr @ R^{1/2}, v = R^{1/2} @ h_rd,
-    the optimum is phi_a = -arg(u_a * v_a), giving |c| = sum_a |u_a v_a|. The
-    pair equals `(phi, cascaded_coefficient(h_sr, h_rd, corr, phi))` bit for bit.
+    With c = sum_a u_a v_a exp(j*phi_a) and v = R^{1/2} @ h_rd, the optimum is
+    phi_a = -arg(u_a * v_a), giving |c| = sum_a |u_a v_a|. The coefficient
+    equals `cascaded_coefficient(h_sr, h_rd, corr, phi)` bit for bit.
     """
     u, v = _project(h_sr, h_rd, corr)
     phi = PhaseMatrix(phases=-np.angle(u * v))
-    return phi, complex(u @ (phi.diagonal * v))
+    return phi, cascade(u, v, phi), u
 
 
 def optimize_phases(

@@ -229,7 +229,7 @@ def calibrate_noise(cfg: ExperimentConfig) -> tuple[float | None, float]:
     powers = []
     for _ in range(CALIBRATION_DRAWS):
         real = ch.sample_realization(link, s.rician, rng, s.eaves_corr)
-        _, h = ch.aligned_cascade(real.h_sr, real.h_rd, corr)
+        _, h, _ = ch.aligned_cascade(real.h_sr, real.h_rd, corr)
         powers.append(p_t * abs(h) ** 2)
     return float(np.mean(powers)) / s.baseline_snr, s.eaves_noise_watt
 

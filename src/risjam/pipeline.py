@@ -231,14 +231,15 @@ def _block_lost(rx_bytes: np.ndarray, codeword: np.ndarray, code: wf.RsCode) -> 
     return int(np.count_nonzero(rx_bytes != codeword)) > code.t
 
 
-def _replica(model, x, amp, rng) -> np.ndarray:
-    """Jammer replica of x, scaled to average power |amp|^2; the caller adds
-    it at its onset."""
+def _replica(model, x, amp, rng, n=None) -> np.ndarray:
+    """Jammer replica of x, scaled to average power |amp|^2 over all of x; the
+    first n samples of it (all with n None), which the caller adds at its
+    onset."""
     shaped = jm.jammer_transform(model, x, rng)
     rms = np.sqrt(rx.mean_power(shaped))
     if rms == 0.0:
-        return np.zeros(shaped.size, dtype=complex)
-    return (amp / rms) * shaped
+        return np.zeros(shaped[:n].size, dtype=complex)
+    return (amp / rms) * shaped[:n]
 
 
 def _frame(settings, scheme, n_syms, rng, code=None):
@@ -275,35 +276,56 @@ def _too_short(settings, n: int) -> bool:
 
 
 def _classify(settings, scheme, legit_s, jam_s, nv_l, nv_j) -> rx.JammerClass:
-    """Equalize a separated (legit, jam) pair with receiver noise variances
-    (nv_l, nv_j) over their common length and classify the jammer."""
+    """Classify the jammer from a separated (legit, jam) pair with receiver
+    noise variances (nv_l, nv_j), over their common length.
+
+    The pair is compared at its own scale: the similarity ratio of the
+    equalized pair is that of the raw pair times sqrt(P_l / P_j), with P_l
+    and P_j the streams' noise-debiased powers, so only the jam's pilot span
+    is equalized, for the anomaly count.
+    """
     pilot = _pilot(scheme, settings.pilot_len)
     n = min(legit_s.size, jam_s.size)
-    legit_eq, nv_legit_eq = rx.equalize_stream(legit_s[:n], pilot, nv_l)
-    jam_eq, _ = rx.equalize_stream(jam_s[:n], pilot, nv_j)
-    sim = rx.similarity_ratio(jam_eq, legit_eq, nv_legit_eq)
-    inversions = rx.pilot_anomaly_fraction(jam_eq[: pilot.size], pilot)
+    legit, jam = legit_s[:n], jam_s[:n]
+    _, p_l = rx.stream_gain(legit, pilot, nv_l)
+    g_j, p_j = rx.stream_gain(jam, pilot, nv_j)
+    sim = rx.similarity_ratio(jam, legit, nv_l) * np.sqrt(p_l / p_j)
+    inversions = rx.pilot_anomaly_fraction(jam[: pilot.size] / g_j, pilot)
     return rx.classify_jammer(
         sim, inversions, settings.sim_threshold, settings.inversion_threshold, scheme.family
     )
 
 
-def _stage_two(settings, scheme, c) -> rx.JammerClass:
-    """Split PS from AS on a jam-only probe of cell c against the known replica.
+def _stage_two(settings, scheme, cells) -> list[rx.JammerClass]:
+    """Split PS from AS for each cell of a PS verdict, on a jam-only probe
+    of the cell against its known replica.
 
-    Per-symbol ratios r_k = y_k / x_k cluster at +-1 for PS (balanced signs)
-    and at V_k > 0 for AS. The global phase comes from the squared ratios,
-    which removes the sign ambiguity; a near-balanced sign split means PS.
+    Each cell draws its probe from its own generator: the bits of 1024
+    symbols, the replica, then the noise. The probes are then read as one
+    (cells, 1024) stack. Per-symbol ratios r_k = y_k / x_k
+    cluster at +-1 for PS (balanced signs) and at V_k > 0 for AS. The global
+    phase comes from the squared ratios, which removes the sign ambiguity; a
+    near-balanced sign split means PS.
     """
-    n = 1024
-    bits = c.rng.integers(0, 2, n * scheme.bits_per_symbol).astype(np.uint8)
-    x = wf.modulate(bits, scheme)
-    stream = _replica(c.model, x, c.a_j, c.rng) + _noise(n, c.rng)
-    r = stream * np.conj(x) / np.abs(x) ** 2
-    phase = 0.5 * np.angle(np.sum(r**2))
-    signs = np.real(r * np.exp(-1j * phase)) < 0.0
-    balance = float(min(np.mean(signs), 1.0 - np.mean(signs)))
-    return rx.JammerClass.PS if balance >= settings.flip_threshold else rx.JammerClass.AS
+    n, k = 1024, scheme.bits_per_symbol
+    bits = np.empty((len(cells), n * k), dtype=np.uint8)
+    for c, row in zip(cells, bits):
+        row[:] = c.rng.integers(0, 2, n * k)
+    x = wf.modulate(bits.ravel(), scheme).reshape(len(cells), n)
+    r = np.empty_like(x)
+    for c, xk, rk in zip(cells, x, r):
+        rk[:] = _replica(c.model, xk, c.a_j, c.rng)
+        rk += _noise(n, c.rng)
+    # r = y conj(x) / |x|^2, with x's buffer reused for each temporary
+    power = np.abs(x) ** 2
+    r *= np.conjugate(x, out=x)
+    r /= power
+    phase = 0.5 * np.angle(np.sum(np.square(r, out=x), axis=1))
+    signs = np.multiply(r, np.exp(-1j * phase)[:, None], out=x).real < 0.0
+    share = np.mean(signs, axis=1)
+    balance = np.minimum(share, 1.0 - share)
+    return [rx.JammerClass.PS if b >= settings.flip_threshold else rx.JammerClass.AS
+            for b in balance]
 
 
 def _lcmv_outputs(clean, w, steer, jam) -> np.ndarray:
@@ -356,9 +378,9 @@ def _temporal_pair(settings, link, c, burst):
 def _defend(settings, link, c) -> tuple[rx.JammerClass | None, float]:
     """Cell c's defense outcome (jammer class, payload fraction). The class
     comes from the LCMV-separated pair when the cell has resolved weights and
-    the pair is long enough, else from the temporal probe; a PS verdict goes
-    to stage two. With no class (nothing detected or estimated, or a delay
-    that leaves no slot for the probe) the fraction is 1."""
+    the pair is long enough, else from the temporal probe; `run_cells` hands
+    a PS verdict to stage two. With no class (nothing detected or estimated,
+    or a delay that leaves no slot for the probe) the fraction is 1."""
     cls, fraction, pair = None, 1.0, None
     if c.w is not None:
         out = _lcmv_outputs(link.clean, c.w, c.steer, c.jam)
@@ -369,8 +391,6 @@ def _defend(settings, link, c) -> tuple[rx.JammerClass | None, float]:
         cls = rx.JammerClass.UNKNOWN  # unless the probe is long enough
     if pair is not None:
         cls = _classify(settings, link.base.scheme, *pair)
-    if cls == rx.JammerClass.PS:
-        cls = _stage_two(settings, link.base.scheme, c)
     return cls, fraction
 
 
@@ -425,6 +445,8 @@ class LinkDraw:
     jammer: `clean` is the m x f legit signal plus receiver noise, in
     receiver-normalized units, and under spatial orthogonality `clean_cov` is
     its m x m covariance, which each cell's array covariance starts from.
+    `head_power` holds the `rx.power_sums` of antenna 0's samples before the
+    replica onset, the jam-free prefix every cell's onset search shares.
     `rs_blocks` holds each RS block's payload bit offset and transmitted
     codeword bytes, all that detection compares.
     """
@@ -442,6 +464,7 @@ class LinkDraw:
     aoa_l: float | None
     clean: np.ndarray
     clean_cov: np.ndarray | None
+    head_power: np.ndarray
 
 
 def draw_link(
@@ -456,7 +479,7 @@ def draw_link(
     link = settings.link
     corr = _corr_cached(link.element_count, link.corr_rate)
     real = ch.sample_realization(link, settings.rician, rng, settings.eaves_corr)
-    phi, h_l = ch.aligned_cascade(real.h_sr, real.h_rd, corr)
+    phi, h_l, u = ch.aligned_cascade(real.h_sr, real.h_rd, corr)
     p_l = settings.tx_watt * abs(h_l) ** 2
     if settings.snr_mode == SnrMode.PINNED:
         noise_var_watt = p_l / settings.baseline_snr
@@ -471,7 +494,8 @@ def draw_link(
         h_in = real.h_e1 * np.sqrt(ch.path_loss(settings.d_e1, dexp))
         h_out = real.h_j1 * np.sqrt(ch.path_loss(settings.d_j1, dexp))
     else:
-        h_in = ch.cascaded_coefficient(real.h_sr, real.h_rj, corr, phi)
+        # the jammer eavesdrops through the RIS under the legit link's phases
+        h_in = ch.cascade(u, corr.sqrt_form @ real.h_rj, phi)
         h_out = real.h_j2 * np.sqrt(ch.path_loss(settings.d_j2, dexp))
 
     # one frame, received on the whole array under spatial orthogonality,
@@ -491,11 +515,13 @@ def draw_link(
     if aoa_l is not None:
         clean_cov = clean @ clean.conj().T / f
         clean_cov.flags.writeable = False
-    x.flags.writeable = clean.flags.writeable = False
+    head_power = rx.power_sums(clean[0, : settings.tau])
+    x.flags.writeable = clean.flags.writeable = head_power.flags.writeable = False
     return LinkDraw(
         p_l=p_l, noise_var_watt=noise_var_watt, snr_l=snr_l, h_in=complex(h_in),
         h_out=complex(h_out), a_l=a_l, base=base, t_baseline=t_l, x=x,
         rs_blocks=tuple(rs_blocks), aoa_l=aoa_l, clean=clean, clean_cov=clean_cov,
+        head_power=head_power,
     )
 
 
@@ -540,7 +566,7 @@ def _jam_front(settings, link, jsr_db_target, model, rng, eaves_noise_var_watt):
     # replica's span that falls in the frame, [tau, f), added on each antenna
     # by its steering
     f, tau = settings.frame_len, settings.tau
-    jam = _replica(model, link.x, a_j, rng)[: f - tau]
+    jam = _replica(model, link.x, a_j, rng, f - tau)
     steer = None
     if link.aoa_l is not None:
         while True:
@@ -556,7 +582,7 @@ def _jam_front(settings, link, jsr_db_target, model, rng, eaves_noise_var_watt):
     # byte errors than the code corrects (a replica in phase quadrature can
     # leave the hard decisions untouched, and a weak one the power)
     base = link.base
-    onset, jump = rx.estimate_onset(y, _ONSET_GUARD)
+    onset, jump = rx.estimate_onset(y, _ONSET_GUARD, link.head_power)
     payload = y[settings.pilot_len :]
     detected = jump >= settings.peak_significance or any(
         _block_lost(_block_bytes(payload, link.a_l, off, base.code, base.scheme), cw, base.code)
@@ -565,8 +591,7 @@ def _jam_front(settings, link, jsr_db_target, model, rng, eaves_noise_var_watt):
     tau_hat = _estimate_delay(settings, link.x, y, onset, jump) if detected else None
     cell = _JamFront(model, rng, a_j, snr_j, clamped, detected, tau_hat)
     if steer is not None and tau_hat is not None:
-        # a copy of the span, which frees the rest of the replica's buffer
-        cell.steer, cell.jam = steer, jam.copy()
+        cell.steer, cell.jam = steer, jam
         # the covariance of the snapshot clean + s j^T from shared parts: the
         # link draw's C plus s x^H + x s^H + p s s^H, with x = clean conj(j) / f
         # and p = ||j||^2 / f, so no m x f snapshot is formed
@@ -589,7 +614,8 @@ def run_cells(
     Each cell draws from its own generator, in the order one trial does:
     its replica and angle of arrival, then its probes. The detected spatial
     cells' MUSIC and LCMV run as one batch between detection and
-    classification. `eaves_noise_var_watt` is the jammer's own receiver floor.
+    classification, and the stage two of the cells classified PS as one
+    stack after it. `eaves_noise_var_watt` is the jammer's own receiver floor.
     """
     fronts = [
         _jam_front(settings, link, jsr, model, rng, eaves_noise_var_watt)
@@ -603,9 +629,15 @@ def run_cells(
             if ok:
                 c.w = wk
 
+    outcomes = [_defend(settings, link, c) for c in fronts]
+    ps = [k for k, (cls, _) in enumerate(outcomes) if cls == rx.JammerClass.PS]
+    if ps:
+        split = _stage_two(settings, link.base.scheme, [fronts[k] for k in ps])
+        for k, cls in zip(ps, split):
+            outcomes[k] = (cls, outcomes[k][1])
+
     results = []
-    for c in fronts:
-        cls, fraction = _defend(settings, link, c)
+    for c, (cls, fraction) in zip(fronts, outcomes):
         decision, t_j = _adapt(settings, link.snr_l, c.snr_j, cls, fraction)
         results.append(TrialResult(
             t_baseline=link.t_baseline, t_jammed=t_j, detected=c.detected, jammer_class=cls,

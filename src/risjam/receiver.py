@@ -35,24 +35,21 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
-def _correlate_with_first(rows: np.ndarray, gamma_max: int) -> np.ndarray:
-    """R(tau) = sum_n rows[k, n] * conj(rs[n + tau]) of every row k of the
-    2-D `rows` against its first row rs, at the lags -gamma_max..gamma_max in
-    order on the last axis, out-of-range samples counting as zero.
+def _correlate_with_first(rows: np.ndarray) -> np.ndarray:
+    """The circular correlations c[k, m] = sum_n rows[k, n] * conj(rs[n - m])
+    of every row k of the 2-D `rows` against its first row rs, the index taken
+    mod nfft = rows.shape[-1], in a new buffer of rows' shape.
 
-    The correlation is taken circularly, at the shortest fast FFT length
-    whose wrap-around misses every lag in range: lag -gamma_max wraps onto
-    rs[nfft - gamma_max + n], which must lie past the end of rs, so
-    nfft >= rs.size + gamma_max. The positive lags then cannot wrap either,
-    since the rows' signal lies within rs.size samples.
+    With each row's signal in its first n samples and nfft >= n + gamma_max,
+    no lag in -gamma_max..gamma_max wraps: lag -gamma_max reads
+    rs[nfft - gamma_max + n], past the end of rs, and the positive lags stay
+    within n samples. R(tau) then sits at index -tau mod nfft: lags
+    -gamma_max..0 are c[gamma_max] down to c[0], lags 1..gamma_max are
+    c[nfft - 1] down to c[nfft - gamma_max].
     """
-    nfft = _fast_len(rows.shape[-1] + gamma_max)
-    spec = np.fft.fft(rows, nfft)
-    # c[m] = sum_n y[n] * conj(rs[n - m]) with the index taken mod nfft, so
-    # R(tau) sits at index -tau mod nfft: lags -gamma_max..0 are c[gamma_max]
-    # down to c[0], lags 1..gamma_max are c[nfft - 1] down to c[nfft - gamma_max]
-    c = np.fft.ifft(spec * spec[0].conj())
-    return np.concatenate([c[..., gamma_max::-1], c[..., : nfft - gamma_max - 1 : -1]], axis=-1)
+    spec = np.fft.fft(rows)
+    spec *= spec[0].conj()
+    return np.fft.ifft(spec)
 
 
 def cross_correlate(y, y_ref, f_max: int, gamma_max: int) -> np.ndarray:
@@ -68,10 +65,12 @@ def cross_correlate(y, y_ref, f_max: int, gamma_max: int) -> np.ndarray:
     if not 0 <= gamma_max < f_max:
         raise ReceiverError(f"gamma_max {gamma_max} must lie in [0, f_max {f_max})")
     rs = y_ref[: f_max + gamma_max]
-    rows = np.zeros((2, rs.size), dtype=complex)
-    rows[0] = rs
+    nfft = _fast_len(rs.size + gamma_max)
+    rows = np.zeros((2, nfft), dtype=complex)
+    rows[0, : rs.size] = rs
     rows[1, :f_max] = y[:f_max]
-    return _correlate_with_first(rows, gamma_max)[1]
+    c = _correlate_with_first(rows)[1]
+    return np.concatenate([c[gamma_max::-1], c[: nfft - gamma_max - 1 : -1]])
 
 
 def estimate_delay(values: np.ndarray) -> int:
@@ -86,36 +85,61 @@ def estimate_delay(values: np.ndarray) -> int:
 
 
 @lru_cache(maxsize=8)
-def _onset_grid(n: int, guard: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only candidate split indices guard..n-guard-1 of an n-sample
-    sequence and their generalized-likelihood weights sqrt(i (n - i)) / n."""
+def _onset_grid(n: int, guard: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only candidate split indices i = guard..n-guard-1 of an n-sample
+    sequence, the sample counts n - i after them, both as floats (exact, and
+    no cast per call), and their generalized-likelihood weights
+    sqrt(i (n - i)) / n."""
     idx = np.arange(guard, n - guard)
-    weight = np.sqrt(idx * (n - idx)) / n
-    idx.flags.writeable = False
-    weight.flags.writeable = False
-    return idx, weight
+    grid = (idx.astype(float), (n - idx).astype(float), np.sqrt(idx * (n - idx)) / n)
+    for a in grid:
+        a.flags.writeable = False
+    return grid
 
 
-def estimate_onset(y, guard: int) -> tuple[int, float]:
+_NO_HEAD = np.zeros(1)
+_NO_HEAD.flags.writeable = False
+
+
+def power_sums(y, head: np.ndarray = _NO_HEAD) -> np.ndarray:
+    """The n + 1 running sums [0, |y[0]|^2, |y[0]|^2 + |y[1]|^2, ...] of the
+    power of an n-sample y, added in sample order.
+
+    `head` holds the first k of them, taken once for frames that share their
+    first k - 1 samples (`power_sums(y[:k - 1])`); only the rest of y is then
+    added, on from head's last sum. The sums run in order, so the result is
+    the whole frame's bit for bit.
+    """
+    y = np.asarray(y, dtype=complex)
+    k = head.size
+    c = np.empty(y.size + 1)
+    c[:k] = head
+    p = np.abs(y[k - 1 :]) ** 2
+    p[:1] += head[-1]
+    np.cumsum(p, out=c[k:])
+    return c
+
+
+def estimate_onset(y, guard: int, head: np.ndarray = _NO_HEAD) -> tuple[int, float]:
     """Change-point estimate of where extra power switches on.
 
     Splits the received power sequence at every candidate index at least
     `guard` samples from either edge and maximizes the after-minus-before
     mean difference. This works for any jammer class, including
-    sign-flipping ones that leave no cross-correlation peak.
+    sign-flipping ones that leave no cross-correlation peak. `head` is the
+    `power_sums` of a jam-free prefix y shares with other frames.
     Returns (onset index, relative power jump).
     """
-    p = np.abs(np.asarray(y, dtype=complex)) ** 2
-    n = p.size
+    n = np.size(y)
     if n < 2 * guard + 2:
         raise ReceiverError("sequence too short for onset estimation")
-    c = np.concatenate([[0.0], np.cumsum(p)])
+    c = power_sums(y, head)
     # generalized-likelihood weighting keeps short edge segments, whose means
     # are dominated by noise, from winning the argmax
-    idx, weight = _onset_grid(n, guard)
-    head = c[guard : n - guard]
-    before = head / idx
-    after = (c[-1] - head) / (n - idx)
+    idx, rest, weight = _onset_grid(n, guard)
+    sums = c[guard : n - guard]
+    before = sums / idx
+    after = (c[-1] - sums) / rest
     k = int(np.argmax((after - before) * weight))
     base = max(before[k], 1e-30)
     return guard + k, float((after[k] - before[k]) / base)
@@ -245,10 +269,11 @@ def partition_temporal(frame_len: int, tau_hat: int) -> tuple[int, float]:
 
 
 def _similarity_rows(jam, legit, gamma: int) -> np.ndarray:
-    """The two correlations the similarity ratio compares, as the rows of a
-    (2, 2 gamma + 1) array at the lags -gamma..gamma: row 0 correlates
-    legit[:n - 1] and row 1 jam[:n - 1] of the two n-sample streams against
-    the reference rs = legit, in the `cross_correlate` convention.
+    """The two correlations the similarity ratio compares, as the rows of one
+    (2, nfft) circular buffer in `_correlate_with_first`'s layout (lag tau at
+    index -tau mod nfft, lags -gamma..gamma free of wrap-around): row 0
+    correlates legit[:n - 1] and row 1 jam[:n - 1] of the two n-sample streams
+    against the reference rs = legit, in the `cross_correlate` convention.
 
     Four transforms, not five: with F = FFT(rs), the jam row is the inverse
     of FFT(jam) F*, and the legit row that of F F* (the autocorrelation of all
@@ -258,13 +283,15 @@ def _similarity_rows(jam, legit, gamma: int) -> np.ndarray:
     linear correlation.
     """
     n = legit.size
-    both = np.zeros((2, n), dtype=complex)
-    both[0] = legit
-    both[1, : n - 1] = jam[: n - 1]
-    rows = _correlate_with_first(both, gamma)
+    buf = np.zeros((2, _fast_len(n + gamma)), dtype=complex)
+    buf[0, :n] = legit
+    buf[1, : n - 1] = jam[: n - 1]
+    rows = _correlate_with_first(buf)
     # the tail sample contributes rs[n - 1] conj(rs[n - 1 + tau]) at the lags
-    # -gamma..0, where n - 1 + tau stays in range (n - 1 > gamma)
-    rows[0, : gamma + 1] -= legit[n - 1] * legit[n - 1 - gamma : n].conj()
+    # -gamma..0, where n - 1 + tau stays in range (n - 1 > gamma); lag -j
+    # sits at index j
+    tail = legit[n - 1] * legit[n - 1 - gamma : n].conj()
+    rows[0, : gamma + 1] -= tail[::-1]
     return rows
 
 
@@ -274,9 +301,12 @@ def similarity_ratio(jam_est, legit_est, legit_noise_var: float) -> float:
     The two streams share one length n; each is correlated over its first
     f_max = n - 1 samples against all of the legit one. The legitimate
     autocorrelation peak at lag 0 carries the stream's own noise power on
-    top of the signal energy; `legit_noise_var` (the noise variance after
-    equalization) is subtracted there so the ratio compares signal against
-    signal. Cross terms in R_jy average out on their own.
+    top of the signal energy; `legit_noise_var` (the legit stream's noise
+    variance) is subtracted there so the ratio compares signal against
+    signal. Cross terms in R_jy average out on their own. The ratio is read
+    at the streams' own scale: scaling the jam stream by a scales it by |a|,
+    and scaling the legit stream and its noise variance by b (|b|^2) scales
+    it by 1 / |b|.
     """
     jam_est = np.asarray(jam_est, dtype=complex)
     legit_est = np.asarray(legit_est, dtype=complex)
@@ -286,13 +316,16 @@ def similarity_ratio(jam_est, legit_est, legit_noise_var: float) -> float:
                             f"{jam_est.size} and {legit_est.size}")
     f_max = legit_est.size - 1
     gamma = f_max // 2
-    sc_mags, cc_mags = np.abs(_similarity_rows(jam_est, legit_est, gamma))
-    # lags run from -gamma, so lag 0 sits at index gamma
-    sc_mags[gamma] = max(sc_mags[gamma] - legit_noise_var * f_max, 0.0)
-    sc_max = float(sc_mags.max()) / f_max
+    rows = _similarity_rows(jam_est, legit_est, gamma)
+    # magnitudes over the two lag spans alone: -gamma..0 at the head of the
+    # buffer (lag 0 first), 1..gamma at its tail
+    near = np.abs(rows[:, : gamma + 1])
+    far = np.abs(rows[:, rows.shape[1] - gamma :])
+    near[0, 0] = max(near[0, 0] - legit_noise_var * f_max, 0.0)
+    sc_max = float(max(near[0].max(), far[0].max())) / f_max
     if sc_max == 0.0:
         raise ReceiverError("zero-energy legitimate estimate")
-    return float(cc_mags.max()) / f_max / sc_max
+    return float(max(near[1].max(), far[1].max())) / f_max / sc_max
 
 
 class JammerClass(str, Enum):
@@ -345,17 +378,17 @@ def mean_power(s: np.ndarray) -> float:
     return np.add.reduce(p) / p.size
 
 
-def equalize_stream(
+def stream_gain(
     stream: np.ndarray,
     pilot_syms: np.ndarray,
     noise_var: float,
-) -> tuple[np.ndarray, float]:
-    """Remove the complex channel gain from a separated stream.
+) -> tuple[complex, float]:
+    """The complex channel gain of a separated stream and its noise-debiased
+    power, whose root is the gain's magnitude.
 
     Phase comes from pilot least squares (the Gaussian ML estimate); the
     magnitude comes from a noise-debiased RMS over the whole stream, which is
     robust to the PS jammer's sign flips cancelling the pilot average.
-    Returns (equalized stream, its noise variance after the gain removal).
     """
     stream = np.asarray(stream, dtype=complex)
     p = np.asarray(pilot_syms, dtype=complex)
@@ -363,5 +396,21 @@ def equalize_stream(
     # the floor keeps a near-noise stream from being amplified into a fake signal
     floor = 0.1 * noise_var if noise_var > 0.0 else 1e-30
     power = max(mean_power(stream) - noise_var, floor)
-    gain = np.sqrt(power) * np.exp(1j * np.angle(ls))
+    return np.sqrt(power) * np.exp(1j * np.angle(ls)), power
+
+
+def equalize_stream(
+    stream: np.ndarray,
+    pilot_syms: np.ndarray,
+    noise_var: float,
+) -> tuple[np.ndarray, float]:
+    """Remove the `stream_gain` from a separated stream. Returns (equalized
+    stream, its noise variance after the gain removal).
+
+    Classification compares a pair at its own scale and equalizes only the
+    jam's pilot span (`pipeline._classify`); this whole-stream form is the
+    reference the tests hold that compare to.
+    """
+    stream = np.asarray(stream, dtype=complex)
+    gain, power = stream_gain(stream, pilot_syms, noise_var)
     return stream / gain, noise_var / power

@@ -12,6 +12,7 @@ from risjam.channel import (
     RisLinkConfig,
     aligned_cascade,
     build_correlation,
+    cascade,
     cascaded_coefficient,
     optimize_phases,
     path_loss,
@@ -179,10 +180,16 @@ class TestAlignedCascade:
             for _ in range(5):
                 h_sr = rng.normal(size=m) + 1j * rng.normal(size=m)
                 h_rd = rng.normal(size=m) + 1j * rng.normal(size=m)
-                phi, h = aligned_cascade(h_sr, h_rd, corr)
+                phi, h, u = aligned_cascade(h_sr, h_rd, corr)
                 ref_phi = optimize_phases(h_sr, h_rd, corr)
                 assert np.array_equal(phi.phases, ref_phi.phases)
                 assert h == cascaded_coefficient(h_sr, h_rd, corr, ref_phi)
+                # u is h_sr's projection: another outgoing vector's cascade
+                # under phi needs only its own
+                h_rj = rng.normal(size=m) + 1j * rng.normal(size=m)
+                assert np.array_equal(u, h_sr @ corr.sqrt_form)
+                want = cascaded_coefficient(h_sr, h_rj, corr, phi)
+                assert cascade(u, corr.sqrt_form @ h_rj, phi) == want
                 # the same bits as the two-pass products on the real root
                 u, v = h_sr @ root, root @ h_rd
                 old_phi = PhaseMatrix(phases=-np.angle(u * v))

@@ -3,6 +3,7 @@ and power bookkeeping on controlled scenarios."""
 
 import copy
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -638,3 +639,154 @@ class TestIdealOutcome:
                     want = harness._aggregate(jsr, model, s.topology, ris, twin[c])
                     assert rows[model, ris, jsr].gain == want.gain
         assert ideal_trials > 0 and ideal_cells > 0
+
+
+def _stage_two_reference(scheme, c) -> float:
+    """The sign balance of one cell's stage-two probe, one cell at a time:
+    PS when it reaches `flip_threshold`, else AS."""
+    n = 1024
+    bits = c.rng.integers(0, 2, n * scheme.bits_per_symbol).astype(np.uint8)
+    x = modulate(bits, scheme)
+    stream = pl._replica(c.model, x, c.a_j, c.rng) + pl._noise(n, c.rng)
+    r = stream * np.conj(x) / np.abs(x) ** 2
+    phase = 0.5 * np.angle(np.sum(r**2))
+    signs = np.real(r * np.exp(-1j * phase)) < 0.0
+    return float(min(np.mean(signs), 1.0 - np.mean(signs)))
+
+
+def _classify_reference(settings, scheme, legit_s, jam_s, nv_l, nv_j):
+    """(similarity ratio, pilot anomaly fraction) of the pair equalized
+    stream by stream before it is compared."""
+    pilot = pl._pilot(scheme, settings.pilot_len)
+    n = min(legit_s.size, jam_s.size)
+    legit_eq, nv_legit_eq = rx.equalize_stream(legit_s[:n], pilot, nv_l)
+    jam_eq, _ = rx.equalize_stream(jam_s[:n], pilot, nv_j)
+    sim = rx.similarity_ratio(jam_eq, legit_eq, nv_legit_eq)
+    return sim, rx.pilot_anomaly_fraction(jam_eq[: pilot.size], pilot)
+
+
+class TestOnePass:
+    """A jammed cell's passes over its samples, each against the rule it
+    stands for: the shared jam-free onset prefix against the onset of the
+    whole frame, the stacked stage two against one probe per cell, and the
+    pair compared at its own scale against the equalized pair."""
+
+    @pytest.mark.parametrize("where", ["0", "1", "half", "end-3"])
+    def test_shared_prefix_onset_is_the_whole_frame_onset(self, monkeypatch, where):
+        f = 512
+        delay = {"0": 0, "1": 1, "half": f // 2, "end-3": f - 3}[where]
+        s = _settings(frame_len=f, pilot_len=16, jam_delay=delay)
+        onsets, estimate = [], rx.estimate_onset
+
+        def estimate_onset(y, guard, head):
+            onsets.append((y.copy(), guard, estimate(y, guard, head)))
+            return onsets[-1][2]
+
+        monkeypatch.setattr(rx, "estimate_onset", estimate_onset)
+        for t in range(4):
+            link = pl.draw_link(s, np.random.default_rng([41, t]), None)
+            assert link.head_power.size == delay + 1
+            assert np.array_equal(link.head_power, rx.power_sums(link.clean[0])[: delay + 1])
+            grid = [(jsr, model) for model in JammerModel for jsr in (-10.0, 5.0, 20.0)]
+            cells = [(jsr, model, np.random.default_rng([41, t, k]))
+                     for k, (jsr, model) in enumerate(grid)]
+            pl.run_cells(s, cells, s.eaves_noise_watt, link)
+        assert len(onsets) == 4 * 9
+        for y, guard, got in onsets:
+            assert got == estimate(y, guard)
+
+    @pytest.mark.parametrize("count", [1, 13])
+    def test_stacked_stage_two_matches_one_probe_per_cell(self, count):
+        s = _settings()
+        scheme = ModScheme(Family.PSK, 4)
+        models = [JammerModel.PS, JammerModel.AS]
+
+        def cells():
+            return [pl._JamFront(
+                model=models[k % 2], rng=np.random.default_rng([43, count, k]),
+                a_j=10.0 ** (k / 8.0) * np.exp(0.4j * k), snr_j=1.0, clamped=False,
+                detected=True, tau_hat=s.tau,
+            ) for k in range(count)]
+
+        ref = cells()
+        balance = [_stage_two_reference(scheme, c) for c in ref]
+        # each cell's balance as the threshold, and the next float above it:
+        # the stack's verdicts flip exactly where the reference's do
+        verdicts = set()
+        for b in balance:
+            for threshold in (b, np.nextafter(b, 1.0)):
+                stack = cells()
+                got = pl._stage_two(replace(s, flip_threshold=threshold), scheme, stack)
+                want = [rx.JammerClass.PS if bk >= threshold else rx.JammerClass.AS
+                        for bk in balance]
+                assert got == want
+                verdicts.update(got)
+                for c, r in zip(stack, ref):
+                    assert c.rng.bit_generator.state == r.rng.bit_generator.state
+        assert verdicts == {rx.JammerClass.PS, rx.JammerClass.AS}
+
+    @pytest.mark.parametrize("orthogonality", list(OrthogonalityMode), ids=lambda m: m.value)
+    def test_pair_compared_at_its_scale_is_the_equalized_pair(self, monkeypatch, orthogonality):
+        if orthogonality == OrthogonalityMode.SPATIAL:
+            s = _settings(orthogonality=orthogonality, baseline_snr_db=11.0)
+        else:
+            s = _settings()
+        pairs, classify = [], pl._classify
+        seen, rule = [], rx.classify_jammer
+
+        def spy_classify(settings, scheme, *pair):
+            pairs.append((scheme, pair))
+            return classify(settings, scheme, *pair)
+
+        def classify_jammer(sim, inversions, *args):
+            seen.append((sim, inversions))
+            return rule(sim, inversions, *args)
+
+        monkeypatch.setattr(pl, "_classify", spy_classify)
+        monkeypatch.setattr(rx, "classify_jammer", classify_jammer)
+        for t in range(3):
+            link = pl.draw_link(s, np.random.default_rng([47, t]), None)
+            for ji, model in enumerate(JammerModel):
+                cells = [(jsr, model, np.random.default_rng([47, t, ji, k]))
+                         for k, jsr in enumerate((0.0, 5.0, 10.0, 15.0))]
+                pl.run_cells(s, cells, s.eaves_noise_watt, link)
+        assert len(seen) == len(pairs) > 0
+        for (scheme, pair), (sim, inversions) in zip(pairs, seen):
+            want_sim, want_inversions = _classify_reference(s, scheme, *pair)
+            assert sim == pytest.approx(want_sim, rel=1e-12, abs=0.0)
+            assert inversions == want_inversions
+            args = (s.sim_threshold, s.inversion_threshold, scheme.family)
+            assert rule(sim, inversions, *args) == rule(want_sim, want_inversions, *args)
+        noise_vars = {pair[2:] for _, pair in pairs}
+        if orthogonality == OrthogonalityMode.TEMPORAL:
+            assert noise_vars == {(1.0, 1.0)}
+        else:
+            # the LCMV outputs' noise variances ||w_k||^2
+            assert all(nv_l != 1.0 and nv_j != 1.0 for nv_l, nv_j in noise_vars)
+
+
+class TestMemory:
+    """The traced peak of one jammer's 13 cells on a link draw. Stacking
+    whole frames or transforms across cells would raise it several times
+    over; the bounds keep a sweep's resident memory where it is."""
+
+    @pytest.mark.parametrize("name,bound_mb", [("figure2a", 1.0), ("figure2b", 1.5)])
+    def test_peak_of_one_run_cells_call(self, name, bound_mb):
+        cfg = load_config(os.path.join(CONFIGS, f"{name}.ini"))
+        s = cfg.settings
+        assert len(cfg.jsr_grid_db) == 13
+        noise_var, eaves_var = calibrate_noise(cfg)
+        peak = 0
+        for t in range(6):
+            link = pl.draw_link(s, np.random.default_rng([53, t]), noise_var)
+            for ji, model in enumerate(cfg.jammers):
+                cells = [(jsr, model, np.random.default_rng([53, t, ji, k]))
+                         for k, jsr in enumerate(cfg.jsr_grid_db)]
+                # what the call allocates, from a trace started just before it
+                tracemalloc.start()
+                try:
+                    pl.run_cells(s, cells, eaves_var, link)
+                    peak = max(peak, tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peak <= bound_mb * 1e6

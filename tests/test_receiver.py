@@ -207,7 +207,7 @@ class TestCrossCorrelation:
 
 class TestSimilarityRows:
     """The similarity ratio's two correlation rows, from four transforms and
-    the tail correction, against the direct sums."""
+    the tail correction in one circular buffer, against the direct sums."""
 
     # two streams of n samples, correlated over f_max = n - 1 (each case is
     # named n-f_max); the shortest pair, and odd and even n
@@ -218,8 +218,11 @@ class TestSimilarityRows:
         legit = rng.normal(size=n) + 1j * rng.normal(size=n)
         jam = rng.normal(size=n) + 1j * rng.normal(size=n)
         gamma = f_max // 2
-        rows = receiver._similarity_rows(jam, legit, gamma)
-        assert rows.shape == (2, 2 * gamma + 1)
+        buf = receiver._similarity_rows(jam, legit, gamma)
+        nfft = buf.shape[1]
+        # lag tau at index -tau mod nfft, with no lag of the window wrapping
+        assert buf.shape[0] == 2 and nfft >= n + gamma
+        rows = buf[:, -np.arange(-gamma, gamma + 1) % nfft]
         for row, y in zip(rows, (legit, jam)):
             _, direct = brute_force_correlation(y, legit, f_max, gamma)
             tol = 1e-12 * np.linalg.norm(y[:f_max]) * np.linalg.norm(legit)
@@ -288,6 +291,21 @@ class TestOnset:
             y = rng.normal(size=n) + 1j * rng.normal(size=n)
             y[rng.integers(0, n) :] *= rng.uniform(0.5, 4.0)
             assert estimate_onset(y, guard) == self._onset_reference(y, guard)
+
+    def test_shared_head_gives_the_whole_frame_bits(self):
+        """Running power sums picked up from a head of any length, the empty
+        one and the whole frame included, equal the whole frame's bit for bit,
+        and so does the onset read off them."""
+        rng = np.random.default_rng(15)
+        for n in (6, 7, 255, 4096):
+            y = rng.normal(size=n) + 1j * rng.normal(size=n)
+            y[n // 3 :] *= 3.0
+            whole = receiver.power_sums(y)
+            assert whole[0] == 0.0 and np.array_equal(whole[1:], np.cumsum(np.abs(y) ** 2))
+            for k in sorted({0, 1, 2, n // 2, n - 3, n}):
+                head = receiver.power_sums(y[:k])
+                assert np.array_equal(receiver.power_sums(y, head), whole)
+                assert estimate_onset(y, 2, head) == estimate_onset(y, 2)
 
 
 class TestLocalMaxima:
