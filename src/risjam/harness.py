@@ -17,6 +17,7 @@ import configparser
 import ctypes
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -27,7 +28,6 @@ import numpy as np
 from . import channel as ch
 from . import jammer as jm
 from . import pipeline as pl
-from . import waveform as wf
 from .pipeline import ConfigError
 
 CSV_HEADER = (
@@ -258,25 +258,9 @@ class SweepRow:
     clamped_fraction: float
 
 
-# every scheme a trial can pick, in the order of its name: the index a cell
-# array stores, so the lowest index among tied modes is the smallest name
-_SCHEMES = tuple(sorted((wf.ModScheme(f, o) for f in wf.Family for o in wf.ORDERS), key=str))
-_SCHEME_INDEX = {scheme: i for i, scheme in enumerate(_SCHEMES)}
-
-
-def _numbers(r: pl.TrialResult) -> tuple:
-    """The numbers of a trial that its cell's row reads, in `_aggregate`'s order."""
-    return (
-        r.t_baseline, r.t_jammed, r.detected, r.jammer_class is not None,
-        r.classified_correct, r.tau_err, _SCHEME_INDEX[r.scheme], r.code_rate,
-        r.payload_fraction, r.clamped,
-    )
-
-
-def _run_unit(args) -> np.ndarray:
+def _run_unit(args) -> list[list[pl.TrialResult]]:
     """Every (jammer, JSR) cell's trial t at RIS size index ri, on one shared
-    jam-free link draw, one `run_cells` call per jammer: a (cell, number)
-    array, cells in (jammer, JSR) order."""
+    jam-free link draw: one `run_cells` result list per jammer, in JSR order."""
     cfg, ri, t, noise_var, eaves_var = args
     link_cfg = replace(cfg.settings.link, element_count=cfg.ris_sizes[ri])
     settings = replace(cfg.settings, link=link_cfg)
@@ -290,8 +274,8 @@ def _run_unit(args) -> np.ndarray:
             ))
             for ki, jsr in enumerate(cfg.jsr_grid_db)
         ]
-        results += pl.run_cells(settings, cells, eaves_var, link)
-    return np.array([_numbers(r) for r in results], dtype=float)
+        results.append(pl.run_cells(settings, cells, eaves_var, link))
+    return results
 
 
 def _modal(values):
@@ -300,12 +284,18 @@ def _modal(values):
     return uniq[np.argmax(counts)]
 
 
-def _aggregate(jsr, model, topology, ris, cell) -> SweepRow:
-    """One cell's row from its (number, trial) array. Each column is a
-    contiguous 1-D array, so its mean adds the trials as a list of them would."""
-    t_l, t_j, detected, attempted, correct, tau_err, scheme, code_rate, fraction, clamped = cell
+def _aggregate(jsr, model, topology, ris, results) -> SweepRow:
+    """One cell's row from its trials' results, in trial order. Each field is
+    read into a contiguous 1-D array, so its mean adds the trials in order."""
+
+    def column(name, trials=results):
+        return np.array([getattr(r, name) for r in trials], dtype=float)
+
+    t_l, t_j = column("t_baseline"), column("t_jammed")
     n, gain = t_l.size, np.mean(t_j) / np.mean(t_l)
-    correct = correct[attempted == 1.0]
+    attempted = [r for r in results if r.jammer_class is not None]
+    correct = column("classified_correct", attempted)
+    tau_err = column("tau_err")
     tau_err = tau_err[~np.isnan(tau_err)]
     # the ratio of means' delta-method standard error (Cochran 1977, ch. 6)
     stderr = np.std(t_j - gain * t_l, ddof=1) / (np.sqrt(n) * np.mean(t_l)) if n > 1 else 0.0
@@ -317,14 +307,14 @@ def _aggregate(jsr, model, topology, ris, cell) -> SweepRow:
         t_baseline=float(np.mean(t_l)),
         t_jammed=float(np.mean(t_j)),
         gain=float(gain),
-        detect_rate=float(np.mean(detected)),
+        detect_rate=float(np.mean(column("detected"))),
         classify_rate=float(np.mean(correct)) if correct.size else 0.0,
         tau_err=float(np.mean(tau_err)) if tau_err.size else float("nan"),
-        modulation=str(_SCHEMES[int(_modal(scheme))]),
-        code_rate=float(_modal(code_rate)),
-        payload_fraction=float(np.mean(fraction)),
+        modulation=str(_modal([str(r.scheme) for r in results])),
+        code_rate=float(_modal(column("code_rate"))),
+        payload_fraction=float(np.mean(column("payload_fraction"))),
         stderr_gain=float(stderr),
-        clamped_fraction=float(np.mean(clamped)),
+        clamped_fraction=float(np.mean(column("clamped"))),
     )
 
 
@@ -360,22 +350,24 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
         # about 20 ms and 1.4 MB
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # the pool forks all its workers at the first submit
+        workers = min(cfg.jobs, len(units), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return _rows(cfg, pool.map(_run_unit, units, chunksize=1))
     return _rows(cfg, map(_run_unit, units))
 
 
 def _rows(cfg: ExperimentConfig, unit_results) -> list[SweepRow]:
-    """Rows in (jammer, RIS size, JSR) order from the units' arrays in (RIS size,
-    trial) order; each RIS size's units are stacked with the trial axis last."""
-    cells = [(ji, ki) for ji in range(len(cfg.jammers)) for ki in range(len(cfg.jsr_grid_db))]
+    """Rows in (jammer, RIS size, JSR) order from the units' results in (RIS
+    size, trial) order; one RIS size's units are held at a time."""
     rows = {}
     for ri, ris in enumerate(cfg.ris_sizes):
-        block = np.stack(list(itertools.islice(unit_results, cfg.trials)), axis=-1)
-        for c, (ji, ki) in enumerate(cells):
-            rows[ji, ri, ki] = _aggregate(
-                cfg.jsr_grid_db[ki], cfg.jammers[ji], cfg.settings.topology, ris, block[c]
-            )
+        units = list(itertools.islice(unit_results, cfg.trials))
+        for ji, model in enumerate(cfg.jammers):
+            for ki, jsr in enumerate(cfg.jsr_grid_db):
+                rows[ji, ri, ki] = _aggregate(
+                    jsr, model, cfg.settings.topology, ris, [unit[ji][ki] for unit in units]
+                )
     return [rows[key] for key in sorted(rows)]
 
 

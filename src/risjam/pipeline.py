@@ -476,6 +476,11 @@ def draw_link(
     mode; in pinned mode the floor is set so this draw's legit SNR is the
     configured baseline, and `noise_var_watt` may be None.
     """
+    if settings.snr_mode == SnrMode.FADED and noise_var_watt is None:
+        raise ValueError(
+            "snr_mode = faded needs noise_var_watt, the calibrated destination "
+            "floor calibrate_noise returns for a faded config; got None"
+        )
     link = settings.link
     corr = _corr_cached(link.element_count, link.corr_rate)
     real = ch.sample_realization(link, settings.rician, rng, settings.eaves_corr)

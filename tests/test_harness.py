@@ -1,6 +1,7 @@
 """Harness tests: INI parsing, calibration, sweep aggregation, CSV output,
 and seed-stable parallel execution."""
 
+import concurrent.futures
 import configparser
 import os
 import re
@@ -30,6 +31,7 @@ from risjam.harness import (
 from risjam.channel import ChannelError
 from risjam.jammer import JammerModel, PathTopology
 from risjam.pipeline import OrthogonalityMode, SnrMode
+from risjam.receiver import JammerClass
 from risjam.waveform import Family, ModScheme
 
 SMALL_CONFIG = """
@@ -394,6 +396,33 @@ class TestSweep:
         assert csvs[0] == csvs[1] == csvs[2]
         assert len(csvs[0].splitlines()) == 1 + 2 * 2 * 2
 
+    def test_pool_starts_no_more_workers_than_units_or_cpus(self, monkeypatch):
+        """A process pool forks all its workers at the first submit, so a
+        2-unit sweep asks for at most 2 whatever `jobs` says, and a 1-CPU
+        machine for 1. The fake pool records its size and maps in-process."""
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        cfg = replace(loads_config(SMALL_CONFIG), trials=2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert rows_to_csv(run_sweep(replace(cfg, jobs=10_000))) == rows_to_csv(run_sweep(cfg))
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        run_sweep(replace(cfg, jobs=2))
+        assert sizes == [2, 1]
+
     def test_repeat_is_identical(self, rows):
         again = run_sweep(loads_config(SMALL_CONFIG))
         assert rows_to_csv(again) == rows_to_csv(rows)
@@ -415,6 +444,16 @@ snr_mode = faded
 [jammer]
 power_cap_dbm = 15
 """
+
+
+def _trial(**fields) -> pl.TrialResult:
+    """A trial with the given fields; the rest are those of an undetected
+    psk4 trial at rate 0.94 with no delay estimate."""
+    return pl.TrialResult(**{
+        "t_baseline": 1.0, "t_jammed": 1.0, "detected": False, "jammer_class": None,
+        "classified_correct": False, "tau_err": np.nan, "scheme": ModScheme(Family.PSK, 4),
+        "code_rate": 0.94, "payload_fraction": 1.0, "clamped": False, **fields,
+    })
 
 
 def _trial_rng(seed, *spawn_key):
@@ -470,10 +509,11 @@ class TestAggregation:
         assert estimated > 0
 
     @staticmethod
-    def _synthetic_row(t_l, t_j):
-        cell = np.zeros((10, t_l.size))
-        cell[0], cell[1], cell[5], cell[7] = t_l, t_j, np.nan, 0.94
-        return harness._aggregate(0.0, JammerModel.DRFM, PathTopology.SOURCE_AWARE, 64, cell)
+    def _row(trials):
+        return harness._aggregate(0.0, JammerModel.DRFM, PathTopology.SOURCE_AWARE, 64, trials)
+
+    def _synthetic_row(self, t_l, t_j):
+        return self._row([_trial(t_baseline=a, t_jammed=b) for a, b in zip(t_l, t_j)])
 
     def test_stderr_is_the_ratio_of_means_standard_error(self):
         """`gain` is mean(t_j) / mean(t_l); its standard error tracks a
@@ -493,20 +533,27 @@ class TestAggregation:
         assert per_trial > 1.3 * boot
         pinned = self._synthetic_row(np.full(n, 0.8), t_j)
         assert pinned.stderr_gain == pytest.approx(np.std(t_j / 0.8, ddof=1) / np.sqrt(n), rel=1e-12)
-        assert self._synthetic_row(t_l[:1], t_j[:1]).stderr_gain == 0.0
+
+    def test_a_cell_with_nothing_to_average_reads_its_empty_value(self):
+        """No classified trial: classify_rate 0.0. No delay estimate: tau_err
+        nan. One trial: stderr_gain 0.0."""
+        row = self._row([_trial(detected=True)])
+        assert (row.classify_rate, row.stderr_gain) == (0.0, 0.0)
+        assert np.isnan(row.tau_err)
+        # each average skips the trials that have nothing for it
+        row = self._row([
+            _trial(detected=True),
+            _trial(jammer_class=JammerClass.PS, classified_correct=True, tau_err=2.0),
+        ])
+        assert (row.classify_rate, row.tau_err) == (1.0, 2.0)
 
     def test_modal_ties_go_to_the_smallest_name_and_lowest_rate(self):
-        def result(order, code_rate):
-            return pl.TrialResult(
-                t_baseline=1.0, t_jammed=1.0, detected=False, jammer_class=None,
-                classified_correct=False, tau_err=np.nan, scheme=ModScheme(Family.PSK, order),
-                code_rate=code_rate, payload_fraction=1.0, clamped=False,
-            )
-
         # two of each; the first seen are psk4 and 0.94
-        trials = [result(4, 0.94), result(16, 0.5), result(16, 0.94), result(4, 0.5)]
-        cell = np.array([harness._numbers(r) for r in trials], dtype=float).T
-        row = harness._aggregate(10.0, JammerModel.DRFM, PathTopology.SOURCE_AWARE, 16, cell)
+        trials = [
+            _trial(scheme=ModScheme(Family.PSK, order), code_rate=rate)
+            for order, rate in ((4, 0.94), (16, 0.5), (16, 0.94), (4, 0.5))
+        ]
+        row = self._row(trials)
         assert (row.modulation, row.code_rate) == ("psk16", 0.5)
 
 

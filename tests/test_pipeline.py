@@ -2,6 +2,7 @@
 and power bookkeeping on controlled scenarios."""
 
 import copy
+import itertools
 import os
 import tracemalloc
 from dataclasses import replace
@@ -358,6 +359,18 @@ class TestPowerBookkeeping:
         ]
         assert any(clamped)
 
+    def test_faded_mode_needs_a_noise_floor(self, noise_floors):
+        """A pinned config's floors hold None for the destination, which faded
+        mode reads: the error names the floor and the mode."""
+        faded = _settings(snr_mode="faded")
+        assert noise_floors[0] is None
+        for call in (
+            lambda: pl.draw_link(faded, np.random.default_rng(0), None),
+            lambda: run_trial(faded, 5.0, JammerModel.PS, np.random.default_rng(0), *noise_floors),
+        ):
+            with pytest.raises(ValueError, match="snr_mode = faded needs noise_var_watt"):
+                call()
+
     def test_throughput_positive(self, noise_floors):
         s = _settings()
         r = _run(s, 5.0, JammerModel.AS, 0, noise_floors)
@@ -581,21 +594,22 @@ class TestIdealOutcome:
 
     @staticmethod
     def _twin(cfg, settings, ri, t, noise_var, eaves_var, fraction):
-        """The ideal numbers of unit (ri, t), one row per cell in `_run_unit`'s order."""
+        """The ideal results of unit (ri, t), laid out as `_run_unit`'s: one
+        list per jammer, in JSR order."""
         seed = np.random.SeedSequence(cfg.seed, spawn_key=(harness._LINK_KEY, ri, t))
         link = pl.draw_link(settings, np.random.default_rng(seed), noise_var)
-        numbers = []
-        for model in cfg.jammers:
+
+        def ideal(model, jsr):
             cls = rx.JammerClass(model.value)
-            for jsr in cfg.jsr_grid_db:
-                _, snr_j, clamped = pl._jam_budget(settings, link, jsr, eaves_var)
-                decision, t_j = pl._adapt(settings, link.snr_l, snr_j, cls, fraction)
-                numbers.append(harness._numbers(pl.TrialResult(
-                    t_baseline=link.t_baseline, t_jammed=t_j, detected=True, jammer_class=cls,
-                    classified_correct=True, tau_err=0.0, scheme=decision.scheme,
-                    code_rate=decision.code.rate, payload_fraction=fraction, clamped=clamped,
-                )))
-        return np.array(numbers, dtype=float)
+            _, snr_j, clamped = pl._jam_budget(settings, link, jsr, eaves_var)
+            decision, t_j = pl._adapt(settings, link.snr_l, snr_j, cls, fraction)
+            return pl.TrialResult(
+                t_baseline=link.t_baseline, t_jammed=t_j, detected=True, jammer_class=cls,
+                classified_correct=True, tau_err=0.0, scheme=decision.scheme,
+                code_rate=decision.code.rate, payload_fraction=fraction, clamped=clamped,
+            )
+
+        return [[ideal(model, jsr) for jsr in cfg.jsr_grid_db] for model in cfg.jammers]
 
     # JSRs where every trial of some cell gets the ideal outcome at 10 trials
     @pytest.mark.parametrize("name,jsrs", [
@@ -618,26 +632,28 @@ class TestIdealOutcome:
         monkeypatch.setattr(harness, "_run_unit", run_unit)
         rows = {(r.jammer, r.ris_size, r.jsr_db): r for r in run_sweep(cfg)}
         noise_var, eaves_var = calibrate_noise(cfg)
-        cells = [(model, jsr) for model in cfg.jammers for jsr in cfg.jsr_grid_db]
-        # t_baseline, t_jammed, scheme and code rate, in _numbers' order
-        cols = [0, 1, 6, 7]
+        # the fields the defense outcome reaches through the link choice
+        fields = ("t_baseline", "t_jammed", "scheme", "code_rate")
         ideal_trials = ideal_cells = 0
         for ri, ris in enumerate(cfg.ris_sizes):
             settings = replace(s, link=replace(s.link, element_count=ris))
-            sweep = np.stack([units[ri, t] for t in range(cfg.trials)], axis=-1)
-            twin = np.stack([
+            twins = [
                 self._twin(cfg, settings, ri, t, noise_var, eaves_var, fraction)
                 for t in range(cfg.trials)
-            ], axis=-1)
-            for c, (model, jsr) in enumerate(cells):
-                # the true class and the ideal fraction
-                ideal = (sweep[c, 4] == 1.0) & (sweep[c, 8] == fraction)
-                assert np.array_equal(sweep[c][np.ix_(cols, ideal)], twin[c][np.ix_(cols, ideal)])
-                ideal_trials += int(ideal.sum())
-                if ideal.all():
-                    ideal_cells += 1
-                    want = harness._aggregate(jsr, model, s.topology, ris, twin[c])
-                    assert rows[model, ris, jsr].gain == want.gain
+            ]
+            for ji, model in enumerate(cfg.jammers):
+                for ki, jsr in enumerate(cfg.jsr_grid_db):
+                    trials = [units[ri, t][ji][ki] for t in range(cfg.trials)]
+                    twin = [unit[ji][ki] for unit in twins]
+                    # the true class and the ideal fraction
+                    ideal = [r.classified_correct and r.payload_fraction == fraction for r in trials]
+                    for r, w in itertools.compress(zip(trials, twin), ideal):
+                        assert [getattr(r, f) for f in fields] == [getattr(w, f) for f in fields]
+                    ideal_trials += sum(ideal)
+                    if all(ideal):
+                        ideal_cells += 1
+                        want = harness._aggregate(jsr, model, s.topology, ris, twin)
+                        assert rows[model, ris, jsr].gain == want.gain
         assert ideal_trials > 0 and ideal_cells > 0
 
 
