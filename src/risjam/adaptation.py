@@ -11,12 +11,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .channel import ConfigError
 from .receiver import JammerClass
 from .waveform import DEFAULT_RS_TABLE, ORDERS, Family, ModScheme, RsCode
-
-
-class AdaptationError(ValueError):
-    pass
 
 
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
@@ -32,7 +29,7 @@ def _q(x):
 def snr_jamming(gamma_e: float, gamma_j: float) -> float:
     """Two-hop jamming SNR: gamma_e*gamma_j / (gamma_e + gamma_j + 1)."""
     if gamma_e < 0 or gamma_j < 0:
-        raise AdaptationError("SNRs must be non-negative")
+        raise ValueError("SNRs must be non-negative")
     return gamma_e * gamma_j / (gamma_e + gamma_j + 1.0)
 
 
@@ -133,7 +130,7 @@ def code_table(fixed_rate: float | None) -> tuple[RsCode, ...]:
         return DEFAULT_RS_TABLE
     matches = tuple(c for c in DEFAULT_RS_TABLE if abs(c.rate - fixed_rate) < 5e-3)
     if not matches:
-        raise AdaptationError(f"no table code with rate {fixed_rate}")
+        raise ConfigError(f"no table code with rate {fixed_rate}")
     return matches
 
 
@@ -163,7 +160,7 @@ def select_link(
     its arguments, memoised: a repeated call returns the same decision.
     """
     if delta >= 0:
-        raise AdaptationError("delta must be negative")
+        raise ValueError("delta must be negative")
     family = remap_modulation(jammer_class, base_family)
     table = code_table(fixed_rate)
     orders = [order for order in ORDERS if order <= max_order]
@@ -191,14 +188,14 @@ def throughput(
 ) -> float:
     """T = B * R_c * log2(order) * payload_fraction."""
     if not 0.0 < payload_fraction <= 1.0:
-        raise AdaptationError(f"payload_fraction out of (0, 1]: {payload_fraction}")
+        raise ValueError(f"payload_fraction out of (0, 1]: {payload_fraction}")
     return bandwidth * code.rate * np.log2(scheme.order) * payload_fraction
 
 
 def jsr_db(p_j: float, p_l: float) -> float:
     """JSR = 10 log10(P_J) - 10 log10(P_L)."""
     if p_j <= 0 or p_l <= 0:
-        raise AdaptationError("powers must be positive")
+        raise ValueError("powers must be positive")
     return 10.0 * np.log10(p_j) - 10.0 * np.log10(p_l)
 
 

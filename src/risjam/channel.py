@@ -9,6 +9,7 @@ which equals the element-wise triple sum over (a, k, l) of
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
@@ -17,39 +18,51 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 
-class ChannelError(ValueError):
-    """Invalid channel parameter or dimension mismatch."""
+class ConfigError(ValueError):
+    """A setting that cannot run, caught before the first trial."""
 
 
 @lru_cache(maxsize=None)
-def _enum_fields(cls) -> tuple:
-    """(name, is a tuple, {lower-case value: member}) of each field of the
-    dataclass cls annotated with an Enum or a tuple of one, resolved once."""
+def _typed_fields(cls) -> tuple:
+    """(name, is a tuple, rule) of each Enum or int field of the dataclass
+    cls, a tuple of either or an optional one, resolved once. An Enum's rule
+    is {lower-case value: member}; an int's is the types its value may have:
+    an integer of any kind (numpy's too), or None where the field allows it."""
     out = []
     for name, hint in get_type_hints(cls).items():
-        item = get_args(hint)[0] if get_origin(hint) is tuple else hint
-        if isinstance(item, type) and issubclass(item, Enum):
-            out.append((name, item is not hint, {m.value.lower(): m for m in item}))
+        args = get_args(hint)
+        item = args[0] if args else hint  # a tuple's entry, an optional's type
+        many = get_origin(hint) is tuple
+        if item is int:
+            out.append((name, many, (numbers.Integral, type(None)) if type(None) in args
+                        else numbers.Integral))
+        elif isinstance(item, type) and issubclass(item, Enum):
+            out.append((name, many, {m.value.lower(): m for m in item}))
     return tuple(out)
 
 
-def check_fields(settings, error: type[ValueError]) -> None:
+def check_fields(settings) -> None:
     """The field rule of every settings dataclass: store each Enum-annotated
     field of `settings`, or each entry of a tuple of one, as the member its
-    text names in any case; raise `error` for text naming no member, and for
-    a float field, or a float in a tuple field, that is nan or infinite."""
-    for name, many, members in _enum_fields(type(settings)):
+    text names in any case; raise ConfigError for text naming no member, for
+    an int field or entry that holds no integer, and for a float field, or a
+    float in a tuple field, that is nan or infinite."""
+    for name, many, rule in _typed_fields(type(settings)):
         value = getattr(settings, name)
         entries = value if many else (value,)
-        found = tuple(members.get(v.lower()) if isinstance(v, str) else None for v in entries)
+        if not isinstance(rule, dict):
+            if not all(isinstance(v, rule) for v in entries):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            continue
+        found = tuple(rule.get(v.lower()) if isinstance(v, str) else None for v in entries)
         if None in found:
-            raise error(f"{name} must be one of {', '.join(members)}, got {value!r}")
+            raise ConfigError(f"{name} must be one of {', '.join(rule)}, got {value!r}")
         object.__setattr__(settings, name, found if many else found[0])
     for f in fields(settings):
         value = getattr(settings, f.name)
         for v in value if isinstance(value, tuple) else (value,):
             if isinstance(v, float) and not math.isfinite(v):
-                raise error(f"{f.name} must be finite, got {value}")
+                raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -63,13 +76,13 @@ class RisLinkConfig:
     corr_rate: float = 0.05
 
     def __post_init__(self):
-        check_fields(self, ChannelError)
+        check_fields(self)
         if self.element_count < 1:
-            raise ChannelError(f"element_count must be >= 1, got {self.element_count}")
+            raise ConfigError(f"element_count must be >= 1, got {self.element_count}")
         path_loss(self.d_sr, self.path_loss_exp)
         path_loss(self.d_rd, self.path_loss_exp)
         if self.corr_rate < 0:
-            raise ChannelError("corr_rate must be non-negative")
+            raise ConfigError("corr_rate must be non-negative")
 
 
 # diffuse paths a Rician draw sums, each an allocated amplitude and phase
@@ -84,11 +97,11 @@ class RicianParams:
     path_count: int = 1
 
     def __post_init__(self):
-        check_fields(self, ChannelError)
+        check_fields(self)
         if self.rician_k < 0:
-            raise ChannelError("rician_k must be >= 0")
+            raise ConfigError("rician_k must be >= 0")
         if not 1 <= self.path_count <= MAX_PATH_COUNT:
-            raise ChannelError(f"path_count must lie in [1, {MAX_PATH_COUNT}]")
+            raise ConfigError(f"path_count must lie in [1, {MAX_PATH_COUNT}]")
 
 
 @dataclass(frozen=True)
@@ -128,16 +141,16 @@ class ChannelRealization:
 def path_loss(d: float, delta: float) -> float:
     """Linear power attenuation d**(-delta), a positive finite float."""
     if d <= 0:
-        raise ChannelError(f"distance must be positive, got {d}")
+        raise ConfigError(f"distance must be positive, got {d}")
     if delta <= 0:
-        raise ChannelError(f"path loss exponent must be positive, got {delta}")
+        raise ConfigError(f"path loss exponent must be positive, got {delta}")
     try:
         loss = float(d) ** (-delta)
         if loss > 0.0:
             return loss
     except OverflowError:
         pass
-    raise ChannelError(f"path loss of distance {d} at exponent {delta} is out of float range")
+    raise ConfigError(f"path loss of distance {d} at exponent {delta} is out of float range")
 
 
 def build_correlation(cfg: RisLinkConfig) -> CorrelationMatrix:
@@ -157,7 +170,7 @@ def build_correlation(cfg: RisLinkConfig) -> CorrelationMatrix:
     del vals, vecs  # freed before the complex copy, so the peaks do not add up
     root = 0.5 * (root + root.T)
     if not np.allclose(root @ root, entries, atol=1e-9 * m):
-        raise ChannelError("correlation square root failed numerical check")
+        raise ValueError("correlation square root failed numerical check")
     return CorrelationMatrix(entries=entries, sqrt_form=root.astype(complex))
 
 
@@ -235,7 +248,7 @@ def cascaded_coefficient(
     h_out = np.asarray(h_out)
     m = corr.sqrt_form.shape[0]
     if h_in.shape != (m,) or h_out.shape != (m,) or phi.phases.shape != (m,):
-        raise ChannelError(
+        raise ValueError(
             f"length mismatch: h_in {h_in.shape}, h_out {h_out.shape}, "
             f"phi {phi.phases.shape}, R {corr.sqrt_form.shape}"
         )

@@ -7,7 +7,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .harness import ConfigError, load_config, rows_to_csv, run_sweep, summarize
+from .harness import load_config, rows_to_csv, run_sweep, summarize
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,7 +32,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         flags = {k: v for k in ("seed", "trials", "jobs") if (v := getattr(args, k)) is not None}
         cfg = replace(load_config(args.config), **flags)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"simulate: config error: {exc}", file=sys.stderr)
         return 1
 

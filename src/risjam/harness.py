@@ -28,7 +28,7 @@ import numpy as np
 from . import channel as ch
 from . import jammer as jm
 from . import pipeline as pl
-from .pipeline import ConfigError
+from .channel import ConfigError
 
 CSV_HEADER = (
     "jsr_db,jammer,topology,ris_size,t_baseline,t_jammed,gain,detect_rate,"
@@ -64,7 +64,7 @@ class ExperimentConfig:
     )
 
     def __post_init__(self):
-        ch.check_fields(self, ConfigError)
+        ch.check_fields(self)
         if not self.jammers:
             raise ConfigError("jammers is empty")
         if self.trials < 1:
@@ -165,6 +165,8 @@ def _caster(hint):
 
 
 def load_config(path: str) -> ExperimentConfig:
+    """The ExperimentConfig of the INI file at `path` (see `loads_config`);
+    an unreadable file raises ConfigError too."""
     try:
         with open(path) as fh:
             text = fh.read()
@@ -174,6 +176,11 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def loads_config(text: str) -> ExperimentConfig:
+    """The ExperimentConfig of INI text: each key sets its field, and an
+    absent key keeps the field's default. Raises ConfigError, before any trial
+    runs, for an unknown section or key, a value its field's type cannot
+    parse, or a setting that cannot run. `[sweep] jobs` is the worker process
+    count `run_sweep` may use, which changes no row."""
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
@@ -193,15 +200,12 @@ def loads_config(text: str) -> ExperimentConfig:
             except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
-    try:
-        settings = pl.TrialSettings(
-            # ExperimentConfig sets element_count to the first RIS size
-            link=ch.RisLinkConfig(element_count=64, **values[ch.RisLinkConfig]),
-            rician=ch.RicianParams(**values[ch.RicianParams]),
-            **values[pl.TrialSettings],
-        )
-    except ch.ChannelError as exc:
-        raise ConfigError(str(exc)) from exc
+    settings = pl.TrialSettings(
+        # ExperimentConfig sets element_count to the first RIS size
+        link=ch.RisLinkConfig(element_count=64, **values[ch.RisLinkConfig]),
+        rician=ch.RicianParams(**values[ch.RicianParams]),
+        **values[pl.TrialSettings],
+    )
     return ExperimentConfig(**values[ExperimentConfig], settings=settings)
 
 
@@ -338,6 +342,11 @@ def _keep_heap() -> None:
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
+    """One SweepRow per (jammer, RIS size, JSR) cell, in that order. cfg was
+    checked when it was built, which raised ConfigError for a setting that
+    cannot run. With cfg.jobs above 1 and more than one (RIS size, trial)
+    unit, the units run on a pool of at most cfg.jobs worker processes, no
+    more than the units or CPUs; the rows are the same for any jobs."""
     _keep_heap()
     noise_var, eaves_var = calibrate_noise(cfg)
     units = [

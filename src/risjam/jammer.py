@@ -8,10 +8,6 @@ from enum import Enum
 import numpy as np
 
 
-class JammerError(ValueError):
-    pass
-
-
 class JammerModel(str, Enum):
     DRFM = "drfm"
     PS = "ps"
@@ -36,7 +32,7 @@ def jammer_transform(model: JammerModel, x: np.ndarray, rng: np.random.Generator
     """
     x = np.asarray(x, dtype=complex)
     if x.size == 0:
-        raise JammerError("empty input sequence")
+        raise ValueError("empty input sequence")
     if model == JammerModel.DRFM:
         return x
     if model == JammerModel.PS:

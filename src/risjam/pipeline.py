@@ -23,6 +23,7 @@ from . import channel as ch
 from . import jammer as jm
 from . import receiver as rx
 from . import waveform as wf
+from .channel import ConfigError
 
 
 class OrthogonalityMode(str, Enum):
@@ -40,10 +41,6 @@ _ONSET_GUARD = 2
 # samples in a link draw's m x frame_len jam-free snapshot (m antennas under
 # spatial orthogonality, else 1; the shipped configs hold 8 x 4096 at most)
 MAX_SNAPSHOT_SAMPLES = 1 << 22
-
-
-class ConfigError(ValueError):
-    """A setting that cannot run, caught before the first trial."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,7 @@ class TrialSettings:
     snr_mode: SnrMode = SnrMode.PINNED
 
     def __post_init__(self):
-        ch.check_fields(self, ConfigError)
+        ch.check_fields(self)
         if self.delta >= 0:
             raise ConfigError("delta must be negative")
         if self.pilot_len < 1:
@@ -109,12 +106,9 @@ class TrialSettings:
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
         # the rules that would raise in the first trial, applied here
-        try:
-            ad.code_table(self.fixed_rate)
-            for d in (self.d_e1, self.d_j1, self.d_j2):
-                ch.path_loss(d, self.link.path_loss_exp)
-        except (ad.AdaptationError, ch.ChannelError) as exc:
-            raise ConfigError(str(exc)) from exc
+        ad.code_table(self.fixed_rate)
+        for d in (self.d_e1, self.d_j1, self.d_j2):
+            ch.path_loss(d, self.link.path_loss_exp)
         # the link budget in watts: each power a trial scales, and the noise
         # floors the two SNRs set from them, must be a normal float (+-4000
         # dBm, or a path loss exponent of 200, over- or underflows)
@@ -404,13 +398,12 @@ def _adapt(settings, snr_l, snr_j, cls, fraction) -> tuple[ad.AdaptationDecision
     return decision, ad.throughput(settings.bandwidth_hz, decision.code, decision.scheme, fraction)
 
 
-def _estimate_delay(settings, x, y, onset, jump) -> int | None:
-    """Replica delay from the received frame, or None when nothing stands out.
+def _estimate_delay(settings, x, y, onset) -> int:
+    """Replica delay from a received frame whose power jumps at `onset`.
 
-    The power change-point (onset, jump) locates the replica onset for every
-    jammer class (sign flips leave no correlation peak); when the
-    cross-correlation shows a significant secondary peak near that onset, its
-    sharper estimate wins.
+    The power change-point locates the replica onset for every jammer class
+    (sign flips leave no correlation peak); when the cross-correlation shows
+    a significant secondary peak near that onset, its sharper estimate wins.
 
     Only lag 0 and the lags within 8 of the onset are read, so R(tau) =
     sum_n x[n] * conj(y[n+tau]) (the `rx.cross_correlate` convention, reference
@@ -418,8 +411,6 @@ def _estimate_delay(settings, x, y, onset, jump) -> int | None:
     """
     f = settings.frame_len
     sig = settings.peak_significance
-    if jump < sig:
-        return None
 
     def corr(tau):
         if tau >= 0:
@@ -589,11 +580,13 @@ def _jam_front(settings, link, jsr_db_target, model, rng, eaves_noise_var_watt):
     base = link.base
     onset, jump = rx.estimate_onset(y, _ONSET_GUARD, link.head_power)
     payload = y[settings.pilot_len :]
-    detected = jump >= settings.peak_significance or any(
+    jumped = jump >= settings.peak_significance
+    detected = jumped or any(
         _block_lost(_block_bytes(payload, link.a_l, off, base.code, base.scheme), cw, base.code)
         for off, cw in link.rs_blocks
     )
-    tau_hat = _estimate_delay(settings, link.x, y, onset, jump) if detected else None
+    # a lost block alone detects the jammer, but only a power jump places it
+    tau_hat = _estimate_delay(settings, link.x, y, onset) if jumped else None
     cell = _JamFront(model, rng, a_j, snr_j, clamped, detected, tau_hat)
     if steer is not None and tau_hat is not None:
         cell.steer, cell.jam = steer, jam

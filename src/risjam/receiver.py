@@ -13,14 +13,6 @@ import numpy as np
 from .waveform import Family
 
 
-class ReceiverError(ValueError):
-    pass
-
-
-class NoPeakError(ReceiverError):
-    """Correlation has no usable maximum."""
-
-
 @lru_cache(maxsize=None)
 def _fast_len(n: int) -> int:
     """Smallest length >= n with no prime factor above 11; numpy's FFT runs
@@ -61,9 +53,9 @@ def cross_correlate(y, y_ref, f_max: int, gamma_max: int) -> np.ndarray:
     y = np.asarray(y, dtype=complex)
     y_ref = np.asarray(y_ref, dtype=complex)
     if y.size < f_max or y_ref.size < f_max:
-        raise ReceiverError("sequences shorter than f_max")
+        raise ValueError("sequences shorter than f_max")
     if not 0 <= gamma_max < f_max:
-        raise ReceiverError(f"gamma_max {gamma_max} must lie in [0, f_max {f_max})")
+        raise ValueError(f"gamma_max {gamma_max} must lie in [0, f_max {f_max})")
     rs = y_ref[: f_max + gamma_max]
     nfft = _fast_len(rs.size + gamma_max)
     rows = np.zeros((2, nfft), dtype=complex)
@@ -79,7 +71,7 @@ def estimate_delay(values: np.ndarray) -> int:
     mags = np.abs(values)
     peak = mags.max()
     if peak == 0.0:
-        raise NoPeakError("correlation is identically zero")
+        raise ValueError("correlation is identically zero")
     cand = np.flatnonzero(mags >= peak * (1 - 1e-12)) - (mags.size - 1) // 2
     return min(cand.tolist(), key=lambda t: (abs(t), t))
 
@@ -132,7 +124,7 @@ def estimate_onset(y, guard: int, head: np.ndarray = _NO_HEAD) -> tuple[int, flo
     """
     n = np.size(y)
     if n < 2 * guard + 2:
-        raise ReceiverError("sequence too short for onset estimation")
+        raise ValueError("sequence too short for onset estimation")
     c = power_sums(y, head)
     # generalized-likelihood weighting keeps short edge segments, whose means
     # are dominated by noise, from winning the argmax
@@ -194,7 +186,7 @@ def estimate_aoa(cov: np.ndarray) -> np.ndarray:
     msub = cov.shape[-1] - 1
     # the smoothed subarray needs a noise subspace beside the sources
     if msub <= _SOURCES:
-        raise ReceiverError(f"need more subarray elements ({msub}) than sources ({_SOURCES})")
+        raise ValueError(f"need more subarray elements ({msub}) than sources ({_SOURCES})")
     _, vecs = np.linalg.eigh(_fb_smoothed(cov))
     noise_space = vecs[..., : msub - _SOURCES]
     proj = noise_space.conj().swapaxes(-1, -2) @ _grid_steering(msub)
@@ -240,7 +232,7 @@ def separate_spatial(cov, aoas) -> tuple[np.ndarray, np.ndarray]:
     m = cov.shape[-1]
     aoas = np.asarray(aoas, dtype=float)
     if aoas.shape[-1] != _SOURCES:
-        raise ReceiverError(f"exactly {_SOURCES} angles expected")
+        raise ValueError(f"exactly {_SOURCES} angles expected")
     resolved = np.abs(aoas[..., 0] - aoas[..., 1]) >= _MIN_SEPARATION_RAD
     w = np.full(aoas.shape[:-1] + (m, 2), np.nan, dtype=complex)
     cov, c = cov[resolved], _steering(m, aoas[resolved])
@@ -258,7 +250,7 @@ def partition_temporal(frame_len: int, tau_hat: int) -> tuple[int, float]:
     Returns (burst_len, payload_fraction).
     """
     if tau_hat <= 0:
-        raise ReceiverError("no temporal separation possible for tau_hat <= 0")
+        raise ValueError("no temporal separation possible for tau_hat <= 0")
     burst = min(int(tau_hat), int(frame_len))
     return burst, burst / frame_len
 
@@ -312,7 +304,7 @@ def similarity_ratio(jam_est, legit_est, legit_noise_var: float) -> float:
     legit_est = np.asarray(legit_est, dtype=complex)
     if jam_est.size != legit_est.size or legit_est.size < 3:
         # f_max = n - 1 below 2 leaves no lag window of +-1
-        raise ReceiverError(f"need two streams of one length n >= 3, got "
+        raise ValueError(f"need two streams of one length n >= 3, got "
                             f"{jam_est.size} and {legit_est.size}")
     f_max = legit_est.size - 1
     gamma = f_max // 2
@@ -324,7 +316,7 @@ def similarity_ratio(jam_est, legit_est, legit_noise_var: float) -> float:
     near[0, 0] = max(near[0, 0] - legit_noise_var * f_max, 0.0)
     sc_max = float(max(near[0].max(), far[0].max())) / f_max
     if sc_max == 0.0:
-        raise ReceiverError("zero-energy legitimate estimate")
+        raise ValueError("zero-energy legitimate estimate")
     return float(max(near[1].max(), far[1].max())) / f_max / sc_max
 
 
@@ -367,7 +359,7 @@ def pilot_anomaly_fraction(jam_pilot_syms, ref_pilot_syms) -> float:
     jam = np.asarray(jam_pilot_syms, dtype=complex)
     ref = np.asarray(ref_pilot_syms, dtype=complex)
     if jam.shape != ref.shape or jam.size == 0:
-        raise ReceiverError("pilot sequences must match and be non-empty")
+        raise ValueError("pilot sequences must match and be non-empty")
     anomalous = np.abs(jam - ref) > 0.5
     return np.count_nonzero(anomalous) / anomalous.size
 

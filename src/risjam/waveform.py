@@ -15,10 +15,6 @@ from functools import lru_cache
 import numpy as np
 
 
-class WaveformError(ValueError):
-    """Bad modulation/coding arguments."""
-
-
 class Family(str, Enum):
     PSK = "psk"
     ASK = "ask"
@@ -35,7 +31,7 @@ class ModScheme:
 
     def __post_init__(self):
         if self.order not in ORDERS:
-            raise WaveformError(f"unsupported order {self.order}")
+            raise ValueError(f"unsupported order {self.order}")
 
     @property
     def bits_per_symbol(self) -> int:
@@ -77,7 +73,7 @@ def modulate(bits: np.ndarray, scheme: ModScheme) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.uint8)
     k = scheme.bits_per_symbol
     if bits.size % k:
-        raise WaveformError(f"bit count {bits.size} not divisible by {k}")
+        raise ValueError(f"bit count {bits.size} not divisible by {k}")
     # each symbol's index, its first bit the most significant, by shifts
     cols = bits.reshape(-1, k)
     idx = cols[:, 0].astype(np.intp)
@@ -149,7 +145,7 @@ class RsCode:
 
     def __post_init__(self):
         if not 0 < self.k < self.n <= 255:
-            raise WaveformError(f"invalid RS parameters ({self.n},{self.k})")
+            raise ValueError(f"invalid RS parameters ({self.n},{self.k})")
 
     @property
     def t(self) -> int:
@@ -247,7 +243,7 @@ def rs_encode(data_symbols: np.ndarray, code: RsCode) -> np.ndarray:
     """
     data = np.asarray(data_symbols, dtype=np.int64)
     if data.size != code.k:
-        raise WaveformError(f"expected {code.k} data symbols, got {data.size}")
+        raise ValueError(f"expected {code.k} data symbols, got {data.size}")
     nz = data != 0
     terms = _GF_EXP[_parity_log(code.n, code.k)[nz] + _GF_LOG[data[nz]][:, None]]
     return np.concatenate([data, np.bitwise_xor.reduce(terms, axis=0)])
@@ -264,7 +260,7 @@ def rs_decode(block: np.ndarray, code: RsCode) -> RsDecodeResult:
     """Correct up to t symbol errors; sets `failure` when decoding breaks down."""
     recv = np.asarray(block, dtype=np.int64)
     if recv.size != code.n:
-        raise WaveformError(f"expected {code.n} code symbols, got {recv.size}")
+        raise ValueError(f"expected {code.n} code symbols, got {recv.size}")
     nsym = code.n - code.k
 
     # syndromes, with positions indexed from the highest-degree coefficient

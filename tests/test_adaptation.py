@@ -12,7 +12,6 @@ from helpers import measure_ber
 from risjam import adaptation as ad
 from risjam.adaptation import (
     AdaptationDecision,
-    AdaptationError,
     _q,
     ber_awgn,
     code_table,
@@ -26,6 +25,7 @@ from risjam.adaptation import (
     snr_jamming,
     throughput,
 )
+from risjam.channel import ConfigError
 from risjam.receiver import JammerClass
 from risjam.waveform import (
     DEFAULT_RS_TABLE,
@@ -113,7 +113,7 @@ class TestSnrJamming:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_rejects_negative(self):
-        with pytest.raises(AdaptationError):
+        with pytest.raises(ValueError, match="SNRs must be non-negative"):
             snr_jamming(-1.0, 1.0)
 
 
@@ -255,7 +255,7 @@ class TestCodeSelection:
         assert all(a <= b + 1e-12 for a, b in zip(rates, rates[1:]))
 
     def test_rejects_nonnegative_delta(self):
-        with pytest.raises(AdaptationError):
+        with pytest.raises(ValueError, match="delta must be negative"):
             select_link(None, 10.0, 0.0, Family.PSK, 0.0, None, 2)
 
     @pytest.mark.parametrize("fixed_rate", [None] + [c.rate for c in DEFAULT_RS_TABLE])
@@ -287,7 +287,7 @@ class TestLinkSelection:
     def test_fixed_rate_restricts_table(self):
         d = select_link(None, 100.0, 0.0, Family.PSK, -0.005, 0.94, 64)
         assert d.code == RsCode(255, 240)
-        with pytest.raises(AdaptationError):
+        with pytest.raises(ConfigError, match="no table code with rate 0.5"):
             select_link(None, 100.0, 0.0, Family.PSK, -0.005, 0.5, 64)
 
     def test_max_order_respected(self):
@@ -310,13 +310,13 @@ class TestMetrics:
         assert throughput(2.0, RsCode(50, 47), ModScheme(Family.PSK, 64), 0.5) == (
             pytest.approx(5.64)
         )
-        with pytest.raises(AdaptationError):
+        with pytest.raises(ValueError, match=r"payload_fraction out of \(0, 1\]: 0.0"):
             throughput(1.0, RsCode(50, 47), ModScheme(Family.PSK, 64), 0.0)
 
     def test_jsr_db(self):
         assert jsr_db(10.0, 1.0) == pytest.approx(10.0)
         assert jsr_db(1.0, 1.0) == pytest.approx(0.0)
-        with pytest.raises(AdaptationError):
+        with pytest.raises(ValueError, match="powers must be positive"):
             jsr_db(0.0, 1.0)
 
     def test_power_conversions(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from risjam.channel import (
-    ChannelError,
+    ConfigError,
     CorrelationMatrix,
     PhaseMatrix,
     RicianParams,
@@ -51,13 +51,13 @@ class TestPathLoss:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ChannelError):
+        with pytest.raises(ConfigError, match="distance must be positive"):
             path_loss(0.0, 2.7)
-        with pytest.raises(ChannelError):
+        with pytest.raises(ConfigError, match="path loss exponent must be positive"):
             path_loss(1.0, -1.0)
-        with pytest.raises(ChannelError):
+        with pytest.raises(ConfigError, match="out of float range"):
             path_loss(1e-200, 2.7)  # overflows
-        with pytest.raises(ChannelError):
+        with pytest.raises(ConfigError, match="out of float range"):
             path_loss(1e200, 2.7)  # underflows to zero
 
 
@@ -118,7 +118,7 @@ class TestRician:
         assert np.std(amps) < 0.2
 
     def test_rejects_negative_k(self):
-        with pytest.raises(ChannelError):
+        with pytest.raises(ConfigError, match="rician_k must be >= 0"):
             RicianParams(rician_k=-1.0)
 
 
@@ -138,7 +138,7 @@ class TestCascade:
     def test_shape_mismatch_raises(self):
         corr = build_correlation(RisLinkConfig(element_count=4))
         phi = PhaseMatrix(phases=np.zeros(4))
-        with pytest.raises(ChannelError):
+        with pytest.raises(ValueError, match="length mismatch"):
             cascaded_coefficient(np.ones(3), np.ones(4), corr, phi)
 
 

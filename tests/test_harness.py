@@ -28,7 +28,6 @@ from risjam.harness import (
     run_sweep,
     summarize,
 )
-from risjam.channel import ChannelError
 from risjam.jammer import JammerModel, PathTopology
 from risjam.pipeline import OrthogonalityMode, SnrMode
 from risjam.receiver import JammerClass
@@ -159,9 +158,9 @@ class TestConfigParsing:
 
     def test_non_finite_floats_rejected_in_code(self):
         settings = ExperimentConfig().settings
-        with pytest.raises(ChannelError):
+        with pytest.raises(ConfigError, match="corr_rate must be finite"):
             replace(settings.link, corr_rate=float("nan"))
-        with pytest.raises(ChannelError):
+        with pytest.raises(ConfigError, match="rician_k must be finite"):
             replace(settings.rician, rician_k=float("inf"))
         for name in ("delta", "peak_significance", "flip_threshold"):
             with pytest.raises(ConfigError, match=name):
@@ -170,6 +169,33 @@ class TestConfigParsing:
             replace(settings, bandwidth_hz=float("inf"))
         with pytest.raises(ConfigError, match="jsr_grid_db"):
             ExperimentConfig(jsr_grid_db=(0.0, np.float64("-inf")))
+
+    def test_non_integers_rejected_in_code(self):
+        # each would pass construction and fail mid-sweep with a TypeError
+        settings = ExperimentConfig().settings
+        for name, value in (("ris_sizes", (16.5,)), ("trials", 1.5), ("jobs", 1.5)):
+            with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+                ExperimentConfig(**{name: value})
+        spatial = replace(settings, orthogonality="spatial")
+        for base, name, value in (
+            (settings, "frame_len", 512.5), (settings, "pilot_len", 8.5),
+            (spatial, "antennas", 6.5), (settings, "jam_delay", 100.5),
+        ):
+            with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+                replace(base, **{name: value})
+        with pytest.raises(ConfigError, match="frame_len must be an integer, got None"):
+            replace(settings, frame_len=None)
+        with pytest.raises(ConfigError, match="element_count must be an integer"):
+            replace(settings.link, element_count=64.0)
+        with pytest.raises(ConfigError, match="path_count must be an integer"):
+            replace(settings.rician, path_count="1")
+        # numpy integers are integers, and a delay may be left to its default
+        cfg = ExperimentConfig(ris_sizes=(np.int64(16),), trials=np.int32(2))
+        assert replace(cfg.settings, frame_len=np.int64(512), jam_delay=None).tau == 256
+
+    def test_one_error_type_wherever_the_field_lives(self):
+        assert pl.ConfigError is harness.ConfigError is risjam.channel.ConfigError
+        assert issubclass(ConfigError, ValueError)
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(ConfigError):
@@ -331,8 +357,9 @@ class TestEveryKeyChangesTheRun:
         runs = [_run({key: member.value}) for member in enum_cls]
         assert len(set(runs)) == len(runs), f"[{key[0]}] {key[1]} has a dead value"
 
-    def test_jobs_changes_nothing(self):
-        assert _run({("sweep", "jobs"): "2"}) == _run({})
+    @pytest.mark.parametrize("context", [{}, SPATIAL], ids=["temporal", "spatial"])
+    def test_jobs_changes_nothing(self, context):
+        assert _run(context | {("sweep", "jobs"): "2"}) == _run(context)
 
 
 class TestCalibration:

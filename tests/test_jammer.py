@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from risjam.jammer import JammerError, JammerModel, jammer_transform
+from risjam.jammer import JammerModel, jammer_transform
 
 
 def _qpsk(n, rng):
@@ -48,6 +48,6 @@ class TestTransforms:
 
     def test_rejects_bad_spec(self):
         rng = np.random.default_rng(5)
-        with pytest.raises(JammerError):
+        with pytest.raises(ValueError, match="empty input sequence"):
             jammer_transform(JammerModel.PS, np.array([]), rng)
 

@@ -19,7 +19,6 @@ from risjam.waveform import (
     Family,
     ModScheme,
     RsCode,
-    WaveformError,
     _generator_poly,
     constellation,
     demodulate,
@@ -99,7 +98,7 @@ class TestConstellations:
                 assert bin(int(a) ^ int(b)).count("1") == 1
 
     def test_bad_order_rejected(self):
-        with pytest.raises(WaveformError):
+        with pytest.raises(ValueError, match="unsupported order 3"):
             ModScheme(Family.PSK, 3)
 
 
@@ -133,7 +132,7 @@ class TestModemRoundTrip:
         assert np.array_equal(modulate(bits, scheme), expected)
 
     def test_bit_count_must_divide(self):
-        with pytest.raises(WaveformError):
+        with pytest.raises(ValueError, match="bit count 5 not divisible by 2"):
             modulate(np.zeros(5, dtype=np.uint8), ModScheme(Family.PSK, 4))
 
     def test_bpsk_ber_matches_q_function(self):
@@ -206,11 +205,11 @@ class TestReedSolomon:
         assert flagged >= 49
 
     def test_bad_params_rejected(self):
-        with pytest.raises(WaveformError):
+        with pytest.raises(ValueError, match=r"invalid RS parameters \(255,255\)"):
             RsCode(255, 255)
-        with pytest.raises(WaveformError):
+        with pytest.raises(ValueError, match=r"invalid RS parameters \(256,200\)"):
             RsCode(256, 200)
-        with pytest.raises(WaveformError):
+        with pytest.raises(ValueError, match="expected 255 code symbols, got 10"):
             rs_decode(np.zeros(10, dtype=np.int64), RsCode(255, 224))
 
 
