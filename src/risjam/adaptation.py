@@ -13,7 +13,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .channel import ConfigError
 from .receiver import JammerClass
-from .waveform import DEFAULT_RS_TABLE, ORDERS, Family, ModScheme, RsCode
+from .waveform import DEFAULT_RS_TABLE, ORDERS, Family, ModScheme, RsCode, qam_grid
 
 
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
@@ -51,9 +51,8 @@ def ser_awgn(family: Family, order, snr) -> np.ndarray | float:
         c = np.sqrt(6.0 / ((m + 1) * (2 * m + 1)))
         ser = 2.0 * (m - 1) / m * _q(c * np.sqrt(snr / 2.0))
     else:
-        # an mi x mq grid; mq = 1 (order 2) zeroes the quadrature term
-        mi = 1 << ((np.log2(m).astype(int) + 1) // 2)
-        mq = m // mi
+        # the constellation's grid; mq = 1 (order 2) zeroes the quadrature term
+        mi, mq = qam_grid(m)
         q = _q(np.sqrt(3.0 / (mi * mi + mq * mq - 2.0)) * np.sqrt(2.0 * snr))
         pi = 2.0 * (1 - 1.0 / mi) * q
         pq = 2.0 * (1 - 1.0 / mq) * q

@@ -92,7 +92,7 @@ class ExperimentConfig:
             raise ConfigError("jobs must be >= 1")
         try:  # the rule every trial's seed sequence applies
             np.random.SeedSequence(self.seed)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"seed {self.seed!r}: {exc}") from exc
         # settings.link is the reference link: the first RIS size
         link = replace(self.settings.link, element_count=self.ris_sizes[0])
@@ -227,14 +227,11 @@ def calibrate_noise(cfg: ExperimentConfig) -> tuple[float | None, float]:
     s = cfg.settings
     if s.snr_mode == pl.SnrMode.PINNED:
         return None, s.eaves_noise_watt
-    link, p_t = s.link, s.tx_watt
-    corr = pl._corr_cached(link.element_count, link.corr_rate)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(_CAL_KEY,)))
     powers = []
     for _ in range(CALIBRATION_DRAWS):
-        real = ch.sample_realization(link, s.rician, rng, s.eaves_corr)
-        _, h, _ = ch.aligned_cascade(real.h_sr, real.h_rd, corr)
-        powers.append(p_t * abs(h) ** 2)
+        _, _, h_l, _ = pl._legit_channel(s, rng)
+        powers.append(s.tx_watt * abs(h_l) ** 2)
     return float(np.mean(powers)) / s.baseline_snr, s.eaves_noise_watt
 
 
@@ -346,7 +343,12 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     checked when it was built, which raised ConfigError for a setting that
     cannot run. With cfg.jobs above 1 and more than one (RIS size, trial)
     unit, the units run on a pool of at most cfg.jobs worker processes, no
-    more than the units or CPUs; the rows are the same for any jobs."""
+    more than the units or CPUs; the rows are the same for any jobs.
+
+    Under glibc, each call sets the calling process's M_TRIM_THRESHOLD to 64
+    MB and M_MMAP_THRESHOLD to 32 MB (`_keep_heap`), and both stay set after
+    it returns: a trial's freed temporaries then stay in the heap instead of
+    being page-faulted in afresh by the next trial."""
     _keep_heap()
     noise_var, eaves_var = calibrate_noise(cfg)
     units = [
@@ -402,7 +404,10 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 
 
 def summarize(rows: list[SweepRow]) -> str:
-    """Per (jammer, RIS size) curve: crossover JSR and peak gain."""
+    """Per (jammer, RIS size) curve: crossover JSR and peak gain. The
+    crossover is the first JSR whose gain exceeds 1.05 while the next grid
+    point, where there is one, stays above 1.02; a one-point blip above 1 is
+    not one."""
     out = []
     keys = sorted({(r.jammer, r.ris_size) for r in rows}, key=lambda k: (k[0].value, k[1]))
     for jammer, ris in keys:
@@ -410,7 +415,10 @@ def summarize(rows: list[SweepRow]) -> str:
             (r for r in rows if r.jammer == jammer and r.ris_size == ris),
             key=lambda r: r.jsr_db,
         )
-        above = [r for r in curve if r.gain > 1.0]
+        above = [
+            r for r, nxt in zip(curve, curve[1:] + [None])
+            if r.gain > 1.05 and (nxt is None or nxt.gain > 1.02)
+        ]
         peak = max(curve, key=lambda r: r.gain)
         label = f"{jammer.value:5s} ris={ris:<4d}"
         if above:

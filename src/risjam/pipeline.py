@@ -181,10 +181,8 @@ class TrialResult:
 
 
 @lru_cache(maxsize=32)
-def _corr_cached(element_count: int, corr_rate: float) -> ch.CorrelationMatrix:
-    return ch.build_correlation(
-        ch.RisLinkConfig(element_count=element_count, corr_rate=corr_rate)
-    )
+def _corr_cached(link: ch.RisLinkConfig) -> ch.CorrelationMatrix:
+    return ch.build_correlation(link)  # via the module, so tracing sees the call
 
 
 @lru_cache(maxsize=16)
@@ -290,9 +288,9 @@ def _classify(settings, scheme, legit_s, jam_s, nv_l, nv_j) -> rx.JammerClass:
     )
 
 
-def _stage_two(settings, scheme, cells) -> list[rx.JammerClass]:
+def _stage_two(settings, scheme, cells) -> None:
     """Split PS from AS for each cell of a PS verdict, on a jam-only probe
-    of the cell against its known replica.
+    of the cell against its known replica, and set the cell's class.
 
     Each cell draws its probe from its own generator: the bits of 1024
     symbols, the replica, then the noise. The probes are then read as one
@@ -318,8 +316,8 @@ def _stage_two(settings, scheme, cells) -> list[rx.JammerClass]:
     signs = np.multiply(r, np.exp(-1j * phase)[:, None], out=x).real < 0.0
     share = np.mean(signs, axis=1)
     balance = np.minimum(share, 1.0 - share)
-    return [rx.JammerClass.PS if b >= settings.flip_threshold else rx.JammerClass.AS
-            for b in balance]
+    for c, b in zip(cells, balance):
+        c.cls = rx.JammerClass.PS if b >= settings.flip_threshold else rx.JammerClass.AS
 
 
 def _lcmv_outputs(clean, w, steer, jam) -> np.ndarray:
@@ -333,18 +331,18 @@ def _lcmv_outputs(clean, w, steer, jam) -> np.ndarray:
     return out
 
 
-def _spatial_pair(settings, scheme, out, w, tau_hat):
-    """The LCMV outputs `out` of weights w as (legit, jam aligned by tau_hat,
-    legit noise variance, jam noise variance), or None when the aligned jam
-    stream is too short to classify.
-    """
-    pilot = _pilot(scheme, settings.pilot_len)
+def _spatial_pair(settings, link, c):
+    """Cell c's LCMV outputs under its weights c.w as (legit, jam aligned by
+    c.tau_hat, legit noise variance, jam noise variance), or None when the
+    aligned jam stream is too short to classify."""
+    out = _lcmv_outputs(link.clean, c.w, c.steer, c.jam)
+    pilot = _pilot(link.base.scheme, settings.pilot_len)
     # per-output noise variance ||w_k||^2 of the LCMV weights
-    nv = [float(np.sum(np.abs(w[:, k]) ** 2)) for k in range(2)]
+    nv = [float(np.sum(np.abs(c.w[:, k]) ** 2)) for k in range(2)]
     # the legit stream is the one whose head matches the pilot
-    c = [abs(np.vdot(pilot, s[: pilot.size])) / np.sqrt(rx.mean_power(s)) for s in out]
-    k = 0 if c[0] >= c[1] else 1
-    legit_s, jam_aligned = out[k], out[1 - k][tau_hat:]
+    head = [abs(np.vdot(pilot, s[: pilot.size])) / np.sqrt(rx.mean_power(s)) for s in out]
+    k = 0 if head[0] >= head[1] else 1
+    legit_s, jam_aligned = out[k], out[1 - k][c.tau_hat:]
     if _too_short(settings, min(legit_s.size, jam_aligned.size)):
         return None
     return legit_s, jam_aligned, nv[k], nv[1 - k]
@@ -369,23 +367,19 @@ def _temporal_pair(settings, link, c, burst):
     return y[:burst], jam_s, 1.0, 1.0
 
 
-def _defend(settings, link, c) -> tuple[rx.JammerClass | None, float]:
-    """Cell c's defense outcome (jammer class, payload fraction). The class
-    comes from the LCMV-separated pair when the cell has resolved weights and
-    the pair is long enough, else from the temporal probe; `run_cells` hands
-    a PS verdict to stage two. With no class (nothing detected or estimated,
-    or a delay that leaves no slot for the probe) the fraction is 1."""
-    cls, fraction, pair = None, 1.0, None
-    if c.w is not None:
-        out = _lcmv_outputs(link.clean, c.w, c.steer, c.jam)
-        pair = _spatial_pair(settings, link.base.scheme, out, c.w, c.tau_hat)
+def _defend(settings, link, c) -> None:
+    """Set cell c's defense outcome (c.cls, c.fraction). The class comes from
+    the LCMV-separated pair when the cell has resolved weights and the pair
+    is long enough, else from the temporal probe; `run_cells` hands a PS
+    verdict to stage two. With no class (nothing detected or estimated, or a
+    delay that leaves no slot for the probe) the fraction stays 1."""
+    pair = _spatial_pair(settings, link, c) if c.w is not None else None
     if pair is None and c.tau_hat is not None and c.tau_hat > 0:
-        burst, fraction = rx.partition_temporal(settings.frame_len, c.tau_hat)
+        burst, c.fraction = rx.partition_temporal(settings.frame_len, c.tau_hat)
         pair = _temporal_pair(settings, link, c, burst)
-        cls = rx.JammerClass.UNKNOWN  # unless the probe is long enough
+        c.cls = rx.JammerClass.UNKNOWN  # unless the probe is long enough
     if pair is not None:
-        cls = _classify(settings, link.base.scheme, *pair)
-    return cls, fraction
+        c.cls = _classify(settings, link.base.scheme, *pair)
 
 
 def _adapt(settings, snr_l, snr_j, cls, fraction) -> tuple[ad.AdaptationDecision, float]:
@@ -396,6 +390,18 @@ def _adapt(settings, snr_l, snr_j, cls, fraction) -> tuple[ad.AdaptationDecision
         settings.fixed_rate, settings.max_order,
     )
     return decision, ad.throughput(settings.bandwidth_hz, decision.code, decision.scheme, fraction)
+
+
+def _result(settings, link, c) -> TrialResult:
+    """Cell c's trial result: the link choice its defense outcome sets."""
+    decision, t_j = _adapt(settings, link.snr_l, c.snr_j, c.cls, c.fraction)
+    return TrialResult(
+        t_baseline=link.t_baseline, t_jammed=t_j, detected=c.detected, jammer_class=c.cls,
+        classified_correct=(c.cls == rx.JammerClass(c.model.value)),
+        tau_err=np.nan if c.tau_hat is None else float(abs(c.tau_hat - settings.tau)),
+        scheme=decision.scheme, code_rate=decision.code.rate, payload_fraction=c.fraction,
+        clamped=c.clamped,
+    )
 
 
 def _estimate_delay(settings, x, y, onset) -> int:
@@ -458,6 +464,12 @@ class LinkDraw:
     head_power: np.ndarray
 
 
+def _legit_channel(settings, rng):
+    """A channel draw and its legit hop: (realization, aligned phases, h_l, u)."""
+    real = ch.sample_realization(settings.link, settings.rician, rng, settings.eaves_corr)
+    return (real, *ch.aligned_cascade(real.h_sr, real.h_rd, _corr_cached(settings.link)))
+
+
 def draw_link(
     settings: TrialSettings, rng: np.random.Generator, noise_var_watt: float | None
 ) -> LinkDraw:
@@ -473,9 +485,7 @@ def draw_link(
             "floor calibrate_noise returns for a faded config; got None"
         )
     link = settings.link
-    corr = _corr_cached(link.element_count, link.corr_rate)
-    real = ch.sample_realization(link, settings.rician, rng, settings.eaves_corr)
-    phi, h_l, u = ch.aligned_cascade(real.h_sr, real.h_rd, corr)
+    real, phi, h_l, u = _legit_channel(settings, rng)
     p_l = settings.tx_watt * abs(h_l) ** 2
     if settings.snr_mode == SnrMode.PINNED:
         noise_var_watt = p_l / settings.baseline_snr
@@ -491,7 +501,7 @@ def draw_link(
         h_out = real.h_j1 * np.sqrt(ch.path_loss(settings.d_j1, dexp))
     else:
         # the jammer eavesdrops through the RIS under the legit link's phases
-        h_in = ch.cascade(u, corr.sqrt_form @ real.h_rj, phi)
+        h_in = ch.cascade(u, _corr_cached(link).sqrt_form @ real.h_rj, phi)
         h_out = real.h_j2 * np.sqrt(ch.path_loss(settings.d_j2, dexp))
 
     # one frame, received on the whole array under spatial orthogonality,
@@ -522,14 +532,14 @@ def draw_link(
 
 
 @dataclass(slots=True)
-class _JamFront:
-    """A cell after detection and delay estimate on antenna 0. A detected
-    cell under spatial orthogonality also keeps its steering vector, its
-    replica's active span, its m x m array covariance and, once resolved,
-    its LCMV weights."""
+class _Cell:
+    """One (jammer, JSR) cell on a link draw: its power budget, detection and
+    delay estimate on antenna 0, and the outcome (cls, fraction) `_defend` and
+    stage two set. A detected spatial cell also keeps its steering vector, its
+    replica's active span, its m x m covariance and, once resolved, its weights."""
 
     model: jm.JammerModel
-    rng: np.random.Generator
+    rng: np.random.Generator | None
     a_j: complex
     snr_j: float
     clamped: bool
@@ -539,6 +549,8 @@ class _JamFront:
     jam: np.ndarray | None = None
     cov: np.ndarray | None = None
     w: np.ndarray | None = None
+    cls: rx.JammerClass | None = None
+    fraction: float = 1.0
 
 
 def _jam_budget(settings, link, jsr_db, eaves_noise_var_watt):
@@ -587,7 +599,7 @@ def _jam_front(settings, link, jsr_db_target, model, rng, eaves_noise_var_watt):
     )
     # a lost block alone detects the jammer, but only a power jump places it
     tau_hat = _estimate_delay(settings, link.x, y, onset) if jumped else None
-    cell = _JamFront(model, rng, a_j, snr_j, clamped, detected, tau_hat)
+    cell = _Cell(model, rng, a_j, snr_j, clamped, detected, tau_hat)
     if steer is not None and tau_hat is not None:
         cell.steer, cell.jam = steer, jam
         # the covariance of the snapshot clean + s j^T from shared parts: the
@@ -615,36 +627,23 @@ def run_cells(
     classification, and the stage two of the cells classified PS as one
     stack after it. `eaves_noise_var_watt` is the jammer's own receiver floor.
     """
-    fronts = [
+    cells = [
         _jam_front(settings, link, jsr, model, rng, eaves_noise_var_watt)
         for jsr, model, rng in cells
     ]
-    spatial = [c for c in fronts if c.cov is not None]
+    spatial = [c for c in cells if c.cov is not None]
     if spatial:
         cov = np.array([c.cov for c in spatial])
         w, resolved = rx.separate_spatial(cov, rx.estimate_aoa(cov))
         for c, wk, ok in zip(spatial, w, resolved):
             if ok:
                 c.w = wk
-
-    outcomes = [_defend(settings, link, c) for c in fronts]
-    ps = [k for k, (cls, _) in enumerate(outcomes) if cls == rx.JammerClass.PS]
+    for c in cells:
+        _defend(settings, link, c)
+    ps = [c for c in cells if c.cls == rx.JammerClass.PS]
     if ps:
-        split = _stage_two(settings, link.base.scheme, [fronts[k] for k in ps])
-        for k, cls in zip(ps, split):
-            outcomes[k] = (cls, outcomes[k][1])
-
-    results = []
-    for c, (cls, fraction) in zip(fronts, outcomes):
-        decision, t_j = _adapt(settings, link.snr_l, c.snr_j, cls, fraction)
-        results.append(TrialResult(
-            t_baseline=link.t_baseline, t_jammed=t_j, detected=c.detected, jammer_class=cls,
-            classified_correct=(cls == rx.JammerClass(c.model.value)),
-            tau_err=np.nan if c.tau_hat is None else float(abs(c.tau_hat - settings.tau)),
-            scheme=decision.scheme, code_rate=decision.code.rate, payload_fraction=fraction,
-            clamped=c.clamped,
-        ))
-    return results
+        _stage_two(settings, link.base.scheme, ps)
+    return [_result(settings, link, c) for c in cells]
 
 
 def run_trial(

@@ -45,6 +45,15 @@ def _gray(n):
     return n ^ (n >> 1)
 
 
+def qam_grid(order):
+    """The rectangular QAM grid of each order M, broadcast over an array of
+    orders: (mi, mq) = (2^ceil(log2(M) / 2), M / mi) in-phase by quadrature
+    levels; mq is 1 at order 2."""
+    m = np.asarray(order)
+    mi = 1 << ((np.log2(m).astype(int) + 1) // 2)
+    return mi, m // mi
+
+
 @lru_cache(maxsize=None)
 def constellation(family: Family, order: int) -> np.ndarray:
     """Complex points indexed by data value; Gray-adjacent in signal space.
@@ -60,8 +69,7 @@ def constellation(family: Family, order: int) -> np.ndarray:
     elif family == Family.ASK:
         pts[_gray(pos)] = np.arange(1, m + 1, dtype=float)
     else:  # rectangular QAM, Gray per axis: the I data value sits above the Q one
-        mi = 1 << ((int(np.log2(m)) + 1) // 2)
-        mq = m // mi
+        mi, mq = qam_grid(m)
         pi, pq = np.arange(mi), np.arange(mq)
         li = pi * 2.0 - (mi - 1)
         lq = pq * 2.0 - (mq - 1)

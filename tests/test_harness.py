@@ -614,9 +614,25 @@ class TestOutput:
         assert all(len(line.split(",")) == 14 for line in lines[1:])
 
     def test_summary_mentions_each_curve(self):
-        rows = run_sweep(loads_config(SMALL_CONFIG))
-        text = summarize(rows)
-        assert "drfm" in text and "ps" in text
+        """One line per curve, with criterion 7's crossover: the first gain
+        above 1.05 whose next grid point stays above 1.02."""
+        curves = {
+            (JammerModel.AS, 64): (1.013, 0.99, 1.04, 1.0),  # blips, never crosses
+            (JammerModel.DRFM, 64): (1.08, 1.0, 1.06, 1.03),  # a blip, then a crossing
+            (JammerModel.DRFM, 128): (1.0, 1.06, 1.021, 1.2),  # sustained at once
+            (JammerModel.PS, 64): (0.9, 0.95, 1.0, 1.06),  # crosses at the last point
+        }
+        rows = [
+            harness._aggregate(jsr, model, PathTopology.SOURCE_AWARE, ris, [_trial(t_jammed=g)])
+            for (model, ris), gains in curves.items()
+            for jsr, g in zip((-5.0, 0.0, 5.0, 10.0), gains)
+        ]
+        assert summarize(rows[::-1]).splitlines() == [
+            "as    ris=64   no antifragile region (peak gain 1.040)",
+            "drfm  ris=64   crossover at +5.0 dB JSR, peak gain 1.080 at -5.0 dB",
+            "drfm  ris=128  crossover at +0.0 dB JSR, peak gain 1.200 at +10.0 dB",
+            "ps    ris=64   crossover at +10.0 dB JSR, peak gain 1.060 at +10.0 dB",
+        ]
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -298,7 +298,7 @@ class TestTemporalProbe:
 
     @staticmethod
     def _cell(model, tau_hat, seed):
-        return pl._JamFront(
+        return pl._Cell(
             model=model, rng=np.random.default_rng(seed), a_j=2.0 * np.exp(0.3j), snr_j=1.0,
             clamped=False, detected=True, tau_hat=tau_hat,
         )
@@ -596,14 +596,10 @@ class TestIdealOutcome:
         link = pl.draw_link(settings, np.random.default_rng(seed), noise_var)
 
         def ideal(model, jsr):
-            cls = rx.JammerClass(model.value)
-            _, snr_j, clamped = pl._jam_budget(settings, link, jsr, eaves_var)
-            decision, t_j = pl._adapt(settings, link.snr_l, snr_j, cls, fraction)
-            return pl.TrialResult(
-                t_baseline=link.t_baseline, t_jammed=t_j, detected=True, jammer_class=cls,
-                classified_correct=True, tau_err=0.0, scheme=decision.scheme,
-                code_rate=decision.code.rate, payload_fraction=fraction, clamped=clamped,
-            )
+            c = pl._Cell(model, None, *pl._jam_budget(settings, link, jsr, eaves_var),
+                         detected=True, tau_hat=settings.tau,
+                         cls=rx.JammerClass(model.value), fraction=fraction)
+            return pl._result(settings, link, c)
 
         return [[ideal(model, jsr) for jsr in cfg.jsr_grid_db] for model in cfg.jammers]
 
@@ -714,7 +710,7 @@ class TestOnePass:
         models = [JammerModel.PS, JammerModel.AS]
 
         def cells():
-            return [pl._JamFront(
+            return [pl._Cell(
                 model=models[k % 2], rng=np.random.default_rng([43, count, k]),
                 a_j=10.0 ** (k / 8.0) * np.exp(0.4j * k), snr_j=1.0, clamped=False,
                 detected=True, tau_hat=s.tau,
@@ -728,7 +724,8 @@ class TestOnePass:
         for b in balance:
             for threshold in (b, np.nextafter(b, 1.0)):
                 stack = cells()
-                got = pl._stage_two(replace(s, flip_threshold=threshold), scheme, stack)
+                pl._stage_two(replace(s, flip_threshold=threshold), scheme, stack)
+                got = [c.cls for c in stack]
                 want = [rx.JammerClass.PS if bk >= threshold else rx.JammerClass.AS
                         for bk in balance]
                 assert got == want
