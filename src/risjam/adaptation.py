@@ -16,14 +16,11 @@ from .receiver import JammerClass
 from .waveform import DEFAULT_RS_TABLE, ORDERS, Family, ModScheme, RsCode, qam_grid
 
 
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
-
-
 def _q(x):
     """Gaussian tail Q(x) = erfc(x / sqrt(2)) / 2, elementwise."""
     z = np.asarray(x, dtype=float) / np.sqrt(2.0)
-    # a 0-d input gives a Python float, an array input an object array
-    return 0.5 * np.asarray(_ERFC(z), dtype=float)
+    # math.erfc per element, written straight into a float array
+    return 0.5 * np.fromiter(map(math.erfc, z.flat), float, z.size).reshape(z.shape)
 
 
 def snr_jamming(gamma_e: float, gamma_j: float) -> float:
@@ -76,26 +73,30 @@ def effective_ber(
     family: Family,
     order,
     snr_l: float,
-    snr_j: float,
+    snr_j,
 ) -> np.ndarray | float:
     """Post-separation BER when the jam replica is combined with the legit
-    stream, broadcast over `order`; a float for a scalar order.
+    stream, broadcast over `snr_j` and `order`: the result's shape is snr_j's
+    followed by order's, a float when both are scalars.
 
     DRFM replays coherently, so powers add. The AS factor V ~ U[0, 2] scales
     the replica per symbol; the combiner input is limiter-capped at the
     nominal amplitude, so the per-symbol SNR is snr_l + min(v, 1)^2 * snr_j,
     averaged over V by quadrature. PS sign flips are folded out by the
     positive-real ASK constellation, leaving full power. An unclassified
-    jammer contributes nothing.
+    jammer contributes nothing, and the result then has order's shape alone.
     """
+    order = np.asarray(order)
+    # snr_j's axes, then one per order axis, then the quadrature nodes' (or
+    # one SNR's) along the last
+    snr_j = np.reshape(snr_j, np.shape(snr_j) + (1,) * (order.ndim + 1))
     if jammer_class == JammerClass.AS:
         snr, weights = snr_l + _AS_V**2 * snr_j, _AS_W
     elif jammer_class in (None, JammerClass.UNKNOWN):
         snr, weights = snr_l, 1.0
     else:
         snr, weights = snr_l + snr_j, 1.0
-    # orders down the first axis, quadrature nodes (or one SNR) along the last
-    ber = np.sum(weights * ber_awgn(family, np.asarray(order)[..., None], snr), axis=-1)
+    ber = np.sum(weights * ber_awgn(family, order[..., None], snr), axis=-1)
     return float(ber) if ber.ndim == 0 else ber
 
 
@@ -133,39 +134,11 @@ def code_table(fixed_rate: float | None) -> tuple[RsCode, ...]:
     return matches
 
 
-# Calls repeat, a fifth to two fifths of a perfbench sweep's: under pinned
-# SNR the jam-free baseline sees a handful of snr_l values, a cell with no
-# class adapts through the baseline's own entry (its snr_j passed as 0.0,
-# which the no-class curve ignores), and on one link draw the jammers at one
-# JSR share snr_j, as do clamped cells
-@lru_cache(maxsize=256)
-def select_link(
-    jammer_class: JammerClass | None,
-    snr_l: float,
-    snr_j: float,
-    base_family: Family,
-    delta: float,
-    fixed_rate: float | None,
-    max_order: int,
-) -> AdaptationDecision:
-    """Pick the compliant (order, code) pair with the highest spectral
-    efficiency rate*log2(order) within the remapped family; ties go to the
-    higher order. With none compliant, the order-2 decision stands. One
-    `effective_ber` call gives the BER of every order up to `max_order`, and
-    only the winning decision is built.
-
-    With `fixed_rate` set, only that single code is on the table (fixed-rate
-    operating mode); the modulation order still adapts. A pure function of
-    its arguments, memoised: a repeated call returns the same decision.
-    """
-    if delta >= 0:
-        raise ValueError("delta must be negative")
-    family = remap_modulation(jammer_class, base_family)
-    table = code_table(fixed_rate)
-    orders = [order for order in ORDERS if order <= max_order]
-    bers = effective_ber(jammer_class, family, np.array(orders), snr_l, snr_j)
+def _code_rule(family, table, orders, bers, delta) -> AdaptationDecision:
+    """The decision `select_links` makes from each order's BER; only the
+    winning decision is built."""
     picks = []  # (spectral efficiency, order, code) of each order with a code
-    for order, ber in zip(orders, bers.tolist()):
+    for order, ber in zip(orders, bers):
         bits = order.bit_length() - 1
         ser = 1.0 - (1.0 - ber) ** bits  # modulation-symbol error rate
         # the code rule: the highest-rate code whose residual is at most delta
@@ -177,6 +150,59 @@ def select_link(
         return AdaptationDecision(ModScheme(family, orders[0]), table[-1], False)
     _, order, code = max(picks, key=lambda p: p[:2])
     return AdaptationDecision(ModScheme(family, order), code, True)
+
+
+def select_links(
+    jammer_class: JammerClass | None,
+    snr_l: float,
+    snr_js,
+    base_family: Family,
+    delta: float,
+    fixed_rate: float | None,
+    max_order: int,
+) -> list[AdaptationDecision]:
+    """For each jamming SNR in `snr_js`, in order, pick the compliant (order,
+    code) pair with the highest spectral efficiency rate*log2(order) within
+    the remapped family; ties go to the higher order. With none compliant,
+    the order-2 decision stands. One `effective_ber` call gives the BER of
+    every order up to `max_order` at every SNR, and the code rule runs on
+    each SNR's row of Python floats.
+
+    With `fixed_rate` set, only that single code is on the table (fixed-rate
+    operating mode); the modulation order still adapts.
+    """
+    if delta >= 0:
+        raise ValueError("delta must be negative")
+    family = remap_modulation(jammer_class, base_family)
+    table = code_table(fixed_rate)
+    orders = [order for order in ORDERS if order <= max_order]
+    snr_js = np.asarray(snr_js, dtype=float)
+    bers = effective_ber(jammer_class, family, np.array(orders), snr_l, snr_js)
+    # an unclassified jammer's curve ignores snr_j: one row serves them all
+    rows = np.broadcast_to(bers, snr_js.shape + (len(orders),)).tolist()
+    return [_code_rule(family, table, orders, row, delta) for row in rows]
+
+
+# Calls repeat: a sweep asks for the jam-free baseline once per link draw,
+# and under pinned SNR those draws see a handful of snr_l values. Jammed
+# cells adapt through `select_links`, one call per class present in a
+# `run_cells` call, and never reach this memo
+@lru_cache(maxsize=256)
+def select_link(
+    jammer_class: JammerClass | None,
+    snr_l: float,
+    snr_j: float,
+    base_family: Family,
+    delta: float,
+    fixed_rate: float | None,
+    max_order: int,
+) -> AdaptationDecision:
+    """The link choice at one jamming SNR: `select_links` for one SNR. A
+    pure function of its arguments, memoised: a repeated call returns the
+    same decision."""
+    return select_links(
+        jammer_class, snr_l, (snr_j,), base_family, delta, fixed_rate, max_order
+    )[0]
 
 
 def throughput(

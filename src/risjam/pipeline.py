@@ -200,10 +200,10 @@ def _noise(n: int, rng: np.random.Generator) -> np.ndarray:
     # the real parts, then the imaginary parts: the draws, and the bits, of
     # two rng.normal(0, sqrt(0.5), n) calls, written into one buffer
     z = rng.standard_normal((2, n))
+    z *= np.sqrt(0.5)
     out = np.empty(n, dtype=complex)
     out.real = z[0]
     out.imag = z[1]
-    out *= np.sqrt(0.5)
     return out
 
 
@@ -223,15 +223,25 @@ def _block_lost(rx_bytes: np.ndarray, codeword: np.ndarray, code: wf.RsCode) -> 
     return int(np.count_nonzero(rx_bytes != codeword)) > code.t
 
 
-def _replica(model, x, amp, rng, n=None) -> np.ndarray:
+def _replica(model, x, amp, rng, n=None, x_rms=None) -> np.ndarray:
     """Jammer replica of x, scaled to average power |amp|^2 over all of x; the
     first n samples of it (all with n None), which the caller adds at its
-    onset."""
-    shaped = jm.jammer_transform(model, x, rng)
-    rms = np.sqrt(rx.mean_power(shaped))
+    onset.
+
+    DRFM and PS keep every symbol's power, so their replica's RMS is x's own
+    (`x_rms`, when the caller has it) and only the n samples kept are shaped;
+    an AS replica is shaped whole and scaled by its own RMS.
+    """
+    if model == jm.JammerModel.AS:
+        shaped = jm.jammer_transform(model, x, rng)
+        rms = np.sqrt(rx.mean_power(shaped))
+        shaped = shaped[:n]
+    else:
+        shaped = jm.jammer_transform(model, x, rng, n)
+        rms = np.sqrt(rx.mean_power(x)) if x_rms is None else x_rms
     if rms == 0.0:
-        return np.zeros(shaped[:n].size, dtype=complex)
-    return (amp / rms) * shaped[:n]
+        return np.zeros(shaped.size, dtype=complex)
+    return (amp / rms) * shaped
 
 
 def _frame(settings, scheme, n_syms, rng, code=None):
@@ -274,12 +284,13 @@ def _classify(settings, scheme, legit_s, jam_s, nv_l, nv_j) -> rx.JammerClass:
     The pair is compared at its own scale: the similarity ratio of the
     equalized pair is that of the raw pair times sqrt(P_l / P_j), with P_l
     and P_j the streams' noise-debiased powers, so only the jam's pilot span
-    is equalized, for the anomaly count.
+    is equalized, for the anomaly count, and the legit stream's gain is
+    never needed.
     """
     pilot = _pilot(scheme, settings.pilot_len)
     n = min(legit_s.size, jam_s.size)
     legit, jam = legit_s[:n], jam_s[:n]
-    _, p_l = rx.stream_gain(legit, pilot, nv_l)
+    p_l = rx.debiased_power(legit, nv_l)
     g_j, p_j = rx.stream_gain(jam, pilot, nv_j)
     sim = rx.similarity_ratio(jam, legit, nv_l) * np.sqrt(p_l / p_j)
     inversions = rx.pilot_anomaly_fraction(jam[: pilot.size] / g_j, pilot)
@@ -382,26 +393,38 @@ def _defend(settings, link, c) -> None:
         c.cls = _classify(settings, link.base.scheme, *pair)
 
 
-def _adapt(settings, snr_l, snr_j, cls, fraction) -> tuple[ad.AdaptationDecision, float]:
-    """The link choice for defense outcome (cls, fraction) and its throughput; with no
-    class, the jam-free baseline's, at snr_j 0.0 so the call hits its memo entry."""
-    decision = ad.select_link(
-        cls, snr_l, snr_j if cls is not None else 0.0, settings.base_family, settings.delta,
-        settings.fixed_rate, settings.max_order,
-    )
-    return decision, ad.throughput(settings.bandwidth_hz, decision.code, decision.scheme, fraction)
+def _results(settings, link, cells) -> list[TrialResult]:
+    """Each cell's trial result: the link choice its defense outcome sets.
 
-
-def _result(settings, link, c) -> TrialResult:
-    """Cell c's trial result: the link choice its defense outcome sets."""
-    decision, t_j = _adapt(settings, link.snr_l, c.snr_j, c.cls, c.fraction)
-    return TrialResult(
-        t_baseline=link.t_baseline, t_jammed=t_j, detected=c.detected, jammer_class=c.cls,
-        classified_correct=(c.cls == rx.JammerClass(c.model.value)),
-        tau_err=np.nan if c.tau_hat is None else float(abs(c.tau_hat - settings.tau)),
-        scheme=decision.scheme, code_rate=decision.code.rate, payload_fraction=c.fraction,
-        clamped=c.clamped,
-    )
+    The cells of one class adapt together, from one error-curve evaluation
+    over their jamming SNRs. A cell with no class, or an Unknown one, keeps
+    the jam-free baseline's choice: its error curve ignores snr_j and its
+    family stays the base one.
+    """
+    decisions = [link.base] * len(cells)
+    groups = {}
+    for i, c in enumerate(cells):
+        if c.cls not in (None, rx.JammerClass.UNKNOWN):
+            groups.setdefault(c.cls, []).append(i)
+    for cls, members in groups.items():
+        picks = ad.select_links(
+            cls, link.snr_l, [cells[i].snr_j for i in members], settings.base_family,
+            settings.delta, settings.fixed_rate, settings.max_order,
+        )
+        for i, decision in zip(members, picks):
+            decisions[i] = decision
+    return [
+        TrialResult(
+            t_baseline=link.t_baseline,
+            t_jammed=ad.throughput(settings.bandwidth_hz, d.code, d.scheme, c.fraction),
+            detected=c.detected, jammer_class=c.cls,
+            classified_correct=(c.cls == rx.JammerClass(c.model.value)),
+            tau_err=np.nan if c.tau_hat is None else float(abs(c.tau_hat - settings.tau)),
+            scheme=d.scheme, code_rate=d.code.rate, payload_fraction=c.fraction,
+            clamped=c.clamped,
+        )
+        for c, d in zip(cells, decisions)
+    ]
 
 
 def _estimate_delay(settings, x, y, onset) -> int:
@@ -443,7 +466,8 @@ class LinkDraw:
     receiver-normalized units, and under spatial orthogonality `clean_cov` is
     its m x m covariance, which each cell's array covariance starts from.
     `head_power` holds the `rx.power_sums` of antenna 0's samples before the
-    replica onset, the jam-free prefix every cell's onset search shares.
+    replica onset, the jam-free prefix every cell's onset search shares, and
+    `x_rms` the frame's RMS, which every DRFM or PS replica of it keeps.
     `rs_blocks` holds each RS block's payload bit offset and transmitted
     codeword bytes, all that detection compares.
     """
@@ -462,6 +486,7 @@ class LinkDraw:
     clean: np.ndarray
     clean_cov: np.ndarray | None
     head_power: np.ndarray
+    x_rms: float
 
 
 def _legit_channel(settings, rng):
@@ -492,7 +517,11 @@ def draw_link(
     snr_l = p_l / noise_var_watt
 
     # baseline operating point and throughput (jammer silent)
-    base, t_l = _adapt(settings, snr_l, 0.0, None, 1.0)
+    base = ad.select_link(
+        None, snr_l, 0.0, settings.base_family, settings.delta, settings.fixed_rate,
+        settings.max_order,
+    )
+    t_l = ad.throughput(settings.bandwidth_hz, base.code, base.scheme)
 
     # the jammer's eavesdropping and transmit coefficients
     dexp = link.path_loss_exp
@@ -527,7 +556,7 @@ def draw_link(
         p_l=p_l, noise_var_watt=noise_var_watt, snr_l=snr_l, h_in=complex(h_in),
         h_out=complex(h_out), a_l=a_l, base=base, t_baseline=t_l, x=x,
         rs_blocks=tuple(rs_blocks), aoa_l=aoa_l, clean=clean, clean_cov=clean_cov,
-        head_power=head_power,
+        head_power=head_power, x_rms=np.sqrt(rx.mean_power(x)),
     )
 
 
@@ -574,7 +603,7 @@ def _jam_front(settings, link, jsr_db_target, model, rng, eaves_noise_var_watt):
     # replica's span that falls in the frame, [tau, f), added on each antenna
     # by its steering
     f, tau = settings.frame_len, settings.tau
-    jam = _replica(model, link.x, a_j, rng, f - tau)
+    jam = _replica(model, link.x, a_j, rng, f - tau, link.x_rms)
     steer = None
     if link.aoa_l is not None:
         while True:
@@ -643,7 +672,7 @@ def run_cells(
     ps = [c for c in cells if c.cls == rx.JammerClass.PS]
     if ps:
         _stage_two(settings, link.base.scheme, ps)
-    return [_result(settings, link, c) for c in cells]
+    return _results(settings, link, cells)
 
 
 def run_trial(

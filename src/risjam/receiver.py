@@ -370,6 +370,14 @@ def mean_power(s: np.ndarray) -> float:
     return np.add.reduce(p) / p.size
 
 
+def debiased_power(stream: np.ndarray, noise_var: float) -> float:
+    """A separated stream's mean power less its noise variance, floored at a
+    tenth of that variance (1e-30 with none): the floor keeps a near-noise
+    stream from being amplified into a fake signal."""
+    floor = 0.1 * noise_var if noise_var > 0.0 else 1e-30
+    return max(mean_power(stream) - noise_var, floor)
+
+
 def stream_gain(
     stream: np.ndarray,
     pilot_syms: np.ndarray,
@@ -385,9 +393,7 @@ def stream_gain(
     stream = np.asarray(stream, dtype=complex)
     p = np.asarray(pilot_syms, dtype=complex)
     ls = np.vdot(p, stream[: p.size]) / np.vdot(p, p)
-    # the floor keeps a near-noise stream from being amplified into a fake signal
-    floor = 0.1 * noise_var if noise_var > 0.0 else 1e-30
-    power = max(mean_power(stream) - noise_var, floor)
+    power = debiased_power(stream, noise_var)
     return np.sqrt(power) * np.exp(1j * np.angle(ls)), power
 
 

@@ -21,6 +21,7 @@ from risjam.adaptation import (
     remap_modulation,
     residual_symbol_error,
     select_link,
+    select_links,
     ser_awgn,
     snr_jamming,
     throughput,
@@ -220,6 +221,50 @@ class TestAllOrdersAtOnce:
         monkeypatch.setattr(ad, "effective_ber", lambda *a: calls.append(a))
         assert select_link(*args) == first
         assert calls == []
+
+
+class TestBatchedDecisions:
+    """`select_links` adapts a batch of jamming SNRs from one error-curve
+    call, and each of its decisions is the memoised scalar one."""
+
+    SNR_L = 0.05
+    # four points a decade, from below every switch to above it (checked)
+    SNR_JS = np.geomspace(1e-2, 1e9, 45)
+
+    @pytest.mark.parametrize("jammer_class", CLASSES, ids=str)
+    def test_matches_the_scalar_path(self, jammer_class):
+        grid = itertools.product(Family, (None, 0.94, 0.70), (2, 8, 64))
+        for family, fixed_rate, max_order in grid:
+            args = (family, -0.005, fixed_rate, max_order)
+            batch = select_links(jammer_class, self.SNR_L, self.SNR_JS, *args)
+            scalar = [select_link(jammer_class, self.SNR_L, float(j), *args) for j in self.SNR_JS]
+            assert batch == scalar
+            if jammer_class in (None, JammerClass.UNKNOWN):
+                assert set(batch) == {select_link(None, self.SNR_L, 0.0, *args)}
+            else:
+                # the ends take the decisions of no jam and of an unbounded
+                # one: the grid crosses every switch point
+                assert batch[0] == select_link(jammer_class, self.SNR_L, 0.0, *args)
+                assert batch[-1] == select_link(jammer_class, self.SNR_L, 1e15, *args)
+                assert not batch[0].compliant and batch[-1].compliant
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    @pytest.mark.parametrize("jammer_class", CLASSES, ids=str)
+    def test_batched_error_curves_are_the_scalar_ones(self, jammer_class, family):
+        orders = np.array(ORDERS)
+        batch = effective_ber(jammer_class, family, orders, self.SNR_L, self.SNR_JS)
+        # an unclassified jammer's one row stands for every snr_j
+        rows = np.broadcast_to(batch, (self.SNR_JS.size, orders.size))
+        for snr_j, row in zip(self.SNR_JS, rows):
+            one = effective_ber(jammer_class, family, orders, self.SNR_L, float(snr_j))
+            assert row.tobytes() == one.tobytes()
+
+    def test_one_error_curve_call_per_batch(self, monkeypatch):
+        calls = []
+        inner = ad.effective_ber
+        monkeypatch.setattr(ad, "effective_ber", lambda *a: calls.append(a) or inner(*a))
+        select_links(JammerClass.AS, 1.0, self.SNR_JS, Family.QAM, -0.005, None, 64)
+        assert len(calls) == 1
 
 
 class TestRemap:

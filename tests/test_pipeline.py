@@ -12,7 +12,9 @@ import pytest
 
 from scipy.stats import binom
 
+from risjam import adaptation as ad
 from risjam import harness
+from risjam import jammer as jm
 from risjam import pipeline as pl
 from risjam import receiver as rx
 from risjam.adaptation import ber_awgn
@@ -247,6 +249,40 @@ class TestOneEmission:
         # the delay estimate reads its few lags directly, and similarity_ratio
         # correlates through its own transforms
         assert calls == []
+
+
+class TestSharedReplicaPower:
+    """DRFM and PS keep every symbol's power, so a cell scales its replica by
+    the link draw's frame RMS and shapes only the span that lands in the
+    frame; the replica is the one whole-frame replica of before, cut."""
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_front_span_is_the_whole_frame_replica_cut(self, monkeypatch, family):
+        # ASK and QAM frames are not of constant modulus
+        s = _settings(base_family=family, fixed_rate=0.94)
+        f, tau = s.frame_len, s.tau
+        spans, replica = [], pl._replica
+
+        def recorded(*args):
+            spans.append(replica(*args))
+            return spans[-1]
+
+        monkeypatch.setattr(pl, "_replica", recorded)
+        for t in range(3):
+            link = pl.draw_link(s, np.random.default_rng([61, t]), None)
+            assert link.base.scheme.family == family
+            assert link.x_rms == np.sqrt(rx.mean_power(link.x))
+            for k, model in enumerate(JammerModel):
+                rng = np.random.default_rng([61, t, k])
+                ref = copy.deepcopy(rng)
+                spans.clear()
+                pl._jam_front(s, link, 5.0, model, rng, s.eaves_noise_watt)
+                a_j = pl._jam_budget(s, link, 5.0, s.eaves_noise_watt)[0]
+                shaped = jm.jammer_transform(model, link.x, ref)
+                want = (a_j / np.sqrt(rx.mean_power(shaped))) * shaped[: f - tau]
+                assert len(spans) == 1 and spans[0].tobytes() == want.tobytes()
+                # a temporal front draws nothing after its replica
+                assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def _estimate_delay_full(settings, x, y, onset):
@@ -531,8 +567,9 @@ class TestRunCells:
 
 
 class TestSeams:
-    """A cell's power budget draws nothing, and a trial with no class keeps
-    the jam-free baseline through the one adaptation step."""
+    """A cell's power budget draws nothing; the cells of one class adapt
+    from one error-curve call, and a cell with no class, or an Unknown one,
+    keeps the jam-free baseline's choice."""
 
     @pytest.mark.parametrize("model", list(JammerModel), ids=lambda m: m.value)
     def test_budget_is_what_the_front_stores(self, model):
@@ -567,17 +604,69 @@ class TestSeams:
                         )
         assert undetected > 0
 
-    def test_undetected_cells_adapt_from_the_baseline_memo(self):
+    def test_one_error_curve_call_per_class(self, monkeypatch):
+        # adaptive coding: every class's decision depends on its snr_j
+        s = _settings()
+        jsrs = (-10.0, -5.0, 0.0, 2.5, 5.0, 7.5, 10.0, 15.0, 20.0)
+        present = set()
+        for t in range(3):
+            link = pl.draw_link(s, np.random.default_rng([14, t]), None)
+            for ji, model in enumerate(JammerModel):
+                cells = [(jsr, model, np.random.default_rng([14, t, ji, k]))
+                         for k, jsr in enumerate(jsrs)]
+                calls = _count_calls(monkeypatch, ad, "effective_ber")
+                results = pl.run_cells(s, cells, s.eaves_noise_watt, link)
+                classes = {r.jammer_class for r in results} - {None, rx.JammerClass.UNKNOWN}
+                assert sorted(c[0] for c in calls) == sorted(classes)
+                present |= classes
+                monkeypatch.undo()
+                # each decision is the memoised scalar one
+                for jsr, r in zip(jsrs, results):
+                    snr_j = pl._jam_budget(s, link, jsr, s.eaves_noise_watt)[1]
+                    want = ad.select_link(
+                        r.jammer_class, link.snr_l, snr_j if r.jammer_class else 0.0,
+                        s.base_family, s.delta, s.fixed_rate, s.max_order,
+                    )
+                    assert (r.scheme, r.code_rate) == (want.scheme, want.code.rate)
+        assert len(present) > 1
+
+    def test_unknown_and_unclassified_cells_keep_the_baseline(self, monkeypatch):
+        s = _settings()
+        link = pl.draw_link(s, np.random.default_rng([15, 0]), None)
+        calls = _count_calls(monkeypatch, ad, "effective_ber")
+        cells = [
+            pl._Cell(model, None, *pl._jam_budget(s, link, jsr, s.eaves_noise_watt),
+                     detected=True, tau_hat=s.tau, cls=cls, fraction=fraction)
+            for model in JammerModel for jsr in (0.0, 20.0)
+            for cls, fraction in ((rx.JammerClass.UNKNOWN, 0.5), (None, 1.0))
+        ]
+        results = pl._results(s, link, cells)
+        assert calls == []
+        for c, r in zip(cells, results):
+            assert c.snr_j > 0.0
+            assert (r.scheme, r.code_rate) == (link.base.scheme, link.base.code.rate)
+            # the scalar rule with the cell's own snr_j decides the same
+            scalar = ad.select_link(c.cls, link.snr_l, c.snr_j, s.base_family, s.delta,
+                                    s.fixed_rate, s.max_order)
+            assert scalar == link.base
+            assert r.t_jammed == ad.throughput(s.bandwidth_hz, scalar.code, scalar.scheme,
+                                               c.fraction)
+
+    def test_undetected_cells_adapt_from_the_baseline_memo(self, monkeypatch):
         # no RS-rule flags at a fixed rate, and a power-jump gate a -30 dB
         # replica cannot open
         s = _settings(fixed_rate=0.94, peak_significance=0.9)
         link = pl.draw_link(s, np.random.default_rng([13, 0]), None)
         cells = [(-30.0, model, np.random.default_rng([13, k])) for k, model in
                  enumerate(list(JammerModel) * 3)]
-        misses = pl.ad.select_link.cache_info().misses
+        # the baseline's memoised decision, with no adaptation call at all
+        calls = [_count_calls(monkeypatch, ad, name) for name in ("select_link", "effective_ber")]
         results = pl.run_cells(s, cells, s.eaves_noise_watt, link)
         assert not any(r.detected for r in results)
-        assert pl.ad.select_link.cache_info().misses == misses
+        assert calls == [[], []]
+        assert {(r.scheme, r.code_rate) for r in results} == {
+            (link.base.scheme, link.base.code.rate)
+        }
 
 
 class TestIdealOutcome:
@@ -599,7 +688,7 @@ class TestIdealOutcome:
             c = pl._Cell(model, None, *pl._jam_budget(settings, link, jsr, eaves_var),
                          detected=True, tau_hat=settings.tau,
                          cls=rx.JammerClass(model.value), fraction=fraction)
-            return pl._result(settings, link, c)
+            return pl._results(settings, link, [c])[0]
 
         return [[ideal(model, jsr) for jsr in cfg.jsr_grid_db] for model in cfg.jammers]
 
