@@ -183,11 +183,6 @@ def select_links(
     return [_code_rule(family, table, orders, row, delta) for row in rows]
 
 
-# Calls repeat: a sweep asks for the jam-free baseline once per link draw,
-# and under pinned SNR those draws see a handful of snr_l values. Jammed
-# cells adapt through `select_links`, one call per class present in a
-# `run_cells` call, and never reach this memo
-@lru_cache(maxsize=256)
 def select_link(
     jammer_class: JammerClass | None,
     snr_l: float,
@@ -197,9 +192,7 @@ def select_link(
     fixed_rate: float | None,
     max_order: int,
 ) -> AdaptationDecision:
-    """The link choice at one jamming SNR: `select_links` for one SNR. A
-    pure function of its arguments, memoised: a repeated call returns the
-    same decision."""
+    """The link choice at one jamming SNR: `select_links` for one SNR."""
     return select_links(
         jammer_class, snr_l, (snr_j,), base_family, delta, fixed_rate, max_order
     )[0]

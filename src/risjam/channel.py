@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import get_args, get_origin, get_type_hints
@@ -23,46 +23,42 @@ class ConfigError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _typed_fields(cls) -> tuple:
-    """(name, is a tuple, rule) of each Enum or int field of the dataclass
-    cls, a tuple of either or an optional one, resolved once. An Enum's rule
-    is {lower-case value: member}; an int's is the types its value may have:
-    an integer of any kind (numpy's too), or None where the field allows it."""
-    out = []
+def field_types(cls) -> dict:
+    """name -> (entry type, is a tuple, may be None) of each field of the
+    settings dataclass cls, read from its annotations once: a tuple's entry
+    type, an optional's type, or the annotation itself."""
+    table = {}
     for name, hint in get_type_hints(cls).items():
         args = get_args(hint)
-        item = args[0] if args else hint  # a tuple's entry, an optional's type
-        many = get_origin(hint) is tuple
-        if item is int:
-            out.append((name, many, (numbers.Integral, type(None)) if type(None) in args
-                        else numbers.Integral))
-        elif isinstance(item, type) and issubclass(item, Enum):
-            out.append((name, many, {m.value.lower(): m for m in item}))
-    return tuple(out)
+        table[name] = (args[0] if args else hint, get_origin(hint) is tuple, type(None) in args)
+    return table
 
 
 def check_fields(settings) -> None:
     """The field rule of every settings dataclass: store each Enum-annotated
     field of `settings`, or each entry of a tuple of one, as the member its
     text names in any case; raise ConfigError for text naming no member, for
-    an int field or entry that holds no integer, and for a float field, or a
-    float in a tuple field, that is nan or infinite."""
-    for name, many, rule in _typed_fields(type(settings)):
+    an int field or entry that holds no integer, and for a float in any field,
+    or in a tuple in any field, that is nan or infinite."""
+    for name, (kind, many, optional) in field_types(type(settings)).items():
         value = getattr(settings, name)
         entries = value if many else (value,)
-        if not isinstance(rule, dict):
-            if not all(isinstance(v, rule) for v in entries):
+        if kind is int:
+            if not all(isinstance(v, numbers.Integral) or (optional and v is None)
+                       for v in entries):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-            continue
-        found = tuple(rule.get(v.lower()) if isinstance(v, str) else None for v in entries)
-        if None in found:
-            raise ConfigError(f"{name} must be one of {', '.join(rule)}, got {value!r}")
-        object.__setattr__(settings, name, found if many else found[0])
-    for f in fields(settings):
-        value = getattr(settings, f.name)
-        for v in value if isinstance(value, tuple) else (value,):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+        elif issubclass(kind, Enum):
+            # every member's value is lower case, so text in any case finds it
+            try:
+                found = tuple(kind(v.lower() if isinstance(v, str) else None) for v in entries)
+            except ValueError:
+                texts = ", ".join(m.value for m in kind)
+                raise ConfigError(f"{name} must be one of {texts}, got {value!r}") from None
+            object.__setattr__(settings, name, found if many else found[0])
+        else:
+            for v in value if isinstance(value, tuple) else entries:
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

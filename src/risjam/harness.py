@@ -21,7 +21,6 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -103,9 +102,9 @@ def _fields(section, cls, *names):
     return {(section, name): (cls, name) for name in names}
 
 
-# (INI section, key) -> (dataclass, field). The field's annotation gives the
-# key's type and its default applies when the key is absent; a key not in
-# this table is rejected.
+# (INI section, key) -> (dataclass, field). The field's row of
+# `channel.field_types` gives the key's type and its default applies when
+# the key is absent; a key not in this table is rejected.
 _SCHEMA = {
     **_fields("sweep", ExperimentConfig, "jammers", "ris_sizes", "trials", "seed", "jobs"),
     ("sweep", "jsr_db"): (ExperimentConfig, "jsr_grid_db"),
@@ -145,23 +144,21 @@ def _parse_list(raw: str, cast):
     return tuple(cast(p.strip()) for p in raw.split(",") if p.strip())
 
 
-def _caster(hint):
-    """Parser from INI text to a value of the annotated field type."""
-    if get_origin(hint) is tuple:
-        item = get_args(hint)[0]
-        # an int entry may be written 1e3 or 64.0, but must be integral:
-        # int() of the text rejects 16.7
-        cast = (
-            (lambda v: int(float(v)) if float(v).is_integer() else int(v))
-            if item is int else _caster(item)
-        )
-        return lambda raw: _parse_list(raw, cast)
-    optional = [a for a in get_args(hint) if a is not type(None)]
-    if optional:  # `T | None`: empty text means None
-        cast = _caster(optional[0])
-        return lambda raw: cast(raw) if raw.strip() else None
-    # Enum text goes through as it is: the field rule matches it to a member
-    return str if issubclass(hint, Enum) else hint
+def _int_entry(text: str) -> int:
+    """An int list entry: it may be written 1e3 or 64.0, but must be
+    integral (int() of the text rejects 16.7)."""
+    return int(float(text)) if float(text).is_integer() else int(text)
+
+
+def _parse(raw: str, kind, many: bool, optional: bool):
+    """A field's value from its INI text, by the field's row of
+    `field_types`: a list for a tuple, None for empty text where None is
+    allowed."""
+    if issubclass(kind, Enum):
+        kind = str  # the text as it is: the field rule matches it to a member
+    if many:
+        return _parse_list(raw, _int_entry if kind is int else kind)
+    return None if optional and not raw.strip() else kind(raw)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -187,7 +184,6 @@ def loads_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"bad config: {exc}") from exc
     values = {cls: {} for cls, _ in _SCHEMA.values()}
-    hints = {cls: get_type_hints(cls) for cls in values}
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
@@ -196,7 +192,7 @@ def loads_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
             cls, name = _SCHEMA[section, key]
             try:
-                values[cls][name] = _caster(hints[cls][name])(raw)
+                values[cls][name] = _parse(raw, *ch.field_types(cls)[name])
             except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
@@ -228,10 +224,7 @@ def calibrate_noise(cfg: ExperimentConfig) -> tuple[float | None, float]:
     if s.snr_mode == pl.SnrMode.PINNED:
         return None, s.eaves_noise_watt
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(_CAL_KEY,)))
-    powers = []
-    for _ in range(CALIBRATION_DRAWS):
-        _, _, h_l, _ = pl._legit_channel(s, rng)
-        powers.append(s.tx_watt * abs(h_l) ** 2)
+    powers = [pl._legit_channel(s, rng)[-1] for _ in range(CALIBRATION_DRAWS)]
     return float(np.mean(powers)) / s.baseline_snr, s.eaves_noise_watt
 
 

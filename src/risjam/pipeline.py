@@ -226,19 +226,17 @@ def _block_lost(rx_bytes: np.ndarray, codeword: np.ndarray, code: wf.RsCode) -> 
 def _replica(model, x, amp, rng, n=None, x_rms=None) -> np.ndarray:
     """Jammer replica of x, scaled to average power |amp|^2 over all of x; the
     first n samples of it (all with n None), which the caller adds at its
-    onset.
+    onset. x is shaped whole for any n, so n changes no draw.
 
     DRFM and PS keep every symbol's power, so their replica's RMS is x's own
-    (`x_rms`, when the caller has it) and only the n samples kept are shaped;
-    an AS replica is shaped whole and scaled by its own RMS.
+    (`x_rms`, when the caller has it); an AS replica is scaled by its own RMS.
     """
+    shaped = jm.jammer_transform(model, x, rng)
     if model == jm.JammerModel.AS:
-        shaped = jm.jammer_transform(model, x, rng)
         rms = np.sqrt(rx.mean_power(shaped))
-        shaped = shaped[:n]
     else:
-        shaped = jm.jammer_transform(model, x, rng, n)
         rms = np.sqrt(rx.mean_power(x)) if x_rms is None else x_rms
+    shaped = shaped[:n]
     if rms == 0.0:
         return np.zeros(shaped.size, dtype=complex)
     return (amp / rms) * shaped
@@ -490,9 +488,11 @@ class LinkDraw:
 
 
 def _legit_channel(settings, rng):
-    """A channel draw and its legit hop: (realization, aligned phases, h_l, u)."""
+    """A channel draw and its legit hop: (realization, aligned phases, h_l, u,
+    received legit power tx_watt * |h_l|^2)."""
     real = ch.sample_realization(settings.link, settings.rician, rng, settings.eaves_corr)
-    return (real, *ch.aligned_cascade(real.h_sr, real.h_rd, _corr_cached(settings.link)))
+    phi, h_l, u = ch.aligned_cascade(real.h_sr, real.h_rd, _corr_cached(settings.link))
+    return real, phi, h_l, u, settings.tx_watt * abs(h_l) ** 2
 
 
 def draw_link(
@@ -510,8 +510,7 @@ def draw_link(
             "floor calibrate_noise returns for a faded config; got None"
         )
     link = settings.link
-    real, phi, h_l, u = _legit_channel(settings, rng)
-    p_l = settings.tx_watt * abs(h_l) ** 2
+    real, phi, h_l, u, p_l = _legit_channel(settings, rng)
     if settings.snr_mode == SnrMode.PINNED:
         noise_var_watt = p_l / settings.baseline_snr
     snr_l = p_l / noise_var_watt

@@ -207,25 +207,13 @@ class TestAllOrdersAtOnce:
                 calls[_name] += 1
                 return _f(*args)
             monkeypatch.setattr(ad, name, counted)
-        # an earlier test may have memoised this very decision
-        select_link.cache_clear()
         select_link(jammer_class, 10.0, 10.0, Family.QAM, -0.005, None, 64)
         assert calls == {"_q": 1, "effective_ber": 1}
-
-    def test_repeated_decision_is_memoised(self, monkeypatch):
-        args = (JammerClass.AS, 3.7, 0.42, Family.PSK, -0.005, None, 32)
-        select_link.cache_clear()
-        first = select_link(*args)
-        assert first == _select_link_per_order(*args)
-        calls = []
-        monkeypatch.setattr(ad, "effective_ber", lambda *a: calls.append(a))
-        assert select_link(*args) == first
-        assert calls == []
 
 
 class TestBatchedDecisions:
     """`select_links` adapts a batch of jamming SNRs from one error-curve
-    call, and each of its decisions is the memoised scalar one."""
+    call, and each of its decisions is the scalar one."""
 
     SNR_L = 0.05
     # four points a decade, from below every switch to above it (checked)

@@ -8,12 +8,12 @@ import re
 from dataclasses import replace
 from enum import Enum
 from functools import lru_cache
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
 
 import risjam
+from risjam import channel as ch
 from risjam import harness
 from risjam import pipeline as pl
 from risjam.harness import (
@@ -89,6 +89,47 @@ NON_DEFAULT = {
     ("adaptation", "fixed_rate"): "0.94",
     ("adaptation", "max_order"): "16",
     ("adaptation", "base_family"): "ask",
+}
+
+
+# NON_DEFAULT's values as a setting built in code holds them
+IN_CODE = {
+    ("sweep", "jammers"): (JammerModel.PS,),
+    ("sweep", "topology"): PathTopology.RIS_AWARE,
+    ("sweep", "orthogonality"): OrthogonalityMode.SPATIAL,
+    ("sweep", "ris_sizes"): (32,),
+    ("sweep", "jsr_db"): (0.0, 5.0),
+    ("sweep", "trials"): 7,
+    ("sweep", "seed"): 5,
+    ("sweep", "jobs"): 2,
+    ("link", "d_sr"): 10.0,
+    ("link", "d_rd"): 5.0,
+    ("link", "path_loss_exp"): 2.0,
+    ("link", "corr_rate"): 0.1,
+    ("link", "rician_k"): 1.5,
+    ("link", "path_count"): 2,
+    ("link", "baseline_snr_db"): 9.0,
+    ("link", "snr_mode"): SnrMode.FADED,
+    ("link", "tx_power_dbm"): 25.0,
+    ("link", "bandwidth_hz"): 2.0,
+    ("jammer", "power_cap_dbm"): 30.0,
+    ("jammer", "delay"): 100,
+    ("jammer", "eavesdrop_snr_db"): 20.0,
+    ("jammer", "eaves_corr"): 0.2,
+    ("jammer", "d_e1"): 20.0,
+    ("jammer", "d_j1"): 5.0,
+    ("jammer", "d_j2"): 5.0,
+    ("receiver", "frame_len"): 2048,
+    ("receiver", "pilot_len"): 32,
+    ("receiver", "antennas"): 4,
+    ("receiver", "sim_threshold"): 0.9,
+    ("receiver", "inversion_threshold"): 0.3,
+    ("receiver", "peak_significance"): 0.2,
+    ("receiver", "flip_threshold"): 0.45,
+    ("adaptation", "delta"): -0.01,
+    ("adaptation", "fixed_rate"): 0.94,
+    ("adaptation", "max_order"): 16,
+    ("adaptation", "base_family"): Family.ASK,
 }
 
 
@@ -261,34 +302,33 @@ def _label_free_csv(text: str) -> str:
     )
 
 
-def _enum_of(hint):
-    """The Enum a field's annotation names, alone or as a tuple's entries, or None."""
-    item = get_args(hint)[0] if get_origin(hint) is tuple else hint
-    return item if isinstance(item, type) and issubclass(item, Enum) else None
-
-
 def _enum_keys():
     """Schema keys whose type is an Enum or a tuple of one, with that Enum."""
     for key, (cls, name) in _SCHEMA.items():
-        if enum_cls := _enum_of(get_type_hints(cls)[name]):
-            yield key, enum_cls
+        kind = ch.field_types(cls)[name][0]
+        if issubclass(kind, Enum):
+            yield key, kind
 
 
 def _enum_fields():
     """(dataclass, field, Enum, is a tuple) of each field of the sweep's
-    settings annotated with an Enum or a tuple of one, read from the
-    annotations."""
+    settings whose entry type is an Enum, read from the field-type table."""
     for cls in (pl.TrialSettings, ExperimentConfig):
-        for name, hint in get_type_hints(cls).items():
-            if enum_cls := _enum_of(hint):
-                yield pytest.param(cls, name, enum_cls, enum_cls is not hint, id=name)
+        for name, (kind, many, _) in ch.field_types(cls).items():
+            if issubclass(kind, Enum):
+                yield pytest.param(cls, name, kind, many, id=name)
 
 
 def _with(cls, name, value):
-    """The default sweep config with one field of `cls` set to value in code."""
+    """The default sweep config with field `name` of its `cls` part set to
+    value in code."""
     if cls is ExperimentConfig:
         return ExperimentConfig(**{name: value})
-    return ExperimentConfig(settings=replace(ExperimentConfig().settings, **{name: value}))
+    settings = ExperimentConfig().settings
+    if cls is not pl.TrialSettings:
+        part = "link" if cls is ch.RisLinkConfig else "rician"
+        name, value = part, replace(getattr(settings, part), **{name: value})
+    return ExperimentConfig(settings=replace(settings, **{name: value}))
 
 
 class TestEnumFieldRule:
@@ -313,6 +353,49 @@ class TestEnumFieldRule:
                 rng = np.random.default_rng(5)
                 r = pl.run_trial(settings, 10.0, cfg.jammers[0], rng, *calibrate_noise(cfg))
                 assert str(r.scheme)
+
+
+def _stored(cfg, cls, name):
+    """The value a config holds in field `name` of its `cls` part."""
+    part = {
+        ExperimentConfig: cfg, pl.TrialSettings: cfg.settings,
+        ch.RisLinkConfig: cfg.settings.link, ch.RicianParams: cfg.settings.rician,
+    }[cls]
+    return getattr(part, name)
+
+
+class TestSharedFieldTable:
+    """The INI loader parses each key by the field-type table the field rule
+    reads: every loaded value, or each entry of a loaded tuple, has its
+    field's declared entry type, and the loaded config is the one built in
+    code."""
+
+    @pytest.mark.parametrize("key", list(_SCHEMA), ids="_".join)
+    def test_loaded_value_has_the_declared_type(self, key):
+        cls, name = _SCHEMA[key]
+        kind, many, _ = ch.field_types(cls)[name]
+        cfg = loads_config(_ini({key: NON_DEFAULT[key]}))
+        value, want = _stored(cfg, cls, name), IN_CODE[key]
+        assert all(type(v) is kind for v in (value if many else (value,)))
+        assert value == want and type(value) is type(want)
+        assert cfg == _with(cls, name, want)
+
+    def test_declared_types(self):
+        assert set(IN_CODE) == set(_SCHEMA)
+        cfg = loads_config("[sweep]\nris_sizes = 16.0, 3.2e1\n[link]\nd_sr = 10\n")
+        assert cfg.ris_sizes == (16, 32) and all(type(v) is int for v in cfg.ris_sizes)
+        assert type(cfg.settings.link.d_sr) is float and cfg.settings.link.d_sr == 10.0
+        cfg = loads_config("[sweep]\njammers = PS, as\n[adaptation]\nbase_family = QAM\n")
+        assert cfg.jammers == (JammerModel.PS, JammerModel.AS)
+        assert cfg.settings.base_family is Family.QAM
+
+    @pytest.mark.parametrize("key", [k for k, (cls, name) in _SCHEMA.items()
+                                     if ch.field_types(cls)[name][2]], ids="_".join)
+    def test_empty_optional_loads_as_none(self, key):
+        cls, name = _SCHEMA[key]
+        cfg = loads_config(_ini({key: ""}))
+        assert _stored(cfg, cls, name) is None
+        assert cfg == _with(cls, name, None)
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")

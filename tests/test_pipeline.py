@@ -620,7 +620,7 @@ class TestSeams:
                 assert sorted(c[0] for c in calls) == sorted(classes)
                 present |= classes
                 monkeypatch.undo()
-                # each decision is the memoised scalar one
+                # each decision is the scalar one
                 for jsr, r in zip(jsrs, results):
                     snr_j = pl._jam_budget(s, link, jsr, s.eaves_noise_watt)[1]
                     want = ad.select_link(
@@ -659,7 +659,7 @@ class TestSeams:
         link = pl.draw_link(s, np.random.default_rng([13, 0]), None)
         cells = [(-30.0, model, np.random.default_rng([13, k])) for k, model in
                  enumerate(list(JammerModel) * 3)]
-        # the baseline's memoised decision, with no adaptation call at all
+        # the link draw's baseline decision, with no adaptation call at all
         calls = [_count_calls(monkeypatch, ad, name) for name in ("select_link", "effective_ber")]
         results = pl.run_cells(s, cells, s.eaves_noise_watt, link)
         assert not any(r.detected for r in results)
