@@ -122,18 +122,6 @@ class PhaseMatrix:
         return np.exp(1j * self.phases)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One Monte Carlo draw of every fading vector/scalar in the topology."""
-
-    h_sr: np.ndarray
-    h_rd: np.ndarray
-    h_rj: np.ndarray
-    h_e1: complex
-    h_j1: complex
-    h_j2: complex
-
-
 def path_loss(d: float, delta: float) -> float:
     """Linear power attenuation d**(-delta), a positive finite float."""
     if d <= 0:
@@ -192,34 +180,27 @@ def _rayleigh_vector(m: int, amp_scale: float, rng: np.random.Generator) -> np.n
 
 
 def sample_realization(
-    cfg: RisLinkConfig,
-    jp: RicianParams,
-    rng: np.random.Generator,
-    eaves_corr: float,
-) -> ChannelRealization:
-    """Draw all fading vectors for one trial.
+    cfg: RisLinkConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the legit hop's fading vectors (h_sr, h_rd) for one trial."""
+    m, delta = cfg.element_count, cfg.path_loss_exp
+    h_sr = _rayleigh_vector(m, np.sqrt(path_loss(cfg.d_sr, delta)), rng)
+    h_rd = _rayleigh_vector(m, np.sqrt(path_loss(cfg.d_rd, delta)), rng)
+    return h_sr, h_rd
 
-    The RIS->jammer vector has the RIS->destination path loss, and
-    `eaves_corr` in [0, 1] correlates the two vectors (a jammer sitting next
+
+def sample_ris_jammer(
+    cfg: RisLinkConfig, h_rd: np.ndarray, eaves_corr: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw the RIS->jammer vector h_rj = sqrt(c) h_rd + sqrt(1 - c) h_ind.
+
+    Its independent part h_ind has the RIS->destination path loss, and
+    `eaves_corr` c in [0, 1] correlates it with h_rd (a jammer sitting next
     to the destination sees nearly the same reflected beam).
     """
-    m = cfg.element_count
-    delta = cfg.path_loss_exp
-    a_sr = np.sqrt(path_loss(cfg.d_sr, delta))
-    a_rd = np.sqrt(path_loss(cfg.d_rd, delta))
-
-    h_sr = _rayleigh_vector(m, a_sr, rng)
-    h_rd = _rayleigh_vector(m, a_rd, rng)
-    h_rj_ind = _rayleigh_vector(m, a_rd, rng)
-
-    return ChannelRealization(
-        h_sr=h_sr,
-        h_rd=h_rd,
-        h_rj=np.sqrt(eaves_corr) * h_rd + np.sqrt(1 - eaves_corr) * h_rj_ind,
-        h_e1=sample_rician(jp, rng),
-        h_j1=sample_rician(jp, rng),
-        h_j2=sample_rician(jp, rng),
-    )
+    a_rd = np.sqrt(path_loss(cfg.d_rd, cfg.path_loss_exp))
+    h_ind = _rayleigh_vector(cfg.element_count, a_rd, rng)
+    return np.sqrt(eaves_corr) * h_rd + np.sqrt(1 - eaves_corr) * h_ind
 
 
 def _project(h_in, h_out, corr: CorrelationMatrix) -> tuple[np.ndarray, np.ndarray]:

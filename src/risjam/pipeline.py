@@ -223,23 +223,15 @@ def _block_lost(rx_bytes: np.ndarray, codeword: np.ndarray, code: wf.RsCode) -> 
     return int(np.count_nonzero(rx_bytes != codeword)) > code.t
 
 
-def _replica(model, x, amp, rng, n=None, x_rms=None) -> np.ndarray:
-    """Jammer replica of x, scaled to average power |amp|^2 over all of x; the
-    first n samples of it (all with n None), which the caller adds at its
-    onset. x is shaped whole for any n, so n changes no draw.
-
-    DRFM and PS keep every symbol's power, so their replica's RMS is x's own
-    (`x_rms`, when the caller has it); an AS replica is scaled by its own RMS.
-    """
+def _replica(model, x, amp, rng) -> np.ndarray:
+    """Jammer replica of x, scaled to mean power |amp|^2 over x. The caller
+    passes the samples that land, so the JSR is the replica's power over
+    them."""
     shaped = jm.jammer_transform(model, x, rng)
-    if model == jm.JammerModel.AS:
-        rms = np.sqrt(rx.mean_power(shaped))
-    else:
-        rms = np.sqrt(rx.mean_power(x)) if x_rms is None else x_rms
-    shaped = shaped[:n]
-    if rms == 0.0:
+    power = rx.mean_power(shaped)
+    if power == 0.0:
         return np.zeros(shaped.size, dtype=complex)
-    return (amp / rms) * shaped
+    return (amp / np.sqrt(power)) * shaped
 
 
 def _frame(settings, scheme, n_syms, rng, code=None):
@@ -457,15 +449,14 @@ class LinkDraw:
     """The jam-free part of a trial, drawn once per (RIS size, trial) and
     shared by every (jammer, JSR) cell run on it.
 
-    Holds the channel products the jam phase reads (the realization and the
+    Holds the channel products the jam phase reads (the fading draws and the
     phase alignment are consumed in `draw_link`), the baseline operating
     point, the transmitted frame and the received snapshot without the
     jammer: `clean` is the m x f legit signal plus receiver noise, in
     receiver-normalized units, and under spatial orthogonality `clean_cov` is
     its m x m covariance, which each cell's array covariance starts from.
     `head_power` holds the `rx.power_sums` of antenna 0's samples before the
-    replica onset, the jam-free prefix every cell's onset search shares, and
-    `x_rms` the frame's RMS, which every DRFM or PS replica of it keeps.
+    replica onset, the jam-free prefix every cell's onset search shares.
     `rs_blocks` holds each RS block's payload bit offset and transmitted
     codeword bytes, all that detection compares.
     """
@@ -484,15 +475,14 @@ class LinkDraw:
     clean: np.ndarray
     clean_cov: np.ndarray | None
     head_power: np.ndarray
-    x_rms: float
 
 
 def _legit_channel(settings, rng):
-    """A channel draw and its legit hop: (realization, aligned phases, h_l, u,
-    received legit power tx_watt * |h_l|^2)."""
-    real = ch.sample_realization(settings.link, settings.rician, rng, settings.eaves_corr)
-    phi, h_l, u = ch.aligned_cascade(real.h_sr, real.h_rd, _corr_cached(settings.link))
-    return real, phi, h_l, u, settings.tx_watt * abs(h_l) ** 2
+    """A draw of the legit hop: (h_rd, aligned phases, h_l, u, received legit
+    power tx_watt * |h_l|^2)."""
+    h_sr, h_rd = ch.sample_realization(settings.link, rng)
+    phi, h_l, u = ch.aligned_cascade(h_sr, h_rd, _corr_cached(settings.link))
+    return h_rd, phi, h_l, u, settings.tx_watt * abs(h_l) ** 2
 
 
 def draw_link(
@@ -510,7 +500,7 @@ def draw_link(
             "floor calibrate_noise returns for a faded config; got None"
         )
     link = settings.link
-    real, phi, h_l, u, p_l = _legit_channel(settings, rng)
+    h_rd, phi, h_l, u, p_l = _legit_channel(settings, rng)
     if settings.snr_mode == SnrMode.PINNED:
         noise_var_watt = p_l / settings.baseline_snr
     snr_l = p_l / noise_var_watt
@@ -522,15 +512,17 @@ def draw_link(
     )
     t_l = ad.throughput(settings.bandwidth_hz, base.code, base.scheme)
 
-    # the jammer's eavesdropping and transmit coefficients
+    # the jammer's eavesdropping and transmit coefficients, drawn for its
+    # topology alone
     dexp = link.path_loss_exp
     if settings.topology == jm.PathTopology.SOURCE_AWARE:
-        h_in = real.h_e1 * np.sqrt(ch.path_loss(settings.d_e1, dexp))
-        h_out = real.h_j1 * np.sqrt(ch.path_loss(settings.d_j1, dexp))
+        h_in = ch.sample_rician(settings.rician, rng) * np.sqrt(ch.path_loss(settings.d_e1, dexp))
+        h_out = ch.sample_rician(settings.rician, rng) * np.sqrt(ch.path_loss(settings.d_j1, dexp))
     else:
         # the jammer eavesdrops through the RIS under the legit link's phases
-        h_in = ch.cascade(u, _corr_cached(link).sqrt_form @ real.h_rj, phi)
-        h_out = real.h_j2 * np.sqrt(ch.path_loss(settings.d_j2, dexp))
+        h_rj = ch.sample_ris_jammer(link, h_rd, settings.eaves_corr, rng)
+        h_in = ch.cascade(u, _corr_cached(link).sqrt_form @ h_rj, phi)
+        h_out = ch.sample_rician(settings.rician, rng) * np.sqrt(ch.path_loss(settings.d_j2, dexp))
 
     # one frame, received on the whole array under spatial orthogonality,
     # else on one antenna (a steering vector of ones)
@@ -555,7 +547,7 @@ def draw_link(
         p_l=p_l, noise_var_watt=noise_var_watt, snr_l=snr_l, h_in=complex(h_in),
         h_out=complex(h_out), a_l=a_l, base=base, t_baseline=t_l, x=x,
         rs_blocks=tuple(rs_blocks), aoa_l=aoa_l, clean=clean, clean_cov=clean_cov,
-        head_power=head_power, x_rms=np.sqrt(rx.mean_power(x)),
+        head_power=head_power,
     )
 
 
@@ -599,10 +591,10 @@ def _jam_front(settings, link, jsr_db_target, model, rng, eaves_noise_var_watt):
     detection and delay estimate."""
     a_j, snr_j, clamped = _jam_budget(settings, link, jsr_db_target, eaves_noise_var_watt)
     # normalized-unit waveform pass (unit receiver noise variance): the
-    # replica's span that falls in the frame, [tau, f), added on each antenna
-    # by its steering
+    # replica of the f - tau symbols that land in the frame, at [tau, f),
+    # added on each antenna by its steering
     f, tau = settings.frame_len, settings.tau
-    jam = _replica(model, link.x, a_j, rng, f - tau, link.x_rms)
+    jam = _replica(model, link.x[: f - tau], a_j, rng)
     steer = None
     if link.aoa_l is not None:
         while True:

@@ -18,6 +18,7 @@ from risjam.channel import (
     path_loss,
     _rayleigh_vector,
     sample_realization,
+    sample_ris_jammer,
     sample_rician,
 )
 
@@ -201,15 +202,11 @@ class TestRealization:
     def test_shapes_and_scales(self):
         rng = np.random.default_rng(5)
         cfg = RisLinkConfig(element_count=64)
-        real = sample_realization(cfg, RicianParams(), rng, 0.0)
-        assert real.h_sr.shape == (64,)
-        assert real.h_rd.shape == (64,)
-        assert real.h_rj.shape == (64,)
+        h_sr, h_rd = sample_realization(cfg, rng)
+        assert h_sr.shape == h_rd.shape == (64,)
+        assert sample_ris_jammer(cfg, h_rd, 0.0, rng).shape == (64,)
         mean_sr = np.mean(
-            [
-                np.mean(np.abs(sample_realization(cfg, RicianParams(), rng, 0.0).h_sr) ** 2)
-                for _ in range(200)
-            ]
+            [np.mean(np.abs(sample_realization(cfg, rng)[0]) ** 2) for _ in range(200)]
         )
         assert mean_sr == pytest.approx(path_loss(18.0, 2.7), rel=0.1)
 
@@ -218,24 +215,23 @@ class TestRealization:
         cfg = RisLinkConfig(element_count=256)
         rho_est = []
         for _ in range(50):
-            real = sample_realization(cfg, RicianParams(), rng, 0.9)
-            a = real.h_rd / np.sqrt(np.mean(np.abs(real.h_rd) ** 2))
-            b = real.h_rj / np.sqrt(np.mean(np.abs(real.h_rj) ** 2))
+            h_rd = sample_realization(cfg, rng)[1]
+            h_rj = sample_ris_jammer(cfg, h_rd, 0.9, rng)
+            a = h_rd / np.sqrt(np.mean(np.abs(h_rd) ** 2))
+            b = h_rj / np.sqrt(np.mean(np.abs(h_rj) ** 2))
             rho_est.append(abs(np.vdot(a, b)) / a.size)
         assert np.mean(rho_est) > 0.8
 
     @pytest.mark.parametrize("m", [1, 3, 64, 512])
     def test_rj_blend_ends_are_exact(self, m):
-        """h_rj = sqrt(c) h_rd + sqrt(1 - c) h_rj_ind bit for bit at both ends of
-        c: at c = 0 it is the third vector drawn, at c = 1 it is h_rd."""
+        """h_rj = sqrt(c) h_rd + sqrt(1 - c) h_ind bit for bit at both ends of
+        c: at c = 0 it is the one vector it draws, at c = 1 it is h_rd."""
         cfg = RisLinkConfig(element_count=m)
         a_rd = np.sqrt(path_loss(cfg.d_rd, cfg.path_loss_exp))
         for seed in range(20):
-            rng = np.random.default_rng(seed)
-            for _ in range(2):  # h_sr and h_rd; a vector's draws do not depend on its scale
-                _rayleigh_vector(m, 1.0, rng)
-            third = _rayleigh_vector(m, a_rd, rng)
-            h_rj = sample_realization(cfg, RicianParams(), np.random.default_rng(seed), 0.0).h_rj
-            assert np.array_equal(h_rj.view(np.uint64), third.view(np.uint64))
-            real = sample_realization(cfg, RicianParams(), np.random.default_rng(seed), 1.0)
-            assert np.array_equal(real.h_rj.view(np.uint64), real.h_rd.view(np.uint64))
+            h_rd = sample_realization(cfg, np.random.default_rng([seed, 1]))[1]
+            drawn = _rayleigh_vector(m, a_rd, np.random.default_rng(seed))
+            h_rj = sample_ris_jammer(cfg, h_rd, 0.0, np.random.default_rng(seed))
+            assert np.array_equal(h_rj.view(np.uint64), drawn.view(np.uint64))
+            h_rj = sample_ris_jammer(cfg, h_rd, 1.0, np.random.default_rng(seed))
+            assert np.array_equal(h_rj.view(np.uint64), h_rd.view(np.uint64))

@@ -16,11 +16,11 @@ from risjam.cli import main
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 GOLDEN = {
-    "figure2a": "94cefd240dad33938fef62dfc71fb553590dbacacf6c4005e057b084530795d0",
-    "figure2b": "85f0eb40467e9ac32710aaf7cd431f9ba1eaf5fd5e491856341db16cbbe716ad",
-    "figure3": "123b53b90c6e7ece8b660a0a75b4445b654a62e9f0b929fc84bead8102c410c5",
-    "figure4": "26ba9013429249d5b7547dac7697e8e4cf2bdf626862e932dd0ec76521043298",
-    "headline": "bac0625c7bcb8aea65a2d3a23d7c27b359635a3770334df7a464170bf06daf24",
+    "figure2a": "969216828df23fd132cb9b6337ad7b2a8b6ca577961f0aa04ebe8e7009bff032",
+    "figure2b": "1fdd092b7e0e10d3798a19758cf449ea1d45b56ccd4c87171ba198c10f31e232",
+    "figure3": "dd3ba118c170018bb3d30f9103ab6bc8d5f73cf383e2d562c9fdd5297db4ca18",
+    "figure4": "323d36c4829964b0610de885aebb5df7571ff407ccf97d3f49f475021f07d4e0",
+    "headline": "02fe6312d2899b6956af69ad26838db93ca95c9caca18839bddc0aa32b7b15ec",
 }
 
 
@@ -40,7 +40,7 @@ def test_shipped_config_csv_is_unchanged(tmp_path, name):
 # figure3 with `snr_mode = faded`: every shipped config runs pinned, so this
 # pin is the one that covers noise calibration's 256 channel draws and the
 # faded floor; it is not a shipped config, so it stays out of GOLDEN
-FADED_FIGURE3 = "9e00be52daf92dd20aee0e6c2c1acf5f9edac76369e54b94d6f4e7c50a699209"
+FADED_FIGURE3 = "0a2ac340d1686937f392e6cbfb02c922d6d92faefa09fd304db2fd4e2165a991"
 
 
 def test_faded_figure3_csv_is_unchanged(tmp_path):

@@ -267,6 +267,10 @@ RUN_BASE = {
 }
 RIS_AWARE = {("sweep", "topology"): "ris_aware"}
 SPATIAL = {("sweep", "orthogonality"): "spatial"}
+# JSR targets far above what the jammer's power cap buys, so every cell
+# clamps: the cap then sets the jammer's power, and the legit received power
+# the JSR it reaches, which is how the link budget reaches a pinned cell
+CLAMPED = {("jammer", "power_cap_dbm"): "20", ("sweep", "jsr_db"): "40, 50, 60"}
 # keys whose NON_DEFAULT value leaves RUN_BASE's sweep as it is: a value and
 # the context they are live in
 LIVE = {
@@ -282,6 +286,12 @@ LIVE = {
     ("receiver", "inversion_threshold"): ("0.9", {}),
     ("receiver", "peak_significance"): ("1", {}),
     ("receiver", "flip_threshold"): ("0.9", {}),
+    ("link", "d_sr"): ("10", CLAMPED),
+    ("link", "d_rd"): ("5", CLAMPED),
+    ("link", "path_loss_exp"): ("2.0", CLAMPED),
+    ("link", "tx_power_dbm"): ("25", CLAMPED),
+    # a baseline SNR whose jam-free choice is 64-ary, above the cap of 16
+    ("adaptation", "max_order"): ("16", {("link", "baseline_snr_db"): "40"}),
 }
 
 
@@ -432,6 +442,17 @@ class TestEveryKeyChangesTheRun:
         assert _run(context | {key: value}) != _run(context), (
             f"[{key[0]}] {key[1]} = {value} does not change the run"
         )
+
+    def test_live_contexts_hold(self):
+        """CLAMPED clamps every cell at each link-budget key's value and at
+        the default, and a pinned 40 dB baseline's jam-free choice is above
+        order 16."""
+        for key in [k for k, (_, context) in LIVE.items() if context is CLAMPED]:
+            for entries in (CLAMPED, CLAMPED | {key: LIVE[key][0]}):
+                rows = run_sweep(loads_config(_ini(RUN_BASE | entries)))
+                assert all(r.clamped_fraction == 1.0 for r in rows)
+        cfg = loads_config(_ini(RUN_BASE | {("link", "baseline_snr_db"): "40"}))
+        assert pl.draw_link(cfg.settings, np.random.default_rng(0), None).base.scheme.order > 16
 
     @pytest.mark.parametrize(
         "key,enum_cls", [pytest.param(k, cls, id="_".join(k)) for k, cls in _enum_keys()]

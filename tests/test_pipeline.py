@@ -251,14 +251,13 @@ class TestOneEmission:
         assert calls == []
 
 
-class TestSharedReplicaPower:
-    """DRFM and PS keep every symbol's power, so a cell scales its replica by
-    the link draw's frame RMS and shapes only the span that lands in the
-    frame; the replica is the one whole-frame replica of before, cut."""
+class TestReplicaPower:
+    """A cell shapes its replica from the f - tau frame symbols that land in
+    the frame alone and scales it to mean power |a_j|^2 over them, for every
+    jammer and frame family (ASK and QAM frames are not of constant modulus)."""
 
     @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
-    def test_front_span_is_the_whole_frame_replica_cut(self, monkeypatch, family):
-        # ASK and QAM frames are not of constant modulus
+    def test_front_replica_has_the_jsr_power_where_it_lands(self, monkeypatch, family):
         s = _settings(base_family=family, fixed_rate=0.94)
         f, tau = s.frame_len, s.tau
         spans, replica = [], pl._replica
@@ -271,18 +270,43 @@ class TestSharedReplicaPower:
         for t in range(3):
             link = pl.draw_link(s, np.random.default_rng([61, t]), None)
             assert link.base.scheme.family == family
-            assert link.x_rms == np.sqrt(rx.mean_power(link.x))
             for k, model in enumerate(JammerModel):
                 rng = np.random.default_rng([61, t, k])
                 ref = copy.deepcopy(rng)
                 spans.clear()
                 pl._jam_front(s, link, 5.0, model, rng, s.eaves_noise_watt)
                 a_j = pl._jam_budget(s, link, 5.0, s.eaves_noise_watt)[0]
-                shaped = jm.jammer_transform(model, link.x, ref)
-                want = (a_j / np.sqrt(rx.mean_power(shaped))) * shaped[: f - tau]
-                assert len(spans) == 1 and spans[0].tobytes() == want.tobytes()
-                # a temporal front draws nothing after its replica
+                assert len(spans) == 1 and spans[0].size == f - tau
+                assert rx.mean_power(spans[0]) == pytest.approx(abs(a_j) ** 2, rel=1e-12)
+                # its factors are those of the landing symbols, and a temporal
+                # front draws nothing after its replica
+                shaped = jm.jammer_transform(model, link.x[: f - tau], ref)
                 assert rng.bit_generator.state == ref.bit_generator.state
+                assert np.allclose(spans[0] / a_j, shaped / np.sqrt(rx.mean_power(shaped)))
+
+
+class TestLinkDrawDraws:
+    """A link draw draws the legit hop (h_sr, h_rd), then its own topology's
+    jammer coefficients alone: h_e1 and h_j1 when source-aware, h_rj's
+    independent part and h_j2 when RIS-aware. Faded calibration draws the
+    legit hop alone."""
+
+    @pytest.mark.parametrize(
+        "topology,vectors,scalars",
+        [(PathTopology.SOURCE_AWARE, 2, 2), (PathTopology.RIS_AWARE, 3, 1)],
+        ids=lambda v: getattr(v, "value", v),
+    )
+    def test_only_its_topology_is_drawn(self, monkeypatch, topology, vectors, scalars):
+        rayleigh = _count_calls(monkeypatch, pl.ch, "_rayleigh_vector")
+        rician = _count_calls(monkeypatch, pl.ch, "sample_rician")
+        pl.draw_link(_settings(topology=topology), np.random.default_rng(3), None)
+        assert (len(rayleigh), len(rician)) == (vectors, scalars)
+
+    def test_faded_calibration_draws_the_legit_hop(self, monkeypatch):
+        rayleigh = _count_calls(monkeypatch, pl.ch, "_rayleigh_vector")
+        rician = _count_calls(monkeypatch, pl.ch, "sample_rician")
+        calibrate_noise(ExperimentConfig(settings=_settings(snr_mode="faded")))
+        assert (len(rayleigh), len(rician)) == (2 * CALIBRATION_DRAWS, 0)
 
 
 def _estimate_delay_full(settings, x, y, onset):
@@ -522,7 +546,9 @@ class TestRunCells:
         monkeypatch.setattr(rx, "separate_spatial", separate_spatial)
         monkeypatch.setattr(pl, "_spatial_pair", spatial_pair)
         jsrs = (-20.0, -10.0, 0.0, 10.0)
-        for t in range(3):
+        # MUSIC leaves an angle pair unresolved in a few trials in a hundred
+        # (7 of the first 200 of these trials), so a handful may hold none
+        for t in range(100):
             link = pl.draw_link(s, np.random.default_rng([31, t]), None)
             for ji, model in enumerate(JammerModel):
                 def rngs():
