@@ -1,9 +1,14 @@
 """RIS link channel models: correlated fading, Rician draws, cascaded coefficient.
 
-The cascaded source->RIS->destination coefficient is
+The model's definition is the matrix form of the cascaded
+source->RIS->destination coefficient,
     c = h_sr @ R^{1/2} @ diag(exp(j*phi)) @ R^{1/2} @ h_rd
 which equals the element-wise triple sum over (a, k, l) of
     rho_{a,k}^{1/2} rho_{a,l}^{1/2} h_sr[k] h_rd[l] exp(j*phi[a]).
+`build_correlation` and `cascaded_coefficient` compute it as written. The run
+path reads only the projections u = h_sr @ R^{1/2} and v = R^{1/2} @ h_rd, so
+`sample_realization` draws them directly, each with covariance a^2 R, through
+the closed-form lower-triangular factor of R.
 """
 
 from __future__ import annotations
@@ -138,24 +143,19 @@ def path_loss(d: float, delta: float) -> float:
 
 
 def build_correlation(cfg: RisLinkConfig) -> CorrelationMatrix:
-    """Exponential element correlation rho_ij = exp(-corr_rate * |i - j|).
-
-    The square root is taken by eigendecomposition with negative eigenvalues
-    clamped to zero, so the result stays PSD at any size. It is returned as
-    complex128 with a zero imaginary part: numpy casts a real matrix to that
-    same complex matrix before every product with a complex vector, so casting
-    once here leaves each product bit-identical and saves the per-call copy.
-    """
+    """Exponential element correlation rho_ij = exp(-corr_rate * |i - j|) and
+    its symmetric square root, the matrix form's R^{1/2}. The root is taken by
+    eigendecomposition with negative eigenvalues clamped to zero, so it stays
+    PSD at any size. The run path uses `correlation_factor` instead."""
     m = cfg.element_count
     idx = np.arange(m)
     entries = np.exp(-cfg.corr_rate * np.abs(idx[:, None] - idx[None, :]))
     vals, vecs = np.linalg.eigh(entries)
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-    del vals, vecs  # freed before the complex copy, so the peaks do not add up
     root = 0.5 * (root + root.T)
     if not np.allclose(root @ root, entries, atol=1e-9 * m):
         raise ValueError("correlation square root failed numerical check")
-    return CorrelationMatrix(entries=entries, sqrt_form=root.astype(complex))
+    return CorrelationMatrix(entries=entries, sqrt_form=root)
 
 
 def sample_rician(p: RicianParams, rng: np.random.Generator) -> complex:
@@ -172,35 +172,43 @@ def sample_rician(p: RicianParams, rng: np.random.Generator) -> complex:
     return complex(los + diffuse)
 
 
-def _rayleigh_vector(m: int, amp_scale: float, rng: np.random.Generator) -> np.ndarray:
-    # amplitude Rayleigh with E[g^2] = 1, phase uniform
-    g = rng.rayleigh(scale=1.0 / np.sqrt(2), size=m)
-    theta = rng.uniform(0.0, 2 * np.pi, size=m)
-    return amp_scale * g * np.exp(-1j * theta)
+@lru_cache(maxsize=32)
+def correlation_factor(m: int, corr_rate: float) -> np.ndarray:
+    """The read-only lower-triangular factor L, with L @ L.T = R, of the
+    m-element exponential correlation (Loyka 2001): L[i, 0] = rho^i and
+    L[i, j] = rho^(i - j) sqrt(1 - rho^2) for 1 <= j <= i, rho = exp(-corr_rate).
+    The powers are running products, so L(m) is L(n)[:m, :m] bit for bit."""
+    rho = math.exp(-corr_rate)
+    powers = np.cumprod(np.r_[1.0, np.full(m - 1, rho)])
+    # reversed, window i of (0, ..., 0, s * powers) holds s * rho^(i - j) at j <= i
+    padded = np.r_[np.zeros(m - 1), math.sqrt(1.0 - rho * rho) * powers]
+    factor = np.lib.stride_tricks.sliding_window_view(padded, m)[:, ::-1].copy()
+    factor[:, 0] = powers
+    factor.flags.writeable = False
+    return factor
 
 
-def sample_realization(
-    cfg: RisLinkConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the legit hop's fading vectors (h_sr, h_rd) for one trial."""
-    m, delta = cfg.element_count, cfg.path_loss_exp
-    h_sr = _rayleigh_vector(m, np.sqrt(path_loss(cfg.d_sr, delta)), rng)
-    h_rd = _rayleigh_vector(m, np.sqrt(path_loss(cfg.d_rd, delta)), rng)
-    return h_sr, h_rd
+def sample_realization(cfg: RisLinkConfig, rng: np.random.Generator, count: int = 2) -> np.ndarray:
+    """One surface draw: `count` independent projections a L z, each complex
+    Gaussian with covariance a^2 R, as the rows of a (count, m) array. The
+    first is u = h_sr @ R^{1/2} at the source->RIS loss, the others outgoing
+    ones at the RIS->destination loss, v = R^{1/2} @ h_rd first. z is one
+    standard_normal((m, 2 * count)) draw, so an m-element surface is, to
+    rounding, the prefix of a larger one from the same generator state."""
+    z = rng.standard_normal((cfg.element_count, 2 * count))
+    # column k of the complex view is (L z)[:, 2k] + j (L z)[:, 2k + 1]
+    proj = (correlation_factor(cfg.element_count, cfg.corr_rate) @ z).view(complex)
+    proj[:, 0] *= math.sqrt(path_loss(cfg.d_sr, cfg.path_loss_exp) / 2)
+    proj[:, 1:] *= math.sqrt(path_loss(cfg.d_rd, cfg.path_loss_exp) / 2)
+    return proj.T
 
 
-def sample_ris_jammer(
-    cfg: RisLinkConfig, h_rd: np.ndarray, eaves_corr: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw the RIS->jammer vector h_rj = sqrt(c) h_rd + sqrt(1 - c) h_ind.
-
-    Its independent part h_ind has the RIS->destination path loss, and
-    `eaves_corr` c in [0, 1] correlates it with h_rd (a jammer sitting next
-    to the destination sees nearly the same reflected beam).
-    """
-    a_rd = np.sqrt(path_loss(cfg.d_rd, cfg.path_loss_exp))
-    h_ind = _rayleigh_vector(cfg.element_count, a_rd, rng)
-    return np.sqrt(eaves_corr) * h_rd + np.sqrt(1 - eaves_corr) * h_ind
+def ris_jammer_projection(v: np.ndarray, v_ind: np.ndarray, eaves_corr: float) -> np.ndarray:
+    """R^{1/2} @ h_rj for the RIS->jammer vector h_rj = sqrt(c) h_rd +
+    sqrt(1 - c) h_ind, from the projections v of h_rd and v_ind of h_ind.
+    `eaves_corr` c in [0, 1] correlates it with h_rd (a jammer next to the
+    destination sees nearly the same reflected beam)."""
+    return np.sqrt(eaves_corr) * v + np.sqrt(1 - eaves_corr) * v_ind
 
 
 def _project(h_in, h_out, corr: CorrelationMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -232,29 +240,15 @@ def cascaded_coefficient(
     return cascade(*_project(h_in, h_out, corr), phi)
 
 
-def aligned_cascade(
-    h_sr: np.ndarray,
-    h_rd: np.ndarray,
-    corr: CorrelationMatrix,
-) -> tuple[PhaseMatrix, complex, np.ndarray]:
-    """The phase alignment maximizing |cascaded_coefficient|, the cascaded
-    coefficient it yields, and h_sr's projection u = h_sr @ R^{1/2}, which
-    the cascade of any other outgoing vector under these phases reuses.
-
-    With c = sum_a u_a v_a exp(j*phi_a) and v = R^{1/2} @ h_rd, the optimum is
-    phi_a = -arg(u_a * v_a), giving |c| = sum_a |u_a v_a|. The coefficient
-    equals `cascaded_coefficient(h_sr, h_rd, corr, phi)` bit for bit.
-    """
-    u, v = _project(h_sr, h_rd, corr)
+def aligned_cascade(u: np.ndarray, v: np.ndarray) -> tuple[PhaseMatrix, complex]:
+    """The phases maximizing |cascaded_coefficient| for the projections
+    u = h_sr @ R^{1/2} and v = R^{1/2} @ h_rd, phi_a = -arg(u_a v_a), and the
+    coefficient they yield, sum_a |u_a v_a| up to rounding."""
     phi = PhaseMatrix(phases=-np.angle(u * v))
-    return phi, cascade(u, v, phi), u
+    return phi, cascade(u, v, phi)
 
 
-def optimize_phases(
-    h_sr: np.ndarray,
-    h_rd: np.ndarray,
-    corr: CorrelationMatrix,
-) -> PhaseMatrix:
+def optimize_phases(h_sr: np.ndarray, h_rd: np.ndarray, corr: CorrelationMatrix) -> PhaseMatrix:
     """Per-element phase alignment maximizing |cascaded_coefficient| (see
     `aligned_cascade`)."""
-    return aligned_cascade(h_sr, h_rd, corr)[0]
+    return aligned_cascade(*_project(h_sr, h_rd, corr))[0]

@@ -1,14 +1,14 @@
 """Experiment harness: INI configuration, noise calibration, the Monte Carlo
 sweep over (jammer, RIS size, JSR), and CSV/summary emission.
 
-Seeding is hierarchical, with common random numbers across the grid. The
-jam-free link draw of each (RIS size, trial) uses
-SeedSequence(master, spawn_key=(_LINK_KEY, ris, trial)) and is shared by
-every (jammer, JSR) cell of that trial, so cells share their channel, frame
-and noise by design; each cell's jammer-side draws use
-SeedSequence(master, spawn_key=(jammer, ris, jsr, trial)). Workers run
-whole (RIS size, trial) units, so results are byte-identical for any worker
-count.
+Every stream is keyed by what it stands for, never by a list position, so
+cells share draws by design. Trial t's jam-free link draw (channel, frame,
+noise) is keyed (_LINK_KEY, t) at every RIS size and shared by all the
+trial's cells; its RIS surfaces come from a spawned child, so a smaller
+surface is a larger one's prefix, to rounding. A cell's jammer draws are keyed
+(code, t) by its jammer's fixed code, so they are the same at every JSR and
+RIS size. Workers run whole (RIS size, trial) units, so results are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -37,10 +37,12 @@ CSV_HEADER = (
 CALIBRATION_DRAWS = 256
 _CAL_KEY = 0x5EED
 _LINK_KEY = 0x11AC
+# each jammer's fixed stream code, whatever the order or set of cfg.jammers
+_JAMMER_CODES = {jm.JammerModel.DRFM: 1, jm.JammerModel.PS: 2, jm.JammerModel.AS: 3}
 # entries a start:stop:step list may expand to; the shipped grids have 13
 MAX_RANGE_ENTRIES = 10_000
 # RIS elements a sweep may ask for (the shipped configs go up to 512); the
-# correlation matrix holds M^2 entries and its eigendecomposition costs M^3
+# correlation factor is a real M x M matrix, with no eigendecomposition
 MAX_RIS_SIZE = 4096
 
 
@@ -224,7 +226,8 @@ def calibrate_noise(cfg: ExperimentConfig) -> tuple[float | None, float]:
     if s.snr_mode == pl.SnrMode.PINNED:
         return None, s.eaves_noise_watt
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(_CAL_KEY,)))
-    powers = [pl._legit_channel(s, rng)[-1] for _ in range(CALIBRATION_DRAWS)]
+    draws = (ch.sample_realization(s.link, rng) for _ in range(CALIBRATION_DRAWS))
+    powers = [pl._legit_channel(s, *uv)[-1] for uv in draws]
     return float(np.mean(powers)) / s.baseline_snr, s.eaves_noise_watt
 
 
@@ -252,24 +255,25 @@ class SweepRow:
     clamped_fraction: float
 
 
+def _trial_rng(cfg: ExperimentConfig, t: int, model: jm.JammerModel | None = None):
+    """A fresh generator of trial t: of its link draw, or of a cell of jammer
+    `model`. Neither depends on the RIS size, nor a cell's on its JSR."""
+    code = _LINK_KEY if model is None else _JAMMER_CODES[model]
+    return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(code, t)))
+
+
 def _run_unit(args) -> list[list[pl.TrialResult]]:
     """Every (jammer, JSR) cell's trial t at RIS size index ri, on one shared
     jam-free link draw: one `run_cells` result list per jammer, in JSR order."""
     cfg, ri, t, noise_var, eaves_var = args
     link_cfg = replace(cfg.settings.link, element_count=cfg.ris_sizes[ri])
     settings = replace(cfg.settings, link=link_cfg)
-    seed = np.random.SeedSequence(cfg.seed, spawn_key=(_LINK_KEY, ri, t))
-    link = pl.draw_link(settings, np.random.default_rng(seed), noise_var)
-    results = []
-    for ji, model in enumerate(cfg.jammers):
-        cells = [
-            (jsr, model, np.random.default_rng(
-                np.random.SeedSequence(cfg.seed, spawn_key=(ji, ri, ki, t))
-            ))
-            for ki, jsr in enumerate(cfg.jsr_grid_db)
-        ]
-        results.append(pl.run_cells(settings, cells, eaves_var, link))
-    return results
+    link = pl.draw_link(settings, _trial_rng(cfg, t), noise_var)
+    return [
+        pl.run_cells(settings, [(jsr, model, _trial_rng(cfg, t, model)) for jsr in cfg.jsr_grid_db],
+                     eaves_var, link)
+        for model in cfg.jammers
+    ]
 
 
 def _modal(values):

@@ -180,11 +180,6 @@ class TrialResult:
     clamped: bool
 
 
-@lru_cache(maxsize=32)
-def _corr_cached(link: ch.RisLinkConfig) -> ch.CorrelationMatrix:
-    return ch.build_correlation(link)  # via the module, so tracing sees the call
-
-
 @lru_cache(maxsize=16)
 def _pilot(scheme: wf.ModScheme, length: int) -> np.ndarray:
     """Deterministic pilot pattern shared by transmitter and receiver."""
@@ -477,18 +472,19 @@ class LinkDraw:
     head_power: np.ndarray
 
 
-def _legit_channel(settings, rng):
-    """A draw of the legit hop: (h_rd, aligned phases, h_l, u, received legit
-    power tx_watt * |h_l|^2)."""
-    h_sr, h_rd = ch.sample_realization(settings.link, rng)
-    phi, h_l, u = ch.aligned_cascade(h_sr, h_rd, _corr_cached(settings.link))
-    return h_rd, phi, h_l, u, settings.tx_watt * abs(h_l) ** 2
+def _legit_channel(settings, u, v):
+    """The legit hop of the projections u, v: (aligned phases, h_l, received
+    legit power tx_watt * |h_l|^2)."""
+    phi, h_l = ch.aligned_cascade(u, v)
+    return phi, h_l, settings.tx_watt * abs(h_l) ** 2
 
 
 def draw_link(
     settings: TrialSettings, rng: np.random.Generator, noise_var_watt: float | None
 ) -> LinkDraw:
     """Channel, baseline decision, frame and jam-free snapshot of one trial.
+    The RIS surfaces come from a child of `rng`, so no RIS size moves either
+    stream, and an M-element surface is, to rounding, any larger one's prefix.
 
     `noise_var_watt` is the calibrated destination floor, read only in faded
     mode; in pinned mode the floor is set so this draw's legit SNR is the
@@ -500,7 +496,10 @@ def draw_link(
             "floor calibrate_noise returns for a faded config; got None"
         )
     link = settings.link
-    h_rd, phi, h_l, u, p_l = _legit_channel(settings, rng)
+    ris_aware = settings.topology == jm.PathTopology.RIS_AWARE
+    # under ris_aware the surfaces also hold h_rj's independent part
+    u, v, *v_ind = ch.sample_realization(link, rng.spawn(1)[0], 3 if ris_aware else 2)
+    phi, h_l, p_l = _legit_channel(settings, u, v)
     if settings.snr_mode == SnrMode.PINNED:
         noise_var_watt = p_l / settings.baseline_snr
     snr_l = p_l / noise_var_watt
@@ -515,13 +514,12 @@ def draw_link(
     # the jammer's eavesdropping and transmit coefficients, drawn for its
     # topology alone
     dexp = link.path_loss_exp
-    if settings.topology == jm.PathTopology.SOURCE_AWARE:
+    if not ris_aware:
         h_in = ch.sample_rician(settings.rician, rng) * np.sqrt(ch.path_loss(settings.d_e1, dexp))
         h_out = ch.sample_rician(settings.rician, rng) * np.sqrt(ch.path_loss(settings.d_j1, dexp))
     else:
         # the jammer eavesdrops through the RIS under the legit link's phases
-        h_rj = ch.sample_ris_jammer(link, h_rd, settings.eaves_corr, rng)
-        h_in = ch.cascade(u, _corr_cached(link).sqrt_form @ h_rj, phi)
+        h_in = ch.cascade(u, ch.ris_jammer_projection(v, v_ind[0], settings.eaves_corr), phi)
         h_out = ch.sample_rician(settings.rician, rng) * np.sqrt(ch.path_loss(settings.d_j2, dexp))
 
     # one frame, received on the whole array under spatial orthogonality,

@@ -14,11 +14,11 @@ from risjam.channel import (
     build_correlation,
     cascade,
     cascaded_coefficient,
+    correlation_factor,
     optimize_phases,
     path_loss,
-    _rayleigh_vector,
+    ris_jammer_projection,
     sample_realization,
-    sample_ris_jammer,
     sample_rician,
 )
 
@@ -86,8 +86,8 @@ class TestCorrelation:
 
 
 def real_root(m, corr_rate):
-    """The real square root of the exponential correlation, as computed before
-    the root was held complex."""
+    """The symmetric square root of the exponential correlation, as computed
+    when the run path read it."""
     idx = np.arange(m)
     entries = np.exp(-corr_rate * np.abs(idx[:, None] - idx[None, :]))
     vals, vecs = np.linalg.eigh(entries)
@@ -96,13 +96,71 @@ def real_root(m, corr_rate):
     return 0.5 * (root + root.T)
 
 
-class TestComplexRoot:
+class TestRoot:
     @pytest.mark.parametrize("m", [1, 3, 64, 512])
     def test_holds_the_real_root_exactly(self, m):
         root = build_correlation(RisLinkConfig(element_count=m, corr_rate=0.05)).sqrt_form
-        assert root.dtype == np.complex128
-        assert np.all(root.imag == 0.0)
-        assert np.array_equal(root.real, real_root(m, 0.05))
+        assert root.dtype == np.float64
+        assert np.array_equal(root, real_root(m, 0.05))
+
+
+RATES = (0.0, 0.05, 0.3, 2.0)
+
+
+class TestCorrelationFactor:
+    """The run path's closed-form factor L of R, and the surface draw a L z."""
+
+    @pytest.mark.parametrize("m", [1, 4, 64, 512])
+    @pytest.mark.parametrize("rate", RATES)
+    def test_squares_to_the_entries(self, m, rate):
+        factor = correlation_factor(m, rate)
+        entries = build_correlation(RisLinkConfig(element_count=m, corr_rate=rate)).entries
+        assert factor.dtype == np.float64 and not factor.flags.writeable
+        assert np.array_equal(np.triu(factor, 1), np.zeros((m, m)))
+        assert np.allclose(factor @ factor.T, entries, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_nests_bit_for_bit(self, rate):
+        big = correlation_factor(512, rate)
+        for m in (1, 2, 4, 63, 64, 256, 511):
+            assert np.array_equal(correlation_factor(m, rate), big[:m, :m])
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("rate", RATES)
+    def test_surface_draw_nests(self, count, rate):
+        """The draw at M is the first M entries of the draw at 2M from equal
+        generator states. Its normals and L nest bit for bit; BLAS sums the
+        product in an order that depends on M, so the draw nests to rounding."""
+        for m in (1, 4, 64, 256):
+            for seed in range(3):
+                small, large = (
+                    sample_realization(RisLinkConfig(element_count=n, corr_rate=rate),
+                                       np.random.default_rng(seed), count)
+                    for n in (m, 2 * m)
+                )
+                assert small.shape == (count, m)
+                np.testing.assert_allclose(small, large[:, :m], rtol=1e-13, atol=1e-16)
+
+    def test_law_matches_the_symmetric_root_draw(self):
+        """u, v and the RIS->jammer projection v_rj have the law that i.i.d.
+        vectors drawn through the symmetric root give: over their amplitudes,
+        circular with covariance kron(mix, R), where mix couples v and v_rj by
+        sqrt(eaves_corr) alone."""
+        rng = np.random.default_rng(8)
+        m, n, c = 6, 20_000, 0.6
+        cfg = RisLinkConfig(element_count=m, corr_rate=0.3)
+        corr = build_correlation(cfg)
+        amp = np.sqrt([path_loss(cfg.d_sr, 2.7)] + 2 * [path_loss(cfg.d_rd, 2.7)])
+        drawn = np.array([sample_realization(cfg, rng, 3) for _ in range(n)])
+        h = (rng.standard_normal((n, 3, m)) + 1j * rng.standard_normal((n, 3, m))) / np.sqrt(2)
+        ref = amp[:, None] * h @ corr.sqrt_form
+        mix = np.array([[1, 0, 0], [0, 1, np.sqrt(c)], [0, np.sqrt(c), 1]])
+        want = np.kron(mix, corr.entries)
+        for x in (drawn, ref):
+            x[:, 2] = ris_jammer_projection(x[:, 1], x[:, 2], c)
+            flat = (x / amp[:, None]).reshape(n, 3 * m)
+            assert np.abs(flat.T @ flat.conj() / n - want).max() < 0.05
+            assert np.abs(flat.T @ flat / n).max() < 0.05
 
 
 class TestRician:
@@ -173,65 +231,54 @@ class TestAlignedCascade:
     @pytest.mark.parametrize("m", [1, 3, 64, 512])
     def test_matches_optimize_then_cascade(self, m):
         rng = np.random.default_rng(m)
-        roots = (
-            (build_correlation(RisLinkConfig(element_count=m)), real_root(m, 0.05)),
-            (CorrelationMatrix(entries=np.eye(m), sqrt_form=np.eye(m)), np.eye(m)),
-        )
-        for corr, root in roots:
+        for corr in (
+            build_correlation(RisLinkConfig(element_count=m)),
+            CorrelationMatrix(entries=np.eye(m), sqrt_form=np.eye(m)),
+        ):
             for _ in range(5):
                 h_sr = rng.normal(size=m) + 1j * rng.normal(size=m)
                 h_rd = rng.normal(size=m) + 1j * rng.normal(size=m)
-                phi, h, u = aligned_cascade(h_sr, h_rd, corr)
+                root = corr.sqrt_form
+                phi, h = aligned_cascade(h_sr @ root, root @ h_rd)
                 ref_phi = optimize_phases(h_sr, h_rd, corr)
                 assert np.array_equal(phi.phases, ref_phi.phases)
                 assert h == cascaded_coefficient(h_sr, h_rd, corr, ref_phi)
-                # u is h_sr's projection: another outgoing vector's cascade
-                # under phi needs only its own
+                # another outgoing vector's cascade under phi needs only its
+                # own projection
                 h_rj = rng.normal(size=m) + 1j * rng.normal(size=m)
-                assert np.array_equal(u, h_sr @ corr.sqrt_form)
                 want = cascaded_coefficient(h_sr, h_rj, corr, phi)
-                assert cascade(u, corr.sqrt_form @ h_rj, phi) == want
-                # the same bits as the two-pass products on the real root
-                u, v = h_sr @ root, root @ h_rd
-                old_phi = PhaseMatrix(phases=-np.angle(u * v))
-                assert np.array_equal(phi.phases, old_phi.phases)
-                assert h == complex(h_sr @ root @ (old_phi.diagonal * (root @ h_rd)))
+                assert cascade(h_sr @ root, root @ h_rj, phi) == want
 
 
 class TestRealization:
     def test_shapes_and_scales(self):
         rng = np.random.default_rng(5)
         cfg = RisLinkConfig(element_count=64)
-        h_sr, h_rd = sample_realization(cfg, rng)
-        assert h_sr.shape == h_rd.shape == (64,)
-        assert sample_ris_jammer(cfg, h_rd, 0.0, rng).shape == (64,)
-        mean_sr = np.mean(
-            [np.mean(np.abs(sample_realization(cfg, rng)[0]) ** 2) for _ in range(200)]
-        )
-        assert mean_sr == pytest.approx(path_loss(18.0, 2.7), rel=0.1)
+        assert sample_realization(cfg, rng).shape == (2, 64)
+        assert sample_realization(cfg, rng, 3).shape == (3, 64)
+        power = np.mean([np.abs(sample_realization(cfg, rng, 3)) ** 2 for _ in range(200)],
+                        axis=(0, 2))
+        want = [path_loss(18.0, 2.7)] + 2 * [path_loss(7.0, 2.7)]
+        assert power == pytest.approx(want, rel=0.1)
 
     def test_eaves_correlation(self):
         rng = np.random.default_rng(5)
         cfg = RisLinkConfig(element_count=256)
         rho_est = []
         for _ in range(50):
-            h_rd = sample_realization(cfg, rng)[1]
-            h_rj = sample_ris_jammer(cfg, h_rd, 0.9, rng)
-            a = h_rd / np.sqrt(np.mean(np.abs(h_rd) ** 2))
-            b = h_rj / np.sqrt(np.mean(np.abs(h_rj) ** 2))
+            _, v, v_ind = sample_realization(cfg, rng, 3)
+            v_rj = ris_jammer_projection(v, v_ind, 0.9)
+            a = v / np.sqrt(np.mean(np.abs(v) ** 2))
+            b = v_rj / np.sqrt(np.mean(np.abs(v_rj) ** 2))
             rho_est.append(abs(np.vdot(a, b)) / a.size)
         assert np.mean(rho_est) > 0.8
 
     @pytest.mark.parametrize("m", [1, 3, 64, 512])
     def test_rj_blend_ends_are_exact(self, m):
-        """h_rj = sqrt(c) h_rd + sqrt(1 - c) h_ind bit for bit at both ends of
-        c: at c = 0 it is the one vector it draws, at c = 1 it is h_rd."""
+        """sqrt(c) v + sqrt(1 - c) v_ind bit for bit at both ends of c: at
+        c = 0 it is v_ind, at c = 1 it is v."""
         cfg = RisLinkConfig(element_count=m)
-        a_rd = np.sqrt(path_loss(cfg.d_rd, cfg.path_loss_exp))
         for seed in range(20):
-            h_rd = sample_realization(cfg, np.random.default_rng([seed, 1]))[1]
-            drawn = _rayleigh_vector(m, a_rd, np.random.default_rng(seed))
-            h_rj = sample_ris_jammer(cfg, h_rd, 0.0, np.random.default_rng(seed))
-            assert np.array_equal(h_rj.view(np.uint64), drawn.view(np.uint64))
-            h_rj = sample_ris_jammer(cfg, h_rd, 1.0, np.random.default_rng(seed))
-            assert np.array_equal(h_rj.view(np.uint64), h_rd.view(np.uint64))
+            _, v, v_ind = sample_realization(cfg, np.random.default_rng(seed), 3)
+            for c, want in ((0.0, v_ind), (1.0, v)):
+                assert ris_jammer_projection(v, v_ind, c).tobytes() == want.tobytes()

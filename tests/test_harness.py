@@ -281,7 +281,9 @@ LIVE = {
     ("jammer", "d_j2"): ("1000", RIS_AWARE),
     # a transmit path loss the jammer's power cap cannot make up for
     ("jammer", "d_j1"): ("1000", {}),
-    ("receiver", "antennas"): ("16", SPATIAL),
+    # the fewest antennas spatial orthogonality allows (at 16, this short
+    # sweep's cells all reach the outcomes they reach at the default 8)
+    ("receiver", "antennas"): ("4", SPATIAL),
     ("receiver", "sim_threshold"): ("0.5", {}),
     ("receiver", "inversion_threshold"): ("0.9", {}),
     ("receiver", "peak_significance"): ("1", {}),
@@ -559,6 +561,61 @@ class TestSweep:
         assert rows_to_csv(again) == rows_to_csv(rows)
 
 
+def _csv_rows(cfg) -> dict:
+    """(jammer, RIS size, JSR) -> the cell's CSV line."""
+    rows = run_sweep(cfg)
+    return {(r.jammer, r.ris_size, r.jsr_db): line
+            for r, line in zip(rows, rows_to_csv(rows).splitlines()[1:])}
+
+
+class TestStreamKeys:
+    """Every stream is keyed by what it stands for, so in pinned mode an edit
+    of the grid changes no row it keeps."""
+
+    BASE = ExperimentConfig(ris_sizes=(16, 32), jsr_grid_db=(0.0, 10.0), trials=3, seed=5)
+
+    @pytest.mark.parametrize("topology", list(PathTopology), ids=lambda t: t.value)
+    @pytest.mark.parametrize("edit", [
+        {"jammers": (JammerModel.AS, JammerModel.DRFM, JammerModel.PS)},
+        {"jammers": (JammerModel.PS,)},
+        {"jsr_grid_db": (-5.0, 0.0, 5.0, 10.0)},
+        {"jsr_grid_db": (10.0,)},
+        {"ris_sizes": (32, 16)},
+        {"ris_sizes": (32,)},
+    ], ids=lambda e: "_".join(e))
+    def test_a_grid_edit_keeps_every_common_row(self, topology, edit):
+        base = replace(self.BASE, settings=replace(self.BASE.settings, topology=topology))
+        before, after = _csv_rows(base), _csv_rows(replace(base, **edit))
+        common = before.keys() & after.keys()
+        assert common and {k: before[k] for k in common} == {k: after[k] for k in common}
+
+    def test_an_unclamped_cell_is_the_same_at_every_ris_size(self, monkeypatch):
+        """Under pinned source_aware links the RIS size reaches a cell only
+        through the jammer's power cap: an unclamped cell's trial result is
+        the same at every RIS size."""
+        cfg = replace(self.BASE, ris_sizes=(16, 64, 256), jsr_grid_db=(0.0, 10.0, 20.0),
+                      trials=20)
+        assert cfg.settings.topology == PathTopology.SOURCE_AWARE
+        assert cfg.settings.snr_mode == SnrMode.PINNED
+        units, inner = {}, harness._run_unit
+
+        def run_unit(args):
+            units[args[1:3]] = inner(args)
+            return units[args[1:3]]
+
+        monkeypatch.setattr(harness, "_run_unit", run_unit)
+        run_sweep(cfg)
+        compared = 0
+        for t in range(cfg.trials):
+            for ji in range(len(cfg.jammers)):
+                for ki in range(len(cfg.jsr_grid_db)):
+                    cells = [units[ri, t][ji][ki] for ri in range(len(cfg.ris_sizes))]
+                    unclamped = [r for r in cells if not r.clamped]
+                    assert all(r == unclamped[0] for r in unclamped)
+                    compared += len(unclamped) - 1
+        assert compared >= 100
+
+
 # faded links and adaptive coding, so each cell's trials differ in every
 # column that is averaged; 12 trials reach numpy's 8-element pairwise blocks
 ORACLE_CONFIG = """
@@ -587,29 +644,23 @@ def _trial(**fields) -> pl.TrialResult:
     })
 
 
-def _trial_rng(seed, *spawn_key):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
-
-
 class TestAggregation:
     def test_rows_are_the_means_of_direct_trials(self):
-        """Each cell recomputed from one-cell run_cells calls on the documented
-        seed keys: (link tag, ris, trial) for the shared link and (jammer, ris,
-        jsr, trial) for the cell; every mean is the 1-D numpy mean over the
-        cell's trials."""
+        """Each cell recomputed from one-cell run_cells calls on the harness's
+        generators: the trial's shared link draw and the cell's own jammer
+        stream; every mean is the 1-D numpy mean over the cell's trials."""
         cfg = loads_config(ORACLE_CONFIG)
         noise_var, eaves_var = calibrate_noise(cfg)
         rows = {(r.jammer, r.ris_size, r.jsr_db): r for r in run_sweep(cfg)}
         n, estimated = cfg.trials, 0
-        for ri, ris in enumerate(cfg.ris_sizes):
+        for ris in cfg.ris_sizes:
             settings = replace(cfg.settings, link=replace(cfg.settings.link, element_count=ris))
             links = [
-                pl.draw_link(settings, _trial_rng(cfg.seed, harness._LINK_KEY, ri, t), noise_var)
-                for t in range(n)
+                pl.draw_link(settings, harness._trial_rng(cfg, t), noise_var) for t in range(n)
             ]
-            for ji, model in enumerate(cfg.jammers):
-                for ki, jsr in enumerate(cfg.jsr_grid_db):
-                    cells = [[(jsr, model, _trial_rng(cfg.seed, ji, ri, ki, t))] for t in range(n)]
+            for model in cfg.jammers:
+                for jsr in cfg.jsr_grid_db:
+                    cells = [[(jsr, model, harness._trial_rng(cfg, t, model))] for t in range(n)]
                     res = [pl.run_cells(settings, cells[t], eaves_var, links[t])[0] for t in range(n)]
                     row = rows[model, ris, jsr]
                     t_l = np.array([r.t_baseline for r in res])

@@ -286,10 +286,24 @@ class TestReplicaPower:
 
 
 class TestLinkDrawDraws:
-    """A link draw draws the legit hop (h_sr, h_rd), then its own topology's
-    jammer coefficients alone: h_e1 and h_j1 when source-aware, h_rj's
-    independent part and h_j2 when RIS-aware. Faded calibration draws the
-    legit hop alone."""
+    """A link draw draws one surface: the legit hop's projections (u, v) and,
+    when RIS-aware, the independent part of h_rj's. Then it draws its own
+    topology's scalars alone: h_e1 and h_j1 when source-aware, h_j2 when
+    RIS-aware. Faded calibration draws the legit hop's surface alone."""
+
+    @staticmethod
+    def _surfaces(monkeypatch):
+        """Wrap the surface draw; the returned list gets the number of
+        projections each call draws."""
+        counts, inner = [], pl.ch.sample_realization
+
+        def draw(*args):
+            out = inner(*args)
+            counts.append(len(out))
+            return out
+
+        monkeypatch.setattr(pl.ch, "sample_realization", draw)
+        return counts
 
     @pytest.mark.parametrize(
         "topology,vectors,scalars",
@@ -297,16 +311,16 @@ class TestLinkDrawDraws:
         ids=lambda v: getattr(v, "value", v),
     )
     def test_only_its_topology_is_drawn(self, monkeypatch, topology, vectors, scalars):
-        rayleigh = _count_calls(monkeypatch, pl.ch, "_rayleigh_vector")
+        surfaces = self._surfaces(monkeypatch)
         rician = _count_calls(monkeypatch, pl.ch, "sample_rician")
         pl.draw_link(_settings(topology=topology), np.random.default_rng(3), None)
-        assert (len(rayleigh), len(rician)) == (vectors, scalars)
+        assert (surfaces, len(rician)) == ([vectors], scalars)
 
     def test_faded_calibration_draws_the_legit_hop(self, monkeypatch):
-        rayleigh = _count_calls(monkeypatch, pl.ch, "_rayleigh_vector")
+        surfaces = self._surfaces(monkeypatch)
         rician = _count_calls(monkeypatch, pl.ch, "sample_rician")
         calibrate_noise(ExperimentConfig(settings=_settings(snr_mode="faded")))
-        assert (len(rayleigh), len(rician)) == (2 * CALIBRATION_DRAWS, 0)
+        assert (surfaces, len(rician)) == ([2] * CALIBRATION_DRAWS, 0)
 
 
 def _estimate_delay_full(settings, x, y, onset):
@@ -491,27 +505,33 @@ class TestSharedLinkDraw:
         assert len(calls) == len(cfg.ris_sizes) * cfg.trials + calibration
 
     def test_cells_share_the_link_and_not_the_jammer(self, monkeypatch):
+        """Every cell of a trial shares its link draw. Each cell draws from a
+        generator of its own, and a jammer's cells at every JSR and RIS size
+        start from one state, which no other jammer shares."""
         links, models, first_draws, results = [], [], [], []
         inner = pl.run_cells
 
         def cells_call(settings, cells, eaves_var, link):
             links.append(link)
             models.append({model for _, model, _ in cells})
-            first_draws.extend(copy.deepcopy(rng).random() for _, _, rng in cells)
+            first_draws.append([copy.deepcopy(rng).random() for _, _, rng in cells])
+            assert len({id(rng) for _, _, rng in cells}) == len(cells)
             results.extend(inner(settings, cells, eaves_var, link))
             return results[-len(cells) :]
 
         monkeypatch.setattr(pl, "run_cells", cells_call)
         run_sweep(ExperimentConfig(
-            jammers=tuple(JammerModel), ris_sizes=(16,), jsr_grid_db=(0.0, 10.0), trials=1,
+            jammers=tuple(JammerModel), ris_sizes=(16, 32), jsr_grid_db=(0.0, 10.0), trials=1,
             settings=_settings(snr_mode="faded"),
         ))
-        # one call per jammer, each on that jammer's cells alone
-        assert models == [{model} for model in JammerModel]
-        assert len(results) == 6 and all(link is links[0] for link in links)
-        assert len({r.t_baseline for r in results}) == 1
-        # each cell draws its jammer from a generator of its own
-        assert len(set(first_draws)) == 6
+        # one call per (RIS size, jammer), each on that jammer's cells alone
+        assert models == [{model} for model in JammerModel] * 2
+        assert len(results) == 12 and all(link is links[0] for link in links[:3])
+        assert len({r.t_baseline for r in results[:6]}) == 1
+        # the first draw of each jammer's cells, the same at both RIS sizes
+        firsts = [set(draws) for draws in first_draws]
+        assert all(len(f) == 1 for f in firsts) and firsts[:3] == firsts[3:]
+        assert len(set.union(*firsts)) == 3
 
 
 def _spatial_oracle_settings():
@@ -704,11 +724,10 @@ class TestIdealOutcome:
     all are."""
 
     @staticmethod
-    def _twin(cfg, settings, ri, t, noise_var, eaves_var, fraction):
-        """The ideal results of unit (ri, t), laid out as `_run_unit`'s: one
-        list per jammer, in JSR order."""
-        seed = np.random.SeedSequence(cfg.seed, spawn_key=(harness._LINK_KEY, ri, t))
-        link = pl.draw_link(settings, np.random.default_rng(seed), noise_var)
+    def _twin(cfg, settings, t, noise_var, eaves_var, fraction):
+        """The ideal results of trial t at the RIS size of `settings`, laid out
+        as `_run_unit`'s: one list per jammer, in JSR order."""
+        link = pl.draw_link(settings, harness._trial_rng(cfg, t), noise_var)
 
         def ideal(model, jsr):
             c = pl._Cell(model, None, *pl._jam_budget(settings, link, jsr, eaves_var),
@@ -745,7 +764,7 @@ class TestIdealOutcome:
         for ri, ris in enumerate(cfg.ris_sizes):
             settings = replace(s, link=replace(s.link, element_count=ris))
             twins = [
-                self._twin(cfg, settings, ri, t, noise_var, eaves_var, fraction)
+                self._twin(cfg, settings, t, noise_var, eaves_var, fraction)
                 for t in range(cfg.trials)
             ]
             for ji, model in enumerate(cfg.jammers):
