@@ -5,10 +5,11 @@ Every stream is keyed by what it stands for, never by a list position, so
 cells share draws by design. Trial t's jam-free link draw (channel, frame,
 noise) is keyed (_LINK_KEY, t) at every RIS size and shared by all the
 trial's cells; its RIS surfaces come from a spawned child, so a smaller
-surface is a larger one's prefix, to rounding. A cell's jammer draws are keyed
-(code, t) by its jammer's fixed code, so they are the same at every JSR and
-RIS size. Workers run whole (RIS size, trial) units, so results are
-byte-identical for any worker count.
+surface is a larger one's prefix, to rounding. A row, one jammer's JSR grid on
+a link draw, draws its replica and angle of arrival once, at every JSR and RIS
+size the same, from a generator keyed (code, t) by the jammer's fixed code.
+Workers run whole (RIS size, trial) units, so results are byte-identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -256,22 +257,21 @@ class SweepRow:
 
 
 def _trial_rng(cfg: ExperimentConfig, t: int, model: jm.JammerModel | None = None):
-    """A fresh generator of trial t: of its link draw, or of a cell of jammer
-    `model`. Neither depends on the RIS size, nor a cell's on its JSR."""
+    """A fresh generator of trial t: of its link draw, or of jammer `model`'s
+    row. Neither depends on the RIS size."""
     code = _LINK_KEY if model is None else _JAMMER_CODES[model]
     return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(code, t)))
 
 
 def _run_unit(args) -> list[list[pl.TrialResult]]:
     """Every (jammer, JSR) cell's trial t at RIS size index ri, on one shared
-    jam-free link draw: one `run_cells` result list per jammer, in JSR order."""
+    jam-free link draw: one `run_cells` row per jammer, in JSR order."""
     cfg, ri, t, noise_var, eaves_var = args
     link_cfg = replace(cfg.settings.link, element_count=cfg.ris_sizes[ri])
     settings = replace(cfg.settings, link=link_cfg)
     link = pl.draw_link(settings, _trial_rng(cfg, t), noise_var)
     return [
-        pl.run_cells(settings, [(jsr, model, _trial_rng(cfg, t, model)) for jsr in cfg.jsr_grid_db],
-                     eaves_var, link)
+        pl.run_cells(settings, model, cfg.jsr_grid_db, _trial_rng(cfg, t, model), eaves_var, link)
         for model in cfg.jammers
     ]
 

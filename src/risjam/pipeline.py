@@ -1,8 +1,8 @@
 """End-to-end trial execution in two phases. `draw_link` makes the jam-free
 part (channel draw, baseline link choice, framing, the received legit signal
-plus noise); `run_cells` adds each cell's jammer to it and runs jammed
-reception, detection, delay estimation, orthogonalization, classification
-and adaptation, and `run_trial` is `run_cells` with one cell.
+plus noise); `run_cells` adds one jammer's replica to it at each JSR of a row
+and runs jammed reception, detection, delay estimation, orthogonalization,
+classification and adaptation, and `run_trial` is `run_cells` with one JSR.
 
 Waveform-level processing happens in receiver-normalized units (unit noise
 variance), while the power bookkeeping (path loss, jammer power budget, the
@@ -218,15 +218,24 @@ def _block_lost(rx_bytes: np.ndarray, codeword: np.ndarray, code: wf.RsCode) -> 
     return int(np.count_nonzero(rx_bytes != codeword)) > code.t
 
 
-def _replica(model, x, amp, rng) -> np.ndarray:
-    """Jammer replica of x, scaled to mean power |amp|^2 over x. The caller
-    passes the samples that land, so the JSR is the replica's power over
-    them."""
+def _shape(model, x, rng):
+    """The jammer's shaped copy of the symbols x and its RMS."""
     shaped = jm.jammer_transform(model, x, rng)
-    power = rx.mean_power(shaped)
-    if power == 0.0:
+    return shaped, np.sqrt(rx.mean_power(shaped))
+
+
+def _scaled(shaped, rms, amp) -> np.ndarray:
+    """A shaped copy of RMS `rms` scaled to mean power |amp|^2; zeros when it
+    has no power."""
+    if rms == 0.0:
         return np.zeros(shaped.size, dtype=complex)
-    return (amp / np.sqrt(power)) * shaped
+    return (amp / rms) * shaped
+
+
+def _replica(model, x, amp, rng) -> np.ndarray:
+    """Jammer replica of x, scaled to mean power |amp|^2 over x: the caller
+    passes the samples that land, so the JSR is its power over them."""
+    return _scaled(*_shape(model, x, rng), amp)
 
 
 def _frame(settings, scheme, n_syms, rng, code=None):
@@ -289,11 +298,11 @@ def _stage_two(settings, scheme, cells) -> None:
     of the cell against its known replica, and set the cell's class.
 
     Each cell draws its probe from its own generator: the bits of 1024
-    symbols, the replica, then the noise. The probes are then read as one
-    (cells, 1024) stack. Per-symbol ratios r_k = y_k / x_k
-    cluster at +-1 for PS (balanced signs) and at V_k > 0 for AS. The global
-    phase comes from the squared ratios, which removes the sign ambiguity; a
-    near-balanced sign split means PS.
+    symbols, the replica, then the noise; the probes are read as one (cells,
+    1024) stack. Per-symbol ratios r_k = y_k / x_k cluster at +-1 for PS
+    (balanced signs) and at V_k > 0 for AS. The global phase comes from the
+    squared ratios, which removes the sign ambiguity; a near-balanced sign
+    split means PS.
     """
     n, k = 1024, scheme.bits_per_symbol
     bits = np.empty((len(cells), n * k), dtype=np.uint8)
@@ -551,10 +560,10 @@ def draw_link(
 
 @dataclass(slots=True)
 class _Cell:
-    """One (jammer, JSR) cell on a link draw: its power budget, detection and
-    delay estimate on antenna 0, and the outcome (cls, fraction) `_defend` and
-    stage two set. A detected spatial cell also keeps its steering vector, its
-    replica's active span, its m x m covariance and, once resolved, its weights."""
+    """One (jammer, JSR) cell of a row: its probe generator, power budget,
+    detection and delay estimate on antenna 0, and the outcome (cls, fraction)
+    `_defend` and stage two set. A detected spatial cell also keeps the row's
+    steering vector, its replica, its m x m covariance and its weights."""
 
     model: jm.JammerModel
     rng: np.random.Generator | None
@@ -584,71 +593,69 @@ def _jam_budget(settings, link, jsr_db, eaves_noise_var_watt):
     return a_j, ad.snr_jamming(gamma_e, gamma_j), clamped
 
 
-def _jam_front(settings, link, jsr_db_target, model, rng, eaves_noise_var_watt):
-    """One cell's link budget, jammer draws (replica, then angle of arrival),
-    detection and delay estimate."""
-    a_j, snr_j, clamped = _jam_budget(settings, link, jsr_db_target, eaves_noise_var_watt)
-    # normalized-unit waveform pass (unit receiver noise variance): the
-    # replica of the f - tau symbols that land in the frame, at [tau, f),
-    # added on each antenna by its steering
+def _jam_front(settings, link, model, jsrs, rng, eaves_noise_var_watt) -> list[_Cell]:
+    """One jammer's row: its draws from rng (the replica of the f - tau symbols
+    that land at [tau, f), then the angle of arrival), then each JSR's cell:
+    its link budget, scaled replica, detection, delay estimate and a
+    generator at rng's state after the row's draws."""
     f, tau = settings.frame_len, settings.tau
-    jam = _replica(model, link.x[: f - tau], a_j, rng)
+    shaped, rms = _shape(model, link.x[: f - tau], rng)
     steer = None
-    if link.aoa_l is not None:
-        while True:
-            aoa_j = rng.uniform(-np.pi / 3, np.pi / 3)
-            if abs(aoa_j - link.aoa_l) >= np.deg2rad(15.0):
-                break
-        steer = rx._steering(settings.antennas, aoa_j)[:, 0]
-    # antenna 0, whose steering entry is exactly 1
-    y = link.clean[0].copy()
-    y[tau:] += jam
-
-    # detection on antenna 0: a received-power jump, or an RS block with more
-    # byte errors than the code corrects (a replica in phase quadrature can
-    # leave the hard decisions untouched, and a weak one the power)
+    while link.aoa_l is not None and steer is None:
+        aoa_j = rng.uniform(-np.pi / 3, np.pi / 3)
+        if abs(aoa_j - link.aoa_l) >= np.deg2rad(15.0):
+            steer = rx._steering(settings.antennas, aoa_j)[:, 0]
+    bit_gen, state = type(rng.bit_generator), rng.bit_generator.state
     base = link.base
-    onset, jump = rx.estimate_onset(y, _ONSET_GUARD, link.head_power)
-    payload = y[settings.pilot_len :]
-    jumped = jump >= settings.peak_significance
-    detected = jumped or any(
-        _block_lost(_block_bytes(payload, link.a_l, off, base.code, base.scheme), cw, base.code)
-        for off, cw in link.rs_blocks
-    )
-    # a lost block alone detects the jammer, but only a power jump places it
-    tau_hat = _estimate_delay(settings, link.x, y, onset) if jumped else None
-    cell = _Cell(model, rng, a_j, snr_j, clamped, detected, tau_hat)
-    if steer is not None and tau_hat is not None:
-        cell.steer, cell.jam = steer, jam
-        # the covariance of the snapshot clean + s j^T from shared parts: the
-        # link draw's C plus s x^H + x s^H + p s s^H, with x = clean conj(j) / f
-        # and p = ||j||^2 / f, so no m x f snapshot is formed
-        x = link.clean[:, tau:] @ jam.conj() / f
-        sx = np.outer(steer, x.conj())
-        cell.cov = link.clean_cov + (sx + sx.conj().T)
-        cell.cov += np.vdot(jam, jam).real / f * np.outer(steer, steer.conj())
-    return cell
+    cells = []
+    for jsr in jsrs:
+        a_j, snr_j, clamped = _jam_budget(settings, link, jsr, eaves_noise_var_watt)
+        # in unit-noise samples on antenna 0, whose steering entry is exactly 1
+        jam = _scaled(shaped, rms, a_j)
+        y = link.clean[0].copy()
+        y[tau:] += jam
+        # detection: a received-power jump, or an RS block with more byte
+        # errors than the code corrects (a replica in phase quadrature can
+        # leave the hard decisions untouched, and a weak one the power)
+        onset, jump = rx.estimate_onset(y, _ONSET_GUARD, link.head_power)
+        payload = y[settings.pilot_len :]
+        jumped = jump >= settings.peak_significance
+        detected = jumped or any(
+            _block_lost(_block_bytes(payload, link.a_l, off, base.code, base.scheme), cw, base.code)
+            for off, cw in link.rs_blocks
+        )
+        # a lost block alone detects the jammer, but only a power jump places it
+        tau_hat = _estimate_delay(settings, link.x, y, onset) if jumped else None
+        fork = bit_gen(0)
+        fork.state = state
+        cell = _Cell(model, np.random.Generator(fork), a_j, snr_j, clamped, detected, tau_hat)
+        if steer is not None and tau_hat is not None:
+            cell.steer, cell.jam = steer, jam
+            # the covariance of the snapshot clean + s j^T from shared parts:
+            # the link draw's C plus s x^H + x s^H + p s s^H, with x = clean
+            # conj(j) / f and p = ||j||^2 / f, so no m x f snapshot is formed
+            x = link.clean[:, tau:] @ jam.conj() / f
+            sx = np.outer(steer, x.conj())
+            cell.cov = link.clean_cov + (sx + sx.conj().T)
+            cell.cov += np.vdot(jam, jam).real / f * np.outer(steer, steer.conj())
+        cells.append(cell)
+    return cells
 
 
-def run_cells(
-    settings: TrialSettings,
-    cells: list[tuple[float, jm.JammerModel, np.random.Generator]],
-    eaves_noise_var_watt: float,
-    link: LinkDraw,
-) -> list[TrialResult]:
-    """The cells `(jsr_db, model, rng)` on one link draw, each a trial of the
-    full detect/estimate/classify/adapt loop; one result per cell, in order.
+def run_cells(settings: TrialSettings, model: jm.JammerModel, jsrs, rng: np.random.Generator,
+              eaves_noise_var_watt: float, link: LinkDraw) -> list[TrialResult]:
+    """Jammer `model`'s row on one link draw: a trial of the full
+    detect/estimate/classify/adapt loop at each JSR of `jsrs`, one result
+    per JSR, in order.
 
-    Each cell draws from its own generator, in the order one trial does:
-    its replica and angle of arrival, then its probes. The detected spatial
-    cells' MUSIC and LCMV run as one batch between detection and
-    classification, and the stage two of the cells classified PS as one
-    stack after it. `eaves_noise_var_watt` is the jammer's own receiver floor.
+    The row draws its replica and angle of arrival from `rng` once, and each
+    cell its probes from a generator at rng's state after them, so a cell's
+    result is the one-JSR row's at its JSR. The detected spatial cells'
+    MUSIC and LCMV run as one batch, and the stage two of the cells
+    classified PS as one stack. `eaves_noise_var_watt` is the jammer's own
+    receiver floor.
     """
-    cells = [
-        _jam_front(settings, link, jsr, model, rng, eaves_noise_var_watt)
-        for jsr, model, rng in cells
-    ]
+    cells = _jam_front(settings, link, model, jsrs, rng, eaves_noise_var_watt)
     spatial = [c for c in cells if c.cov is not None]
     if spatial:
         cov = np.array([c.cov for c in spatial])
@@ -664,23 +671,18 @@ def run_cells(
     return _results(settings, link, cells)
 
 
-def run_trial(
-    settings: TrialSettings,
-    jsr_db_target: float,
-    model: jm.JammerModel,
-    rng: np.random.Generator,
-    noise_var_watt: float | None,
-    eaves_noise_var_watt: float,
-) -> TrialResult:
+def run_trial(settings: TrialSettings, jsr_db_target: float, model: jm.JammerModel,
+              rng: np.random.Generator, noise_var_watt: float | None,
+              eaves_noise_var_watt: float) -> TrialResult:
     """One Monte Carlo trial of the full detect/estimate/classify/adapt loop:
-    `run_cells` with one cell.
+    `run_cells` with one JSR.
 
-    `noise_var_watt` is the destination noise floor in watts, calibrated by
-    the harness from the configured baseline SNR and read only in faded
-    mode; pinned mode sets each draw's own floor, so it may be None there.
-    `eaves_noise_var_watt` is the jammer's own receiver floor. The trial's
-    jam-free link is drawn from `rng` first, then everything the jammer or
-    the JSR touches; to run a cell on a given link draw, call `run_cells`.
+    `noise_var_watt` is the destination floor in watts that
+    `harness.calibrate_noise` returns, read only in faded mode (pinned mode
+    sets each draw's own floor, so it may be None there), and
+    `eaves_noise_var_watt` the jammer's own receiver floor. The link is
+    drawn from `rng` first, then the jammer; to run a row on a given link
+    draw, call `run_cells`.
     """
     link = draw_link(settings, rng, noise_var_watt)
-    return run_cells(settings, [(jsr_db_target, model, rng)], eaves_noise_var_watt, link)[0]
+    return run_cells(settings, model, (jsr_db_target,), rng, eaves_noise_var_watt, link)[0]

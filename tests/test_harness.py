@@ -646,8 +646,8 @@ def _trial(**fields) -> pl.TrialResult:
 
 class TestAggregation:
     def test_rows_are_the_means_of_direct_trials(self):
-        """Each cell recomputed from one-cell run_cells calls on the harness's
-        generators: the trial's shared link draw and the cell's own jammer
+        """Each cell recomputed from one-JSR run_cells rows on the harness's
+        generators: the trial's shared link draw and the cell's jammer
         stream; every mean is the 1-D numpy mean over the cell's trials."""
         cfg = loads_config(ORACLE_CONFIG)
         noise_var, eaves_var = calibrate_noise(cfg)
@@ -660,8 +660,11 @@ class TestAggregation:
             ]
             for model in cfg.jammers:
                 for jsr in cfg.jsr_grid_db:
-                    cells = [[(jsr, model, harness._trial_rng(cfg, t, model))] for t in range(n)]
-                    res = [pl.run_cells(settings, cells[t], eaves_var, links[t])[0] for t in range(n)]
+                    res = [
+                        pl.run_cells(settings, model, (jsr,), harness._trial_rng(cfg, t, model),
+                                     eaves_var, links[t])[0]
+                        for t in range(n)
+                    ]
                     row = rows[model, ris, jsr]
                     t_l = np.array([r.t_baseline for r in res])
                     t_j = np.array([r.t_jammed for r in res])

@@ -260,13 +260,13 @@ class TestReplicaPower:
     def test_front_replica_has_the_jsr_power_where_it_lands(self, monkeypatch, family):
         s = _settings(base_family=family, fixed_rate=0.94)
         f, tau = s.frame_len, s.tau
-        spans, replica = [], pl._replica
+        spans, scaled = [], pl._scaled
 
         def recorded(*args):
-            spans.append(replica(*args))
+            spans.append(scaled(*args))
             return spans[-1]
 
-        monkeypatch.setattr(pl, "_replica", recorded)
+        monkeypatch.setattr(pl, "_scaled", recorded)
         for t in range(3):
             link = pl.draw_link(s, np.random.default_rng([61, t]), None)
             assert link.base.scheme.family == family
@@ -274,7 +274,7 @@ class TestReplicaPower:
                 rng = np.random.default_rng([61, t, k])
                 ref = copy.deepcopy(rng)
                 spans.clear()
-                pl._jam_front(s, link, 5.0, model, rng, s.eaves_noise_watt)
+                pl._jam_front(s, link, model, (5.0,), rng, s.eaves_noise_watt)
                 a_j = pl._jam_budget(s, link, 5.0, s.eaves_noise_watt)[0]
                 assert len(spans) == 1 and spans[0].size == f - tau
                 assert rx.mean_power(spans[0]) == pytest.approx(abs(a_j) ** 2, rel=1e-12)
@@ -505,19 +505,20 @@ class TestSharedLinkDraw:
         assert len(calls) == len(cfg.ris_sizes) * cfg.trials + calibration
 
     def test_cells_share_the_link_and_not_the_jammer(self, monkeypatch):
-        """Every cell of a trial shares its link draw. Each cell draws from a
-        generator of its own, and a jammer's cells at every JSR and RIS size
-        start from one state, which no other jammer shares."""
-        links, models, first_draws, results = [], [], [], []
+        """Every cell of a trial shares its link draw. Each row draws from a
+        generator of its own, and a jammer's rows at every RIS size start
+        from one state, which no other jammer shares."""
+        links, models, first_draws, results, rngs = [], [], [], [], []
         inner = pl.run_cells
 
-        def cells_call(settings, cells, eaves_var, link):
+        def cells_call(settings, model, jsrs, rng, eaves_var, link):
             links.append(link)
-            models.append({model for _, model, _ in cells})
-            first_draws.append([copy.deepcopy(rng).random() for _, _, rng in cells])
-            assert len({id(rng) for _, _, rng in cells}) == len(cells)
-            results.extend(inner(settings, cells, eaves_var, link))
-            return results[-len(cells) :]
+            models.append({model})
+            first_draws.append([copy.deepcopy(rng).random()])
+            rngs.append(rng)
+            assert len({id(r) for r in rngs}) == len(rngs)
+            results.extend(inner(settings, model, jsrs, rng, eaves_var, link))
+            return results[-len(jsrs) :]
 
         monkeypatch.setattr(pl, "run_cells", cells_call)
         run_sweep(ExperimentConfig(
@@ -545,45 +546,89 @@ def _spatial_oracle_settings():
 
 
 class TestRunCells:
-    """`run_cells` batches the MUSIC/LCMV of one jammer's spatial cells; each
-    cell still gets exactly the result of its own one-cell call."""
+    """`run_cells` runs one jammer's row: it draws the row's replica and
+    angle of arrival once, batches the MUSIC/LCMV of its spatial cells, and
+    each cell still gets exactly the result of the one-JSR row at its JSR
+    from the same generator state."""
 
-    def test_spatial_cells_equal_one_cell_calls(self, monkeypatch):
-        s = _spatial_oracle_settings()
+    @pytest.mark.parametrize("orthogonality", list(OrthogonalityMode), ids=lambda m: m.value)
+    def test_cells_equal_one_jsr_rows(self, monkeypatch, orthogonality):
+        if orthogonality == OrthogonalityMode.SPATIAL:
+            s = _spatial_oracle_settings()
+        else:
+            # estimates below the 16-sample onset leave a burst under two pilots
+            s = _settings(link=RisLinkConfig(element_count=16), frame_len=256, pilot_len=8,
+                          jam_delay=16)
         unresolved, short, undetected = [], [], []
-        separate, pair = rx.separate_spatial, pl._spatial_pair
+        separate, spatial_pair, temporal_pair = rx.separate_spatial, pl._spatial_pair, pl._temporal_pair
 
         def separate_spatial(cov, aoas):
             w, resolved = separate(cov, aoas)
             unresolved.extend(~resolved)
             return w, resolved
 
-        def spatial_pair(*args):
-            result = pair(*args)
-            short.append(result is None)
-            return result
+        def pair(inner):
+            def spy(*args):
+                result = inner(*args)
+                short.append(result is None)
+                return result
+            return spy
 
         monkeypatch.setattr(rx, "separate_spatial", separate_spatial)
-        monkeypatch.setattr(pl, "_spatial_pair", spatial_pair)
+        monkeypatch.setattr(pl, "_spatial_pair", pair(spatial_pair))
+        monkeypatch.setattr(pl, "_temporal_pair", pair(temporal_pair))
         jsrs = (-20.0, -10.0, 0.0, 10.0)
         # MUSIC leaves an angle pair unresolved in a few trials in a hundred
         # (7 of the first 200 of these trials), so a handful may hold none
         for t in range(100):
             link = pl.draw_link(s, np.random.default_rng([31, t]), None)
             for ji, model in enumerate(JammerModel):
-                def rngs():
-                    return [np.random.default_rng([31, t, ji, k]) for k in range(len(jsrs))]
+                def rng():
+                    return np.random.default_rng([31, t, ji])
 
-                cells = [(jsr, model, rng) for jsr, rng in zip(jsrs, rngs())]
-                batch = pl.run_cells(s, cells, s.eaves_noise_watt, link)
-                one = [
-                    pl.run_cells(s, [(jsr, model, rng)], s.eaves_noise_watt, link)[0]
-                    for jsr, rng in zip(jsrs, rngs())
-                ]
+                row = pl.run_cells(s, model, jsrs, rng(), s.eaves_noise_watt, link)
+                one = [pl.run_cells(s, model, (jsr,), rng(), s.eaves_noise_watt, link)[0]
+                       for jsr in jsrs]
                 # every field, NaN delay errors included, to the last bit
-                assert [repr(r) for r in batch] == [repr(r) for r in one]
-                undetected += [not r.detected for r in batch]
-        assert any(undetected) and any(unresolved) and any(short)
+                assert [repr(r) for r in row] == [repr(r) for r in one]
+                undetected += [not r.detected for r in row]
+        assert any(undetected) and any(short)
+        assert any(unresolved) == (orthogonality == OrthogonalityMode.SPATIAL)
+
+    @pytest.mark.parametrize("orthogonality", list(OrthogonalityMode), ids=lambda m: m.value)
+    def test_front_draws_once_per_row(self, monkeypatch, orthogonality):
+        """The row's replica is shaped once, whatever its length; the front
+        leaves rng where the replica and the angle of arrival leave it, and
+        each cell gets a generator of its own at that state."""
+        s = _settings(orthogonality=orthogonality, baseline_snr_db=11.0)
+        link = pl.draw_link(s, np.random.default_rng([37, 0]), None)
+        jsrs = (-10.0, 0.0, 10.0, 20.0)
+        for ji, model in enumerate(JammerModel):
+            rng = np.random.default_rng([37, ji])
+            ref = copy.deepcopy(rng)
+            transforms = _count_calls(monkeypatch, pl.jm, "jammer_transform")
+            cells = pl._jam_front(s, link, model, jsrs, rng, s.eaves_noise_watt)
+            monkeypatch.undo()
+            assert len(transforms) == 1 and len(cells) == len(jsrs)
+            jm.jammer_transform(model, link.x[: s.frame_len - s.tau], ref)
+            if orthogonality == OrthogonalityMode.SPATIAL:
+                while abs(ref.uniform(-np.pi / 3, np.pi / 3) - link.aoa_l) < np.deg2rad(15.0):
+                    pass
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert len({id(c.rng) for c in cells} | {id(rng)}) == len(jsrs) + 1
+            draws = {c.rng.random() for c in cells}
+            assert draws == {ref.random()}
+
+    def test_one_jammer_generator_per_row(self, monkeypatch):
+        """A unit makes one generator for its link draw and one per jammer,
+        whatever the JSR grid."""
+        cfg = _two_ris_sweep()
+        assert len(cfg.jsr_grid_db) > 1
+        calls = _count_calls(monkeypatch, harness, "_trial_rng")
+        noise_var, eaves_var = calibrate_noise(cfg)
+        harness._run_unit((cfg, 1, 2, noise_var, eaves_var))
+        assert len(calls) == 1 + len(cfg.jammers)
+        assert [c[1:] for c in calls] == [(2,)] + [(2, model) for model in cfg.jammers]
 
     def test_shared_parts_match_the_snapshot(self):
         """The covariance from the clean covariance plus a rank-two correction,
@@ -594,9 +639,8 @@ class TestRunCells:
         for t in range(4):
             link = pl.draw_link(s, np.random.default_rng([5, t]), None)
             for ji, model in enumerate(JammerModel):
-                for jsr in (0.0, 10.0):
-                    rng = np.random.default_rng([5, t, ji, int(jsr)])
-                    c = pl._jam_front(s, link, jsr, model, rng, s.eaves_noise_watt)
+                rng = np.random.default_rng([5, t, ji])
+                for c in pl._jam_front(s, link, model, (0.0, 10.0), rng, s.eaves_noise_watt):
                     assert c.steer is not None
                     jam = np.zeros(f, dtype=complex)
                     jam[tau:] = c.jam
@@ -628,7 +672,7 @@ class TestSeams:
                 state = rng.bit_generator.state
                 budget = pl._jam_budget(s, link, jsr, s.eaves_noise_watt)
                 assert rng.bit_generator.state == state
-                c = pl._jam_front(s, link, jsr, model, rng, s.eaves_noise_watt)
+                c = pl._jam_front(s, link, model, (jsr,), rng, s.eaves_noise_watt)[0]
                 assert budget == (c.a_j, c.snr_j, c.clamped) and c.clamped is clamped
 
     def test_no_class_keeps_the_baseline(self):
@@ -638,11 +682,8 @@ class TestSeams:
         for t in range(4):
             link = pl.draw_link(s, np.random.default_rng([12, t]), None)
             for ji, model in enumerate(JammerModel):
-                cells = [
-                    (jsr, model, np.random.default_rng([12, t, ji, k]))
-                    for k, jsr in enumerate((-30.0, -10.0, 0.0))
-                ]
-                for r in pl.run_cells(s, cells, s.eaves_noise_watt, link):
+                rng = np.random.default_rng([12, t, ji])
+                for r in pl.run_cells(s, model, (-30.0, -10.0, 0.0), rng, s.eaves_noise_watt, link):
                     undetected += not r.detected
                     if r.jammer_class is None:
                         assert (r.t_jammed, r.scheme, r.code_rate, r.payload_fraction) == (
@@ -658,10 +699,9 @@ class TestSeams:
         for t in range(3):
             link = pl.draw_link(s, np.random.default_rng([14, t]), None)
             for ji, model in enumerate(JammerModel):
-                cells = [(jsr, model, np.random.default_rng([14, t, ji, k]))
-                         for k, jsr in enumerate(jsrs)]
+                rng = np.random.default_rng([14, t, ji])
                 calls = _count_calls(monkeypatch, ad, "effective_ber")
-                results = pl.run_cells(s, cells, s.eaves_noise_watt, link)
+                results = pl.run_cells(s, model, jsrs, rng, s.eaves_noise_watt, link)
                 classes = {r.jammer_class for r in results} - {None, rx.JammerClass.UNKNOWN}
                 assert sorted(c[0] for c in calls) == sorted(classes)
                 present |= classes
@@ -703,11 +743,13 @@ class TestSeams:
         # replica cannot open
         s = _settings(fixed_rate=0.94, peak_significance=0.9)
         link = pl.draw_link(s, np.random.default_rng([13, 0]), None)
-        cells = [(-30.0, model, np.random.default_rng([13, k])) for k, model in
-                 enumerate(list(JammerModel) * 3)]
         # the link draw's baseline decision, with no adaptation call at all
         calls = [_count_calls(monkeypatch, ad, name) for name in ("select_link", "effective_ber")]
-        results = pl.run_cells(s, cells, s.eaves_noise_watt, link)
+        results = [
+            r for k, model in enumerate(list(JammerModel) * 3)
+            for r in pl.run_cells(s, model, (-30.0,), np.random.default_rng([13, k]),
+                                  s.eaves_noise_watt, link)
+        ]
         assert not any(r.detected for r in results)
         assert calls == [[], []]
         assert {(r.scheme, r.code_rate) for r in results} == {
@@ -829,10 +871,9 @@ class TestOnePass:
             link = pl.draw_link(s, np.random.default_rng([41, t]), None)
             assert link.head_power.size == delay + 1
             assert np.array_equal(link.head_power, rx.power_sums(link.clean[0])[: delay + 1])
-            grid = [(jsr, model) for model in JammerModel for jsr in (-10.0, 5.0, 20.0)]
-            cells = [(jsr, model, np.random.default_rng([41, t, k]))
-                     for k, (jsr, model) in enumerate(grid)]
-            pl.run_cells(s, cells, s.eaves_noise_watt, link)
+            for ji, model in enumerate(JammerModel):
+                rng = np.random.default_rng([41, t, ji])
+                pl.run_cells(s, model, (-10.0, 5.0, 20.0), rng, s.eaves_noise_watt, link)
         assert len(onsets) == 4 * 9
         for y, guard, got in onsets:
             assert got == estimate(y, guard)
@@ -890,9 +931,8 @@ class TestOnePass:
         for t in range(3):
             link = pl.draw_link(s, np.random.default_rng([47, t]), None)
             for ji, model in enumerate(JammerModel):
-                cells = [(jsr, model, np.random.default_rng([47, t, ji, k]))
-                         for k, jsr in enumerate((0.0, 5.0, 10.0, 15.0))]
-                pl.run_cells(s, cells, s.eaves_noise_watt, link)
+                rng = np.random.default_rng([47, t, ji])
+                pl.run_cells(s, model, (0.0, 5.0, 10.0, 15.0), rng, s.eaves_noise_watt, link)
         assert len(seen) == len(pairs) > 0
         for (scheme, pair), (sim, inversions) in zip(pairs, seen):
             want_sim, want_inversions = _classify_reference(s, scheme, *pair)
@@ -923,12 +963,11 @@ class TestMemory:
         for t in range(6):
             link = pl.draw_link(s, np.random.default_rng([53, t]), noise_var)
             for ji, model in enumerate(cfg.jammers):
-                cells = [(jsr, model, np.random.default_rng([53, t, ji, k]))
-                         for k, jsr in enumerate(cfg.jsr_grid_db)]
+                rng = np.random.default_rng([53, t, ji])
                 # what the call allocates, from a trace started just before it
                 tracemalloc.start()
                 try:
-                    pl.run_cells(s, cells, eaves_var, link)
+                    pl.run_cells(s, model, cfg.jsr_grid_db, rng, eaves_var, link)
                     peak = max(peak, tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
