@@ -5,11 +5,10 @@ Every stream is keyed by what it stands for, never by a list position, so
 cells share draws by design. Trial t's jam-free link draw (channel, frame,
 noise) is keyed (_LINK_KEY, t) at every RIS size and shared by all the
 trial's cells; its RIS surfaces come from a spawned child, so a smaller
-surface is a larger one's prefix, to rounding. A row, one jammer's JSR grid on
-a link draw, draws its replica and angle of arrival once, at every JSR and RIS
-size the same, from a generator keyed (code, t) by the jammer's fixed code.
-Workers run whole (RIS size, trial) units, so results are byte-identical for
-any worker count.
+surface is a larger one's prefix, to rounding. A row (one jammer's JSR grid on
+a link draw) draws its jammer once, from a generator keyed (code, t) by the
+jammer's fixed code. Workers run whole (RIS size, trial) units, so results
+are byte-identical for any worker count.
 """
 
 from __future__ import annotations

@@ -190,15 +190,14 @@ def _pilot(scheme: wf.ModScheme, length: int) -> np.ndarray:
     return syms
 
 
-def _noise(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-variance circular complex Gaussian noise."""
-    # the real parts, then the imaginary parts: the draws, and the bits, of
-    # two rng.normal(0, sqrt(0.5), n) calls, written into one buffer
-    z = rng.standard_normal((2, n))
+def _noise(shape, rng: np.random.Generator) -> np.ndarray:
+    """Unit-variance circular complex Gaussian noise of `shape`, n or (m, n)."""
+    # each row's real parts, then its imaginary parts: a row's draws, and bits,
+    # are those of two rng.normal(0, sqrt(0.5), n) calls, whatever rows follow
+    out = np.empty(shape, dtype=complex)
+    z = rng.standard_normal((*out.shape[:-1], 2, out.shape[-1]))
     z *= np.sqrt(0.5)
-    out = np.empty(n, dtype=complex)
-    out.real = z[0]
-    out.imag = z[1]
+    out.real, out.imag = z[..., 0, :], z[..., 1, :]
     return out
 
 
@@ -543,7 +542,7 @@ def draw_link(
         steer_l = rx._steering(m, aoa_l)
     else:
         m, steer_l = 1, np.ones((1, 1))
-    clean = steer_l * (a_l * x) + _noise(m * f, rng).reshape(m, f)
+    clean = steer_l * (a_l * x) + _noise((m, f), rng)
     clean_cov = None
     if aoa_l is not None:
         clean_cov = clean @ clean.conj().T / f

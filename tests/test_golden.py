@@ -17,10 +17,10 @@ CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 
 GOLDEN = {
     "figure2a": "d9206a95c1b011e0c794beb236177baedf3013c4f8f8fae499b3371211eeb1cc",
-    "figure2b": "69a3744cbef09e43318c7d2eea1007f26805c9398633c938426ae8f99a93feee",
+    "figure2b": "1c9d263546cb8412a54e26ad728529a073e156345a496cd3b7f0799b7dbaaa32",
     "figure3": "8b6ed1d5c56641417fdb1f8d4a716a9cf5f3300b571c62af3e95b799637c1dc7",
     "figure4": "0d341259a30cc71d4274c901a0f5f8b1990ce9de7f39294dbbea4cf3e97329cb",
-    "headline": "f1e3ab9fe9bcf3d3f5ca5b449cf3326fe2ae0a82eeff45c1fcf9a6fa656092e9",
+    "headline": "a237c23abab02622fa05a3b75266d20e9b1d380c8cf57efc153e0334da8088a8",
 }
 
 

@@ -267,6 +267,9 @@ RUN_BASE = {
 }
 RIS_AWARE = {("sweep", "topology"): "ris_aware"}
 SPATIAL = {("sweep", "orthogonality"): "spatial"}
+# a spatial sweep on a 256-sample frame, where a 4-element array leaves some
+# angle pairs unresolved that the default 8 resolve
+SHORT_SPATIAL = SPATIAL | {("receiver", "frame_len"): "256", ("receiver", "pilot_len"): "8"}
 # JSR targets far above what the jammer's power cap buys, so every cell
 # clamps: the cap then sets the jammer's power, and the legit received power
 # the JSR it reaches, which is how the link budget reaches a pinned cell
@@ -281,9 +284,9 @@ LIVE = {
     ("jammer", "d_j2"): ("1000", RIS_AWARE),
     # a transmit path loss the jammer's power cap cannot make up for
     ("jammer", "d_j1"): ("1000", {}),
-    # the fewest antennas spatial orthogonality allows (at 16, this short
-    # sweep's cells all reach the outcomes they reach at the default 8)
-    ("receiver", "antennas"): ("4", SPATIAL),
+    # the fewest antennas spatial orthogonality allows (on 4096-sample frames
+    # this short sweep's cells reach the same outcomes at 4, 8 and 16)
+    ("receiver", "antennas"): ("4", SHORT_SPATIAL),
     ("receiver", "sim_threshold"): ("0.5", {}),
     ("receiver", "inversion_threshold"): ("0.9", {}),
     ("receiver", "peak_significance"): ("1", {}),

@@ -476,6 +476,28 @@ class TestNoise:
         assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
         assert rng.random() == ref_rng.random()
 
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_rows_are_one_row_draws_in_turn(self, m):
+        """An (m, n) buffer holds, row by row, the bits of m one-row draws
+        from the same generator, and leaves it where they do."""
+        ref_rng, rng = np.random.default_rng([9, m]), np.random.default_rng([9, m])
+        ref = np.array([pl._noise(100, ref_rng) for _ in range(m)])
+        out = pl._noise((m, 100), rng)
+        assert out.shape == (m, 100)
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+        assert rng.random() == ref_rng.random()
+
+    def test_antenna_zero_does_not_depend_on_the_array_size(self):
+        """A link draw's antenna 0, the one detection reads, is the same to the
+        bit at every array size from one generator state."""
+        s = _settings(orthogonality=OrthogonalityMode.SPATIAL, frame_len=512, pilot_len=16)
+        clean = [
+            pl.draw_link(replace(s, antennas=m), np.random.default_rng([59, 1]), None).clean[0]
+            for m in (4, 8, 16)
+        ]
+        for c in clean[1:]:
+            assert np.array_equal(c.view(np.uint64), clean[0].view(np.uint64))
+
 
 def _two_ris_sweep(**kw):
     return ExperimentConfig(
