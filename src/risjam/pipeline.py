@@ -224,8 +224,7 @@ def _shape(model, x, rng):
 
 
 def _scaled(shaped, rms, amp) -> np.ndarray:
-    """A shaped copy of RMS `rms` scaled to mean power |amp|^2; zeros when it
-    has no power."""
+    """A shaped copy of RMS `rms` at mean power |amp|^2; zeros when rms is 0."""
     if rms == 0.0:
         return np.zeros(shaped.size, dtype=complex)
     return (amp / rms) * shaped
@@ -297,11 +296,11 @@ def _stage_two(settings, scheme, cells) -> None:
     of the cell against its known replica, and set the cell's class.
 
     Each cell draws its probe from its own generator: the bits of 1024
-    symbols, the replica, then the noise; the probes are read as one (cells,
-    1024) stack. Per-symbol ratios r_k = y_k / x_k cluster at +-1 for PS
-    (balanced signs) and at V_k > 0 for AS. The global phase comes from the
-    squared ratios, which removes the sign ambiguity; a near-balanced sign
-    split means PS.
+    symbols, the replica, then the noise. The probes are then read as one
+    (cells, 1024) stack. Per-symbol ratios r_k = y_k / x_k
+    cluster at +-1 for PS (balanced signs) and at V_k > 0 for AS. The global
+    phase comes from the squared ratios, which removes the sign ambiguity; a
+    near-balanced sign split means PS.
     """
     n, k = 1024, scheme.bits_per_symbol
     bits = np.empty((len(cells), n * k), dtype=np.uint8)
@@ -641,8 +640,9 @@ def _jam_front(settings, link, model, jsrs, rng, eaves_noise_var_watt) -> list[_
     return cells
 
 
-def run_cells(settings: TrialSettings, model: jm.JammerModel, jsrs, rng: np.random.Generator,
-              eaves_noise_var_watt: float, link: LinkDraw) -> list[TrialResult]:
+def run_cells(settings: TrialSettings, model: jm.JammerModel, jsrs: tuple[float, ...],
+              rng: np.random.Generator, eaves_noise_var_watt: float,
+              link: LinkDraw) -> list[TrialResult]:
     """Jammer `model`'s row on one link draw: a trial of the full
     detect/estimate/classify/adapt loop at each JSR of `jsrs`, one result
     per JSR, in order.
